@@ -32,8 +32,8 @@ func BenchmarkAblationSampling(b *testing.B) {
 		if !sampled {
 			prof.SampleThreshold = 0
 		}
-		est := &search.RDBMSEstimator{DB: env.DB, Profile: prof}
 		for i := 0; i < b.N; i++ {
+			est := &search.RDBMSEstimator{DB: env.DB, Profile: prof}
 			res := search.GDL(q9, env.TBox, ref, est, search.Options{})
 			if res.Err != nil {
 				b.Fatal(res.Err)
@@ -68,10 +68,10 @@ func BenchmarkAblationRDFSlots(b *testing.B) {
 func BenchmarkAblationMemoization(b *testing.B) {
 	env, _, _ := benchEnvs()
 	q := lubm.Queries()[9] // Q10, 9 atoms
-	est := &search.ExtEstimator{Model: env.A.Model}
 	b.Run("memoized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ref := reformulate.New(env.TBox) // shared across the search
+			est := &search.ExtEstimator{Model: env.A.Model}
 			res := search.GDL(q, env.TBox, ref, est, search.Options{})
 			if res.Err != nil {
 				b.Fatal(res.Err)
@@ -83,6 +83,7 @@ func BenchmarkAblationMemoization(b *testing.B) {
 			// Estimate every enumerated cover with a cold reformulator:
 			// enumerate the same covers GDL's first round would.
 			root := cover.RootCover(q, env.TBox)
+			est := &search.ExtEstimator{Model: env.A.Model}
 			for f1 := 0; f1 < len(root.Frags); f1++ {
 				for f2 := f1 + 1; f2 < len(root.Frags); f2++ {
 					cold := reformulate.New(env.TBox)

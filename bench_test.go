@@ -154,10 +154,12 @@ func BenchmarkStats(b *testing.B) {
 func BenchmarkTimeLimitedGDL(b *testing.B) {
 	env, _, _ := benchEnvs()
 	ref := reformulate.New(env.TBox)
-	est := &search.ExtEstimator{Model: env.A.Model}
 	for _, q := range lubm.Queries() {
 		b.Run(q.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				// Estimators remember the subtrees of the search they
+				// served: one per search.
+				est := &search.ExtEstimator{Model: env.A.Model}
 				res := search.GDL(q, env.TBox, ref, est, search.Options{TimeLimit: 20 * time.Millisecond})
 				if res.Err != nil {
 					b.Fatal(res.Err)
@@ -174,15 +176,13 @@ func BenchmarkGDLSearch(b *testing.B) {
 	ref := reformulate.New(env.TBox)
 	q9 := lubm.Queries()[8]
 	b.Run("Q9/ext", func(b *testing.B) {
-		est := &search.ExtEstimator{Model: env.A.Model}
 		for i := 0; i < b.N; i++ {
-			search.GDL(q9, env.TBox, ref, est, search.Options{})
+			search.GDL(q9, env.TBox, ref, &search.ExtEstimator{Model: env.A.Model}, search.Options{})
 		}
 	})
 	b.Run("Q9/rdbms", func(b *testing.B) {
-		est := &search.RDBMSEstimator{DB: env.DB, Profile: env.Profile}
 		for i := 0; i < b.N; i++ {
-			search.GDL(q9, env.TBox, ref, est, search.Options{})
+			search.GDL(q9, env.TBox, ref, &search.RDBMSEstimator{DB: env.DB, Profile: env.Profile}, search.Options{})
 		}
 	})
 }

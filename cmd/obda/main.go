@@ -99,8 +99,9 @@ func main() {
 		fmt.Printf("est. cost:  %.1f\n", res.EstCost)
 		fmt.Printf("search:     %v, eval: %v\n", res.SearchTime, res.EvalTime)
 		if res.Search != nil {
-			fmt.Printf("explored:   %d Lq + %d Gq covers\n",
-				res.Search.ExploredLq, res.Search.ExploredGq)
+			fmt.Printf("explored:   %d Lq + %d Gq covers over %d fragments (%d reused)\n",
+				res.Search.ExploredLq, res.Search.ExploredGq,
+				res.Search.FragmentsEstimated, res.Search.FragmentsReused)
 		}
 		if res.Explain != nil {
 			fmt.Print(res.Explain.Text())

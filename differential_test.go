@@ -61,12 +61,12 @@ func requireSameAnswers(t *testing.T, label string, got, want map[string]bool) {
 func TestCoverExecutionDifferentialLUBM(t *testing.T) {
 	env := exp.BuildEnv(2, 1, engine.LayoutSimple, engine.ProfilePostgres())
 	ref := reformulate.New(env.TBox)
-	est := &search.ExtEstimator{Model: env.A.Model}
 	for _, q := range lubm.Queries() {
 		u := ref.MustReformulate(q)
 		truth := tupleSet(engine.ExecUCQ(engine.PlanUCQ(u, env.DB, env.Profile), env.DB), env.DB)
 
 		covers := map[string]cover.Cover{"croot": cover.RootCover(q, env.TBox)}
+		est := &search.ExtEstimator{Model: env.A.Model}
 		if sr := search.GDL(q, env.TBox, ref, est, search.Options{}); sr.Err == nil {
 			covers["gdl"] = sr.Cover
 		} else {

@@ -287,6 +287,7 @@ var rewritePlan = plan.Rewrite
 // res's search fields (fresh searches only reach here).
 func (a *Answerer) buildPlan(q query.CQ, s Strategy, res *Result, backend plan.Backend) (*cachedPlan, error) {
 	var c cover.Cover
+	var sr *search.Result
 	switch s {
 	case StrategyUCQ, StrategyUCQMin, StrategyUSCQ:
 		c = cover.SingleFragment(q)
@@ -301,35 +302,28 @@ func (a *Answerer) buildPlan(q query.CQ, s Strategy, res *Result, backend plan.B
 		if backend.Name() != "native" {
 			est = &search.BackendEstimator{Backend: backend}
 		}
-		sr := search.GDL(q, a.TBox, a.Ref, est, a.searchOpts())
-		if sr.Err != nil {
-			return nil, sr.Err
-		}
-		c = sr.Cover
-		res.Search = &sr
-		res.SearchTime = sr.Elapsed
+		r := search.GDL(q, a.TBox, a.Ref, est, a.searchOpts())
+		sr = &r
 	case StrategyGDLExt:
-		sr := search.GDL(q, a.TBox, a.Ref, &search.ExtEstimator{Model: a.Model}, a.searchOpts())
-		if sr.Err != nil {
-			return nil, sr.Err
-		}
-		c = sr.Cover
-		res.Search = &sr
-		res.SearchTime = sr.Elapsed
+		r := search.GDL(q, a.TBox, a.Ref, &search.ExtEstimator{Model: a.Model}, a.searchOpts())
+		sr = &r
 	case StrategyEDL:
 		opts := a.searchOpts()
 		if opts.MaxCovers == 0 {
 			opts.MaxCovers = 20000 // the paper's A6 cutoff
 		}
-		sr := search.EDL(q, a.TBox, a.Ref, &search.ExtEstimator{Model: a.Model}, opts)
+		r := search.EDL(q, a.TBox, a.Ref, &search.ExtEstimator{Model: a.Model}, opts)
+		sr = &r
+	default:
+		return nil, fmt.Errorf("core: unknown strategy %q", s)
+	}
+	if sr != nil {
 		if sr.Err != nil {
 			return nil, sr.Err
 		}
 		c = sr.Cover
-		res.Search = &sr
+		res.Search = sr
 		res.SearchTime = sr.Elapsed
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %q", s)
 	}
 	cp := &cachedPlan{cover: c, numFragments: len(c.Frags), searchTime: res.SearchTime}
 
@@ -344,28 +338,35 @@ func (a *Answerer) buildPlan(q query.CQ, s Strategy, res *Result, backend plan.B
 		cp.sql = sqlgen.JUSCQ(js, sqlgen.Options{Layout: a.DB.Layout})
 		cp.ir = plan.FromJUSCQ(js)
 	} else {
-		j, err := c.ReformulateJUCQ(a.Ref)
-		if err != nil {
-			return nil, err
-		}
-		if s == StrategyUCQMin {
-			// §2.3: evaluate the containment-minimized UCQ instead.
-			m, err := a.Ref.ReformulateMinimal(q)
+		if sr != nil {
+			// The search reformulated and lowered the winning cover,
+			// fragment by fragment, to cost it: take its JUCQ and its
+			// tree instead of doing both a second time.
+			cp.jucq, cp.ir = sr.JUCQ, sr.Plan
+		} else {
+			j, err := c.ReformulateJUCQ(a.Ref)
 			if err != nil {
 				return nil, err
 			}
-			j.Subs = []query.UCQ{m}
+			if s == StrategyUCQMin {
+				// §2.3: evaluate the containment-minimized UCQ instead.
+				m, err := a.Ref.ReformulateMinimal(q)
+				if err != nil {
+					return nil, err
+				}
+				j.Subs = []query.UCQ{m}
+			}
+			cp.jucq, cp.ir = j, plan.FromJUCQ(j)
 		}
-		cp.jucq = j
-		for _, sub := range j.Subs {
+		for _, sub := range cp.jucq.Subs {
 			cp.numDisjuncts += len(sub.Disjuncts)
 		}
-		cp.sql = sqlgen.JUCQ(j, sqlgen.Options{Layout: a.DB.Layout})
-		cp.ir = plan.FromJUCQ(j)
+		cp.sql = sqlgen.JUCQ(cp.jucq, sqlgen.Options{Layout: a.DB.Layout})
 	}
 	// Backend-neutral IR simplification (single-arm union collapse,
 	// nested project merge) — applied here so every backend compiles
-	// the same rewritten tree the search estimators scored.
+	// the same rewritten tree the search estimators scored; on a tree
+	// the search hands over, already rewritten, it finds nothing to do.
 	// rewritePlan is a variable only so tests can stand in a broken
 	// rewrite and assert plan.Validate rejects its output.
 	cp.ir = rewritePlan(cp.ir)

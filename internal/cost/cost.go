@@ -44,11 +44,10 @@ func DefaultConstants() Constants {
 	return Constants{Scan: 1, Probe: 1.5, Emit: 0.5, Dedup: 1.2, Mat: 3, Join: 1.5, Xfer: 2, RDFMul: float64(engine.DefaultRDFSlots)}
 }
 
-// Estimate is a (cost, cardinality) pair in abstract cost units.
-type Estimate struct {
-	Cost float64
-	Card float64
-}
+// Estimate is a (cost, cardinality) pair in abstract cost units — the
+// plan IR's estimate type, so figures pass between the dialect formulas
+// and plan trees unconverted.
+type Estimate = plan.Estimate
 
 // Model is the ε estimator bound to a database's statistics.
 type Model struct {
@@ -169,11 +168,23 @@ func (m *Model) UCQ(u query.UCQ) Estimate {
 // JUCQ estimates the WITH-materialize-then-join shape: every fragment
 // is materialized with DISTINCT, then hash-joined.
 func (m *Model) JUCQ(j query.JUCQ) Estimate {
-	var frags []Estimate
+	frags := make([]Estimate, len(j.Subs))
+	for i, sub := range j.Subs {
+		frags[i] = m.UCQ(sub)
+	}
+	return m.Join(frags)
+}
+
+// Join combines per-fragment estimates into the estimate of the cover
+// that joins them — the one place the cover-level arithmetic lives.
+// JUCQ, JUSCQ and the plan-tree Estimate all end here, so a cover costs
+// the same whether its fragments were estimated just now or recalled
+// from an earlier candidate of the same search. Each fragment pays its
+// own cost plus materialization; the join is linear in its inputs; the
+// output is the independence product capped by the smallest input.
+func (m *Model) Join(frags []Estimate) Estimate {
 	cost := 0.0
-	for _, sub := range j.Subs {
-		fe := m.UCQ(sub)
-		frags = append(frags, fe)
+	for _, fe := range frags {
 		cost += fe.Cost + fe.Card*m.C.Mat
 	}
 	card := 1.0
@@ -245,27 +256,11 @@ func (m *Model) USCQ(u query.USCQ) Estimate {
 
 // JUSCQ estimates the USCQ fragment join.
 func (m *Model) JUSCQ(j query.JUSCQ) Estimate {
-	var frags []Estimate
-	cost := 0.0
-	for _, sub := range j.Subs {
-		fe := m.USCQ(sub)
-		frags = append(frags, fe)
-		cost += fe.Cost + fe.Card*m.C.Mat
+	frags := make([]Estimate, len(j.Subs))
+	for i, sub := range j.Subs {
+		frags[i] = m.USCQ(sub)
 	}
-	card := 1.0
-	minCard := -1.0
-	for _, fe := range frags {
-		card *= maxf(fe.Card, 1)
-		cost += fe.Card * m.C.Join
-		if minCard < 0 || fe.Card < minCard {
-			minCard = fe.Card
-		}
-	}
-	if minCard >= 0 && minCard < card {
-		card = minCard
-	}
-	cost += card * m.C.Emit
-	return Estimate{Cost: cost, Card: card}
+	return m.Join(frags)
 }
 
 // Calibrate fits the model's time scale against the engine by running a
@@ -308,25 +303,51 @@ func minf(a, b float64) float64 {
 	return b
 }
 
-// Estimate scores a logical plan tree by extracting it back into its
-// dialect and applying the matching formula — the same ε figures the
-// search obtains on JUCQs, now reachable from any plan.Node. A
+// Estimate scores a logical plan tree with the ε formulas — the same
+// figures the search obtains on JUCQs, reachable from any plan.Node. A
 // malformed tree costs +Inf (search treats it as "never pick this").
-func (m *Model) Estimate(n *plan.Node) plan.Estimate {
+func (m *Model) Estimate(n *plan.Node) Estimate {
+	return m.EstimateShared(n, nil)
+}
+
+// EstimateShared is Estimate for the candidate covers of one search,
+// which are built over shared fragment subtrees: a cover-shaped tree is
+// taken apart, each fragment subtree is extracted into its dialect and
+// estimated once — frags remembers the result by subtree identity — and
+// the cover is the Join of its fragments' estimates. Any other tree is
+// a single UCQ or USCQ and is estimated directly. A nil frags remembers
+// nothing. The map must not outlive the statistics it was filled under.
+func (m *Model) EstimateShared(n *plan.Node, frags map[*plan.Node]Estimate) Estimate {
+	subs := plan.CoverFragments(n)
+	if subs == nil {
+		return m.fragment(n)
+	}
+	ests := make([]Estimate, len(subs))
+	for i, sub := range subs {
+		e, ok := frags[sub]
+		if !ok {
+			e = m.fragment(sub)
+			if frags != nil {
+				frags[sub] = e
+			}
+		}
+		ests[i] = e
+	}
+	return m.Join(ests)
+}
+
+// fragment estimates a tree that extracts into a single UCQ or USCQ: a
+// cover fragment, or a whole plan that is no cover.
+func (m *Model) fragment(n *plan.Node) Estimate {
 	lo, err := plan.Extract(n)
-	if err != nil {
-		return plan.Estimate{Cost: math.Inf(1)}
+	switch {
+	case err != nil:
+	case lo.Kind == plan.KindUCQ:
+		return m.UCQ(lo.UCQ)
+	case lo.Kind == plan.KindUSCQ:
+		return m.USCQ(lo.USCQ)
 	}
-	var e Estimate
-	switch lo.Kind {
-	case plan.KindUCQ:
-		e = m.UCQ(lo.UCQ)
-	case plan.KindUSCQ:
-		e = m.USCQ(lo.USCQ)
-	case plan.KindJUCQ:
-		e = m.JUCQ(lo.JUCQ)
-	default:
-		e = m.JUSCQ(lo.JUSCQ)
-	}
-	return plan.Estimate{Cost: e.Cost, Card: e.Card}
+	// Malformed, or a cover nested inside a fragment: not a shape any
+	// lowering produces, and not one the formulas decompose.
+	return Estimate{Cost: math.Inf(1)}
 }

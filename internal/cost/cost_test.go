@@ -1,11 +1,13 @@
 package cost
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/dllite"
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -147,5 +149,51 @@ func TestEmptyTablesZeroCard(t *testing.T) {
 	e := m.CQ(query.MustParseCQ("q(x) <- Missing(x)"))
 	if e.Card != 0 {
 		t.Errorf("unknown table must estimate zero rows, got %v", e.Card)
+	}
+}
+
+// TestEstimateSharedMatchesFormulas: scoring a cover's plan tree
+// fragment by fragment — recalling fragment figures from the shared map
+// on later trees — gives exactly the dialect formulas' figures.
+func TestEstimateSharedMatchesFormulas(t *testing.T) {
+	m := NewModel(buildDB(t, engine.LayoutSimple))
+	x := query.Var("x")
+	f1 := query.UCQ{Name: "f1", Disjuncts: []query.CQ{
+		query.MustParseCQ("f1(x) <- A(x)"), query.MustParseCQ("f1(x) <- R(x, y)")}}
+	f2 := query.UCQ{Name: "f2", Disjuncts: []query.CQ{query.MustParseCQ("f2(x) <- R(x, 'o3')")}}
+	f3 := query.UCQ{Name: "f3", Disjuncts: []query.CQ{
+		query.MustParseCQ("f3(x) <- R(x, y), R(z, y)"), query.MustParseCQ("f3(x) <- A(x), R(x, y)")}}
+	tree := map[string]*plan.Node{}
+	for _, u := range []query.UCQ{f1, f2, f3} {
+		tree[u.Name] = plan.Rewrite(plan.FromUCQ(u))
+	}
+	shared := map[*plan.Node]Estimate{}
+	for _, subs := range [][]query.UCQ{{f1, f2}, {f1, f3}, {f3, f2, f1}, {f2}} {
+		j := query.JUCQ{Name: "j", Head: []query.Term{x}, Subs: subs}
+		want := m.JUCQ(j)
+		if len(subs) == 1 {
+			want = m.UCQ(subs[0]) // a single fragment is a plain UCQ plan
+		}
+		frags := make([]*plan.Node, len(subs))
+		for i, u := range subs {
+			frags[i] = tree[u.Name]
+		}
+		n := plan.Cover(j.Name, j.Head, frags)
+		if got := m.EstimateShared(n, shared); got != want {
+			t.Errorf("%d fragments: shared estimate %+v, formulas %+v", len(subs), got, want)
+		}
+		if got := m.Estimate(plan.FromJUCQ(j)); got != want {
+			t.Errorf("%d fragments: estimate %+v, formulas %+v", len(subs), got, want)
+		}
+	}
+	if len(shared) != 3 {
+		t.Errorf("shared map holds %d fragment estimates, want 3", len(shared))
+	}
+	js := query.JUSCQ{Name: "j", Head: []query.Term{x}, Subs: []query.USCQ{query.FactorizeUCQ(f1), query.FactorizeUCQ(f3)}}
+	if got, want := m.Estimate(plan.FromJUSCQ(js)), m.JUSCQ(js); got != want {
+		t.Errorf("juscq: estimate %+v, formulas %+v", got, want)
+	}
+	if est := m.Estimate(&plan.Node{Op: plan.OpJoin}); !math.IsInf(est.Cost, 1) {
+		t.Errorf("malformed tree estimates to %+v, want +Inf cost", est)
 	}
 }

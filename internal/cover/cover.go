@@ -11,9 +11,10 @@
 package cover
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
-	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/dllite"
@@ -135,15 +136,42 @@ func (c Cover) IsGeneralized() bool {
 	return false
 }
 
-// Key returns a canonical string identifying the cover (fragments
-// sorted by mask), used for deduplication during search.
+// Key returns a canonical string identifying the cover, used for
+// deduplication during search: the fragments rendered "F|G" in hex,
+// sorted as strings and joined with ";". It is built in one buffer —
+// the search keys every candidate cover it meets.
 func (c Cover) Key() string {
-	parts := make([]string, len(c.Frags))
-	for i, f := range c.Frags {
-		parts[i] = fmt.Sprintf("%x|%x", f.F, f.G)
+	var orderBuf [16]int
+	order := orderBuf[:0]
+	for i := range c.Frags {
+		order = append(order, i)
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, ";")
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && fragKeyLess(c.Frags[order[j]], c.Frags[order[j-1]]); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	var buf [128]byte
+	b := buf[:0]
+	for k, i := range order {
+		if k > 0 {
+			b = append(b, ';')
+		}
+		b = appendFragKey(b, c.Frags[i])
+	}
+	return string(b)
+}
+
+func appendFragKey(b []byte, f Fragment) []byte {
+	b = strconv.AppendUint(b, f.F, 16)
+	b = append(b, '|')
+	return strconv.AppendUint(b, f.G, 16)
+}
+
+// fragKeyLess orders fragments by their rendered keys, as strings.
+func fragKeyLess(a, b Fragment) bool {
+	var ab, bb [40]byte
+	return bytes.Compare(appendFragKey(ab[:0], a), appendFragKey(bb[:0], b)) < 0
 }
 
 // Clone returns an independent copy.
@@ -235,11 +263,36 @@ func maskConnected(q query.CQ, mask uint64) bool {
 	return len(visited) == len(idx)
 }
 
+// FragmentID identifies a fragment query among all the covers of one
+// query: the fragment's own F and G, and the union of the other
+// fragments' G-parts. FragmentQuery reads nothing else of the cover, so
+// two covers of the same query agreeing on a fragment's ID give it the
+// same query, name included. The cover search keys its fragment table
+// on it: a move rebuilds only the fragments whose ID changed. In Lq and
+// Gq the G-parts partition the atoms, so there the ID follows from F and
+// G alone.
+type FragmentID struct {
+	F, G, Others uint64
+}
+
+// FragmentID returns the identity of fragment k's query.
+func (c Cover) FragmentID(k int) FragmentID {
+	id := FragmentID{F: c.Frags[k].F, G: c.Frags[k].G}
+	for j, f := range c.Frags {
+		if j != k {
+			id.Others |= f.G
+		}
+	}
+	return id
+}
+
 // FragmentQuery builds the (generalized) fragment query q|f‖g of
 // fragment k w.r.t. the cover (Definitions 2 and 7): the body consists
 // of the atoms in F; the head consists of the free variables of q
 // appearing in the atoms of G, plus the variables of G shared with the
-// G-part of another fragment.
+// G-part of another fragment. It is named after the first atom of G
+// (q_f0, q_f2, …) rather than after k, so the same fragment has the
+// same name in every cover it occurs in.
 func (c Cover) FragmentQuery(k int) query.CQ {
 	frag := c.Frags[k]
 	gVars := maskVars(c.Q, frag.G)
@@ -282,7 +335,7 @@ func (c Cover) FragmentQuery(k int) query.CQ {
 		}
 	}
 	return query.CQ{
-		Name:  fmt.Sprintf("%s_f%d", orName(c.Q.Name), k),
+		Name:  orName(c.Q.Name) + "_f" + strconv.Itoa(bits.TrailingZeros64(frag.G)),
 		Head:  head,
 		Atoms: atoms,
 	}

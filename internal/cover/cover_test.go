@@ -1,8 +1,11 @@
 package cover
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -481,5 +484,77 @@ func TestCoverKeyStable(t *testing.T) {
 	c3 := Cover{Q: q, Frags: []Fragment{{F: 0b11, G: 0b01}, Simple(0b10)}}
 	if c1.Key() == c3.Key() {
 		t.Error("generalized cover must have a different key")
+	}
+}
+
+// TestCoverKeyFormat: the one-buffer Key is the string the search memo
+// and the golden trajectories were recorded with — fragments as "F|G"
+// in hex, sorted as strings (so "10|10" precedes "3|3"), ";"-joined.
+func TestCoverKeyFormat(t *testing.T) {
+	oldKey := func(c Cover) string {
+		parts := make([]string, len(c.Frags))
+		for i, f := range c.Frags {
+			parts[i] = fmt.Sprintf("%x|%x", f.F, f.G)
+		}
+		sort.Strings(parts)
+		return strings.Join(parts, ";")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		c := Cover{}
+		for k := rng.Intn(18); k >= 0; k-- {
+			f := rng.Uint64() >> uint(rng.Intn(64))
+			c.Frags = append(c.Frags, Fragment{F: f, G: f & rng.Uint64()})
+		}
+		if got, want := c.Key(), oldKey(c); got != want {
+			t.Fatalf("key %q, want %q", got, want)
+		}
+	}
+	if k := (Cover{Frags: []Fragment{Simple(0x3), Simple(0x10), {F: 0xc, G: 0x8}}}).Key(); k != "10|10;3|3;c|8" {
+		t.Errorf("key = %q", k)
+	}
+}
+
+// TestFragmentIDFixesTheFragmentQuery: the GDL moves leave the identity
+// of every fragment they do not touch unchanged — that is what lets the
+// search reuse its reformulation and subtree — and fragments with equal
+// identities in different covers have identical queries, names included.
+func TestFragmentIDFixesTheFragmentQuery(t *testing.T) {
+	q := query.MustParseCQ("q(x) <- A(x), R(x, y), B(y), S(y, z), C(z)")
+	root := MustSimple(q, [][]int{{0}, {1}, {2}, {3}, {4}})
+	byID := map[FragmentID]query.CQ{}
+	record := func(c Cover) {
+		for k := range c.Frags {
+			fq, id := c.FragmentQuery(k), c.FragmentID(k)
+			if prev, ok := byID[id]; ok && !reflect.DeepEqual(prev, fq) {
+				t.Errorf("ID %+v names both %s and %s", id, prev, fq)
+			}
+			byID[id] = fq
+		}
+	}
+	record(root)
+	union := root.UnionFragments(1, 2)
+	record(union)
+	for k, want := range map[int]int{0: 0, 2: 3, 3: 4} { // union's fragment k is root's fragment want
+		if union.FragmentID(k) != root.FragmentID(want) {
+			t.Errorf("union changed untouched fragment %d: %+v vs %+v", k, union.FragmentID(k), root.FragmentID(want))
+		}
+	}
+	enlarged, ok := union.EnlargeFragment(0, 1)
+	if !ok {
+		t.Fatal("enlarge did not apply")
+	}
+	record(enlarged)
+	for k := 1; k < len(enlarged.Frags); k++ {
+		if enlarged.FragmentID(k) != union.FragmentID(k) {
+			t.Errorf("enlarge changed untouched fragment %d", k)
+		}
+	}
+	if enlarged.FragmentID(0) == union.FragmentID(0) {
+		t.Error("enlarge must change the enlarged fragment's identity")
+	}
+	if n := root.FragmentQuery(3).Name; n != "q_f3" || union.FragmentQuery(2).Name != n {
+		t.Errorf("fragment {S(y,z)} is named %s in Croot and %s after the union, want q_f3 in both",
+			n, union.FragmentQuery(2).Name)
 	}
 }

@@ -11,17 +11,33 @@ import (
 // 1 and 3, when the cover is in Lq or Gq the result is a FOL
 // reformulation of the query w.r.t. the TBox behind r.
 func (c Cover) ReformulateJUCQ(r *reformulate.Reformulator) (query.JUCQ, error) {
-	j := query.JUCQ{Name: orName(c.Q.Name), Head: c.Q.Head}
+	subs := make([]query.UCQ, len(c.Frags))
 	for i := range c.Frags {
-		fq := c.FragmentQuery(i)
-		u, err := r.Reformulate(fq)
+		u, err := c.ReformulateFragment(i, r)
 		if err != nil {
 			return query.JUCQ{}, err
 		}
-		u.Name = fq.Name
-		j.Subs = append(j.Subs, u)
+		subs[i] = u
 	}
-	return j, nil
+	return c.JUCQ(subs), nil
+}
+
+// ReformulateFragment reformulates fragment k's query into the UCQ
+// that stands for the fragment in the cover's JUCQ.
+func (c Cover) ReformulateFragment(k int, r *reformulate.Reformulator) (query.UCQ, error) {
+	fq := c.FragmentQuery(k)
+	u, err := r.Reformulate(fq)
+	if err != nil {
+		return query.UCQ{}, err
+	}
+	u.Name = fq.Name
+	return u, nil
+}
+
+// JUCQ joins the given fragment reformulations, one per fragment in
+// fragment order, under the cover's query name and head.
+func (c Cover) JUCQ(subs []query.UCQ) query.JUCQ {
+	return query.JUCQ{Name: orName(c.Q.Name), Head: c.Q.Head, Subs: subs}
 }
 
 // ReformulateJUSCQ is the JUSCQ variant: fragment UCQs are factorized
@@ -29,13 +45,12 @@ func (c Cover) ReformulateJUCQ(r *reformulate.Reformulator) (query.JUCQ, error) 
 func (c Cover) ReformulateJUSCQ(r *reformulate.Reformulator) (query.JUSCQ, error) {
 	j := query.JUSCQ{Name: orName(c.Q.Name), Head: c.Q.Head}
 	for i := range c.Frags {
-		fq := c.FragmentQuery(i)
-		u, err := r.Reformulate(fq)
+		u, err := c.ReformulateFragment(i, r)
 		if err != nil {
 			return query.JUSCQ{}, err
 		}
 		s := query.FactorizeUCQ(u)
-		s.Name = fq.Name
+		s.Name = u.Name
 		j.Subs = append(j.Subs, s)
 	}
 	return j, nil

@@ -93,11 +93,87 @@ func NewDistinctOperator(in Operator) Operator { return newDistinct(in) }
 
 // Estimate scores the plan; malformed trees cost +Inf.
 func (b *Backend) Estimate(n *plan.Node) plan.Estimate {
+	return b.EstimateShared(n, new(EstimateMemo))
+}
+
+// EstimateMemo carries what EstimateShared learned about cover
+// fragments from one candidate cover of a search to the next: which
+// fragment subtrees validated, and what each one costs. Subtrees are
+// remembered by identity, so the memo keeps them alive and freezes
+// their estimates at first sight (statistics, execution feedback): it
+// belongs to one search and dies with it. The zero value is ready to
+// use; not safe for concurrent use.
+type EstimateMemo struct {
+	checked plan.Checker
+	frags   map[*plan.Node]fragmentEstimate
+}
+
+type fragmentEstimate struct {
+	plan.Estimate
+	kind plan.Kind // the dialect the fragment extracted into
+}
+
+// EstimateShared is Estimate for the candidate covers of one search,
+// which are built over shared fragment subtrees. A cover-shaped tree
+// is taken apart: every fragment subtree is validated, extracted and
+// planned once per memo, and the cover's estimate is coverEstimate over
+// its fragments' figures — the arithmetic PlanJUCQ and PlanJUSCQ apply,
+// so the result equals, bit for bit, the estimate Compile freezes for
+// the same tree. Any other tree is planned whole, as Compile does.
+func (b *Backend) EstimateShared(n *plan.Node, m *EstimateMemo) plan.Estimate {
+	if est, ok := b.estimateCover(n, m); ok {
+		return est
+	}
 	c, err := b.lower(n)
 	if err != nil {
 		return plan.Estimate{Cost: math.Inf(1)}
 	}
 	return c.est
+}
+
+// estimateCover is the fragment-granular half of EstimateShared; ok is
+// false when n is not a cover, or mixes fragment dialects. Compile
+// promotes the UCQ fragments of such a mix to single-atom-block USCQs,
+// which plan under different tie-breaks, so it is costed whole, the way
+// it would be compiled; no lowering produces it.
+func (b *Backend) estimateCover(n *plan.Node, m *EstimateMemo) (est plan.Estimate, ok bool) {
+	frags := plan.CoverFragments(n)
+	if frags == nil {
+		return est, false
+	}
+	inf := plan.Estimate{Cost: math.Inf(1)}
+	if err := m.checked.Validate(n); err != nil {
+		return inf, true
+	}
+	ests := make([]plan.Estimate, len(frags))
+	for i, frag := range frags {
+		fe, seen := m.frags[frag]
+		if !seen {
+			lo, err := plan.Extract(frag)
+			fe.kind = lo.Kind
+			switch {
+			case err != nil:
+				return inf, true
+			case lo.Kind == plan.KindUCQ:
+				p := PlanUCQ(lo.UCQ, b.DB, b.Profile)
+				fe.Cost, fe.Card = p.EstCost, p.EstCard
+			case lo.Kind == plan.KindUSCQ:
+				p := PlanUSCQ(lo.USCQ, b.DB, b.Profile)
+				fe.Cost, fe.Card = p.EstCost, p.EstCard
+			default:
+				return inf, true // a cover nested inside a fragment
+			}
+			if m.frags == nil {
+				m.frags = make(map[*plan.Node]fragmentEstimate)
+			}
+			m.frags[frag] = fe
+		}
+		if fe.kind != m.frags[frags[0]].kind {
+			return est, false
+		}
+		ests[i] = fe.Estimate
+	}
+	return coverEstimate(ests, b.Profile), true
 }
 
 // Estimate returns the compile-time estimate.

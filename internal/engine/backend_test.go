@@ -160,3 +160,58 @@ func TestBackendEstimateMalformed(t *testing.T) {
 		t.Errorf("estimate of malformed tree = %+v, want +Inf cost", est)
 	}
 }
+
+// TestEstimateSharedMatchesCompile: costing a cover fragment by fragment
+// — with the fragments' figures recalled from a memo on later trees — is
+// bit for bit the estimate Compile freezes for the same tree, for plain
+// and factorized covers, rewritten or not, and for the mixed-dialect
+// cover no lowering produces.
+func TestEstimateSharedMatchesCompile(t *testing.T) {
+	db := loadDB(t, LayoutSimple, sampleABox)
+	b := NewBackend(db, ProfilePostgres())
+	x := query.Var("x")
+	ucq := func(name string, cqs ...string) query.UCQ {
+		u := query.UCQ{Name: name}
+		for _, s := range cqs {
+			u.Disjuncts = append(u.Disjuncts, query.MustParseCQ(s))
+		}
+		return u
+	}
+	f1 := ucq("f1", "f1(x) <- PhDStudent(x)", "f1(x) <- supervisedBy(x, y)")
+	f2 := ucq("f2", "f2(x) <- worksWith(y, x)", "f2(x) <- supervisedBy(x, y), Researcher(y)")
+	f3 := ucq("f3", "f3(x) <- Researcher(x)")
+	t1, t2, t3 := plan.Rewrite(plan.FromUCQ(f1)), plan.Rewrite(plan.FromUCQ(f2)), plan.Rewrite(plan.FromUCQ(f3))
+	s1, s2 := plan.FromUSCQ(query.FactorizeUCQ(f1)), plan.FromUSCQ(query.FactorizeUCQ(f2))
+
+	trees := map[string]*plan.Node{
+		"jucq":           plan.FromJUCQ(query.JUCQ{Name: "j", Head: []query.Term{x}, Subs: []query.UCQ{f1, f2}}),
+		"shared 1+2":     plan.Cover("j", []query.Term{x}, []*plan.Node{t1, t2}),
+		"shared 1+3":     plan.Cover("j", []query.Term{x}, []*plan.Node{t1, t3}),
+		"shared 3+2+1":   plan.Cover("j", []query.Term{x}, []*plan.Node{t3, t2, t1}),
+		"juscq":          plan.Cover("j", []query.Term{x}, []*plan.Node{s1, s2}),
+		"mixed dialects": plan.Cover("j", []query.Term{x}, []*plan.Node{t1, s2}),
+		"single":         t1,
+	}
+	var memo EstimateMemo
+	for round := 0; round < 2; round++ { // second round: every fragment recalled
+		for name, n := range trees {
+			exec, err := b.Compile(n)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got, want := b.EstimateShared(n, &memo), exec.Estimate(); got != want {
+				t.Errorf("%s (round %d): shared estimate %+v, compiled %+v", name, round, got, want)
+			}
+			if got, want := b.Estimate(n), exec.Estimate(); got != want {
+				t.Errorf("%s: estimate %+v, compiled %+v", name, got, want)
+			}
+		}
+	}
+	if len(memo.frags) != 7 { // t1–t3, s1, s2, and the two the "jucq" lowering built for itself
+		t.Errorf("memo holds %d fragment estimates, want the 7 distinct fragment subtrees", len(memo.frags))
+	}
+	hidden := plan.Rewrite(plan.FromUCQ(ucq("f4", "f4(z) <- worksWith(x, z)"))) // x is body-only: an invisible join key
+	if est := b.EstimateShared(plan.Cover("j", []query.Term{x}, []*plan.Node{t1, hidden}), &memo); !math.IsInf(est.Cost, 1) {
+		t.Errorf("cover hiding a join key estimates to %+v, want +Inf cost", est)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -265,31 +266,45 @@ type JUCQPlan struct {
 // the materialized results is left to hash joins ordered by size.
 func PlanJUCQ(j query.JUCQ, db *DB, prof *Profile) JUCQPlan {
 	jp := JUCQPlan{J: j}
-	cost := 0.0
-	for _, sub := range j.Subs {
+	ests := make([]plan.Estimate, len(j.Subs))
+	for i, sub := range j.Subs {
 		up := PlanUCQ(sub, db, prof)
 		jp.Frags = append(jp.Frags, up)
-		cost += up.EstCost + up.EstCard*prof.CMat
+		ests[i] = plan.Estimate{Cost: up.EstCost, Card: up.EstCard}
 	}
-	// Join cost: linear in the inputs (hash join), pairwise smallest
-	// first; output estimated with the independence assumption.
+	e := coverEstimate(ests, prof)
+	jp.EstCard, jp.EstCost = e.Card, e.Cost
+	return jp
+}
+
+// coverEstimate combines per-fragment estimates into the estimate of
+// the cover that joins them — the one place the profile's cover-level
+// arithmetic lives. PlanJUCQ, PlanJUSCQ and Backend.Estimate all end
+// here, so the cost the search assigns a cover is bit for bit the
+// estimate of the plan compiled from it, whether its fragments were
+// planned just now or recalled from an earlier candidate. Each fragment
+// pays its own cost plus materialization; the join is linear in the
+// inputs (hash join); the output is estimated with the independence
+// assumption, crudely contained by the smallest non-empty input.
+func coverEstimate(frags []plan.Estimate, prof *Profile) plan.Estimate {
+	cost := 0.0
+	for _, f := range frags {
+		cost += f.Cost + f.Card*prof.CMat
+	}
 	card := 1.0
-	for _, f := range jp.Frags {
-		card *= maxf(f.EstCard, 1)
+	for _, f := range frags {
+		card *= maxf(f.Card, 1)
 	}
-	// crude containment: overall output cannot exceed the smallest input
-	for _, f := range jp.Frags {
-		if f.EstCard > 0 && f.EstCard < card {
-			card = f.EstCard
+	for _, f := range frags {
+		if f.Card > 0 && f.Card < card {
+			card = f.Card
 		}
 	}
-	for _, f := range jp.Frags {
-		cost += f.EstCard * prof.CProbe
+	for _, f := range frags {
+		cost += f.Card * prof.CProbe
 	}
 	cost += card * prof.CEmit
-	jp.EstCard = card
-	jp.EstCost = cost
-	return jp
+	return plan.Estimate{Cost: cost, Card: card}
 }
 
 func maxf(a, b float64) float64 {

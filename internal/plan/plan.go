@@ -109,17 +109,19 @@ type Node struct {
 // reducer (the paper's f‖g decoration on safe covers).
 func FromCQ(q query.CQ) *Node {
 	core, reducers := splitReducers(q)
-	accs := make(map[int]*Node, len(q.Atoms))
-	for i, a := range q.Atoms {
-		accs[i] = &Node{Op: OpAccess, Atoms: []query.Atom{a}, Pos: i}
+	// One backing array for the disjunct's access leaves, each viewing
+	// its atom in the query's own body (neither is ever written to).
+	accs := make([]Node, len(q.Atoms))
+	for i := range q.Atoms {
+		accs[i] = Node{Op: OpAccess, Atoms: q.Atoms[i : i+1 : i+1], Pos: i}
 	}
 	var body *Node
 	if len(core) == 1 {
-		body = accs[core[0]]
+		body = &accs[core[0]]
 	} else {
 		in := make([]*Node, len(core))
 		for i, p := range core {
-			in[i] = accs[p]
+			in[i] = &accs[p]
 		}
 		body = &Node{Op: OpJoin, Inputs: in}
 	}
@@ -127,7 +129,7 @@ func FromCQ(q query.CQ) *Node {
 		in := make([]*Node, 0, 1+len(reducers))
 		in = append(in, body)
 		for _, p := range reducers {
-			in = append(in, accs[p])
+			in = append(in, &accs[p])
 		}
 		body = &Node{Op: OpSemiJoin, Inputs: in}
 	}
@@ -143,73 +145,76 @@ func FromCQ(q query.CQ) *Node {
 // never extend the output. The classification is presentation-only —
 // extraction merges reducers back in Pos order — but it is what lets
 // EXPLAIN show the f‖g shape of safe covers.
+//
+// Atoms are tried last to first, each against the core as it stands.
+// One pass counts every variable's occurrences in the body; the count
+// still inside the core is kept up to date as atoms leave it, so "bound
+// by the rest of the core" is a comparison of two counters.
 func splitReducers(q query.CQ) (core, reducers []int) {
+	var (
+		varsBuf   [16]query.BodyVar
+		inCoreBuf [16]int
+		refsBuf   [32]int
+		startsBuf [17]int
+		outBuf    [16]bool
+	)
 	n := len(q.Atoms)
-	head := q.HeadVarSet()
-	occ := q.VarOccurrences()
-	inCore := make([]bool, n)
-	coreLeft := n
-	for i := range inCore {
-		inCore[i] = true
+	vars, refs, starts := q.IndexBody(varsBuf[:0], refsBuf[:0], startsBuf[:0])
+	// inCore[k]: occurrences of variable k in atoms still in the core.
+	inCore := inCoreBuf[:0]
+	for _, v := range vars {
+		inCore = append(inCore, v.Occ)
 	}
-	varsOf := func(i int) []string { return q.Atoms[i].Vars(nil) }
-	coreVars := func(skip int) map[string]bool {
-		m := map[string]bool{}
-		for k := 0; k < n; k++ {
-			if k == skip || !inCore[k] {
+
+	out := append(outBuf[:0], make([]bool, n)...) // out[i]: atom i left the core
+	coreLeft := n
+	for i := n - 1; i >= 0 && coreLeft > 1; i-- {
+		mine := refs[starts[i]:starts[i+1]]
+		shares, private, reducible := false, false, true
+		for _, k := range mine {
+			if k < 0 {
 				continue
 			}
-			for _, v := range varsOf(k) {
-				m[v] = true
+			here := 0
+			for _, k2 := range mine {
+				if k2 == k {
+					here++
+				}
 			}
-		}
-		return m
-	}
-	for i := n - 1; i >= 0; i-- {
-		if coreLeft <= 1 {
-			break
-		}
-		cv := coreVars(i)
-		shares := false
-		private := false
-		reducible := true
-		for _, v := range varsOf(i) {
-			if cv[v] {
+			if inCore[k] > here {
 				shares = true
 				continue
 			}
 			// A variable not bound by the rest of the core must be
 			// private to this atom and invisible in the head.
-			if head[v] || occ[v] > countInAtom(q.Atoms[i], v) {
+			if vars[k].Head >= 0 || vars[k].Occ > here {
 				reducible = false
 				break
 			}
 			private = true
 		}
 		if shares && private && reducible {
-			inCore[i] = false
+			out[i] = true
 			coreLeft--
+			for _, k := range mine {
+				if k >= 0 {
+					inCore[k]--
+				}
+			}
 		}
 	}
+	core = make([]int, 0, coreLeft)
+	if coreLeft < n {
+		reducers = make([]int, 0, n-coreLeft)
+	}
 	for i := 0; i < n; i++ {
-		if inCore[i] {
-			core = append(core, i)
-		} else {
+		if out[i] {
 			reducers = append(reducers, i)
+		} else {
+			core = append(core, i)
 		}
 	}
 	return core, reducers
-}
-
-// countInAtom counts occurrences of variable v in atom a.
-func countInAtom(a query.Atom, v string) int {
-	c := 0
-	for _, t := range a.Args {
-		if t.IsVar() && t.Name == v {
-			c++
-		}
-	}
-	return c
 }
 
 // FromUCQ lowers a union of conjunctive queries: distinct over the
@@ -251,40 +256,63 @@ func FromUSCQ(u query.USCQ) *Node {
 	}}
 }
 
-// FromJUCQ lowers a cover reformulation: distinct over the projection
-// of the natural join of the fragment UCQ trees. A single-fragment
-// JUCQ collapses to its fragment's UCQ tree — there is nothing to
-// join, and backends evaluate the union directly (no materialization
-// step), exactly what executes.
+// FromJUCQ lowers a cover reformulation: the cover shape (see Cover)
+// over the fragment UCQ trees.
 func FromJUCQ(j query.JUCQ) *Node {
-	if len(j.Subs) == 1 {
-		return FromUCQ(j.Subs[0])
-	}
 	frags := make([]*Node, len(j.Subs))
 	for i, sub := range j.Subs {
 		frags[i] = FromUCQ(sub)
 	}
-	return &Node{Op: OpDistinct, Name: j.Name, Inputs: []*Node{
-		{Op: OpProject, Head: j.Head, Name: j.Name, Inputs: []*Node{
+	return Cover(j.Name, j.Head, frags)
+}
+
+// FromJUSCQ is the factorized analogue of FromJUCQ.
+func FromJUSCQ(j query.JUSCQ) *Node {
+	frags := make([]*Node, len(j.Subs))
+	for i, sub := range j.Subs {
+		frags[i] = FromUSCQ(sub)
+	}
+	return Cover(j.Name, j.Head, frags)
+}
+
+// Cover assembles the cover shape over already-lowered fragment
+// subtrees: distinct over the projection onto head of the natural join
+// of the fragments. A single fragment is its own plan — there is
+// nothing to join, and backends evaluate the union directly (no
+// materialization step), exactly what executes. The fragments are
+// referenced, not copied: the cover search builds every candidate
+// cover's tree over one shared set of fragment subtrees.
+func Cover(name string, head []query.Term, frags []*Node) *Node {
+	if len(frags) == 1 {
+		return frags[0]
+	}
+	return &Node{Op: OpDistinct, Name: name, Inputs: []*Node{
+		{Op: OpProject, Head: head, Name: name, Inputs: []*Node{
 			{Op: OpJoin, Inputs: frags},
 		}},
 	}}
 }
 
-// FromJUSCQ is the factorized analogue of FromJUCQ.
-func FromJUSCQ(j query.JUSCQ) *Node {
-	if len(j.Subs) == 1 {
-		return FromUSCQ(j.Subs[0])
+// CoverFragments takes a cover-shaped tree apart: it returns the
+// Distinct-rooted fragment subtrees under Distinct(Project(Join(...))),
+// with any Exchange wrapper stepped over, or nil when n has any other
+// shape (a plain UCQ/USCQ tree, in particular, is not a cover).
+func CoverFragments(n *Node) []*Node {
+	if n == nil || n.Op != OpDistinct || len(n.Inputs) != 1 ||
+		n.Inputs[0].Op != OpProject || !isCoverShape(n.Inputs[0]) {
+		return nil
 	}
-	frags := make([]*Node, len(j.Subs))
-	for i, sub := range j.Subs {
-		frags[i] = FromUSCQ(sub)
+	frags := n.Inputs[0].Inputs[0].Inputs
+	for _, in := range frags {
+		if in.Op == OpExchange {
+			out := make([]*Node, len(frags))
+			for i, in := range frags {
+				out[i] = unwrapExchange(in)
+			}
+			return out
+		}
 	}
-	return &Node{Op: OpDistinct, Name: j.Name, Inputs: []*Node{
-		{Op: OpProject, Head: j.Head, Name: j.Name, Inputs: []*Node{
-			{Op: OpJoin, Inputs: frags},
-		}},
-	}}
+	return frags
 }
 
 // Kind identifies which dialect a plan tree extracts back into.

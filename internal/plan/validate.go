@@ -43,13 +43,55 @@ import (
 // Errors are prefixed "plan: validate: " and name the first violation
 // found in a deterministic (pre-order, input-order) walk.
 func Validate(n *Node) error {
+	return new(Checker).Validate(n)
+}
+
+// Checker is Validate for trees that share subtrees: the candidate
+// covers of one search are built over one set of fragment subtrees, and
+// a move changes at most two of them. A Checker walks each cover
+// fragment (an input of a cover join, identified by pointer — nodes are
+// immutable) once, remembers the variables it mentions, and checks
+// every later tree containing it from that record: per tree it redoes
+// only the cover-level checks. The zero value is ready to use; a
+// Checker is not safe for concurrent use and holds its fragments alive,
+// so it should not outlive the search.
+type Checker struct {
+	frags map[*Node]fragVars // the cover fragments validated so far
+}
+
+// fragVars is what the cover-level checks need from a fragment: the
+// variables its head exposes, and every variable it mentions.
+type fragVars struct {
+	head, all map[string]bool
+}
+
+// Validate checks n exactly as the package-level Validate does.
+func (c *Checker) Validate(n *Node) error {
 	if n == nil {
 		return fmt.Errorf("plan: validate: nil node")
 	}
-	return validateNode(n)
+	return c.node(n)
 }
 
-func validateNode(n *Node) error {
+// fragment validates one cover-join input, or recalls that it did, and
+// returns its variables.
+func (c *Checker) fragment(in *Node) (fragVars, error) {
+	if vars, ok := c.frags[in]; ok {
+		return vars, nil
+	}
+	if err := c.node(in); err != nil {
+		return fragVars{}, err
+	}
+	vars := fragVars{head: outVars(in), all: map[string]bool{}}
+	collectVars(in, vars.all)
+	if c.frags == nil {
+		c.frags = make(map[*Node]fragVars)
+	}
+	c.frags[in] = vars
+	return vars, nil
+}
+
+func (c *Checker) node(n *Node) error {
 	for _, in := range n.Inputs {
 		if in == nil {
 			return fmt.Errorf("plan: validate: %s has a nil input", n.Op)
@@ -107,18 +149,17 @@ func validateNode(n *Node) error {
 	default:
 		return fmt.Errorf("plan: validate: unknown operator %s", n.Op)
 	}
+	if n.Op == OpJoin && isCoverJoin(n) {
+		return c.coverJoin(n)
+	}
 	for _, in := range n.Inputs {
-		if err := validateNode(in); err != nil {
+		if err := c.node(in); err != nil {
 			return err
 		}
 	}
 	// Cross-input checks run after the inputs validated individually, so
 	// their own structure (arm shapes, head bindings) can be relied on.
 	switch n.Op {
-	case OpJoin:
-		if err := validateCoverJoin(n); err != nil {
-			return err
-		}
 	case OpSemiJoin:
 		core := outVars(n.Inputs[0])
 		for i, red := range n.Inputs[1:] {
@@ -157,31 +198,38 @@ func validateNode(n *Node) error {
 	return nil
 }
 
-// validateCoverJoin enforces the fragment-join key invariant on joins
-// whose inputs are all Distinct-rooted fragments (the JUCQ/JUSCQ cover
-// shape). Fragments join as relations on identically named columns —
-// their projected heads — so a variable that one fragment exposes must
-// appear in the head of every fragment mentioning it (align.go states
-// the same invariant for shard alignment). A body-only occurrence
-// would make the evaluation silently degrade to a cross product on
-// that variable.
-func validateCoverJoin(n *Node) error {
+// isCoverJoin reports whether every input of the join is a
+// Distinct-rooted fragment, possibly behind an Exchange (the JUCQ/JUSCQ
+// cover shape) — as opposed to an ordinary body join of accesses.
+func isCoverJoin(n *Node) bool {
 	for _, in := range n.Inputs {
 		if unwrapExchange(in).Op != OpDistinct {
-			return nil // not a cover join: ordinary body join of accesses
+			return false
 		}
 	}
-	heads := make([]map[string]bool, len(n.Inputs))
-	bodies := make([]map[string]bool, len(n.Inputs))
+	return true
+}
+
+// coverJoin validates the fragments of a cover join, each at most once
+// per Checker, then enforces the fragment-join key invariant. Fragments
+// join as relations on identically named columns — their projected
+// heads — so a variable that one fragment exposes must appear in the
+// head of every fragment mentioning it (align.go states the same
+// invariant for shard alignment). A body-only occurrence would make the
+// evaluation silently degrade to a cross product on that variable.
+func (c *Checker) coverJoin(n *Node) error {
+	frags := make([]fragVars, len(n.Inputs))
 	for i, in := range n.Inputs {
-		heads[i] = outVars(in)
-		bodies[i] = map[string]bool{}
-		collectVars(in, bodies[i])
+		vars, err := c.fragment(in)
+		if err != nil {
+			return err
+		}
+		frags[i] = vars
 	}
-	for i, head := range heads {
-		for v := range head {
-			for k, body := range bodies {
-				if k != i && body[v] && !heads[k][v] {
+	for i, f := range frags {
+		for v := range f.head {
+			for k, other := range frags {
+				if k != i && other.all[v] && !other.head[v] {
 					return fmt.Errorf("plan: validate: join key %q missing from fragment %d's head", v, k)
 				}
 			}
@@ -194,6 +242,11 @@ func validateCoverJoin(n *Node) error {
 // exposes to the operator above it.
 func outVars(n *Node) map[string]bool {
 	out := map[string]bool{}
+	addOutVars(n, out)
+	return out
+}
+
+func addOutVars(n *Node, out map[string]bool) {
 	switch n.Op {
 	case OpAccess:
 		for _, a := range n.Atoms {
@@ -205,24 +258,18 @@ func outVars(n *Node) map[string]bool {
 		}
 	case OpJoin:
 		for _, in := range n.Inputs {
-			for v := range outVars(in) {
-				out[v] = true
-			}
+			addOutVars(in, out)
 		}
-	case OpSemiJoin:
-		// Reducers only restrict; the output schema is the core's.
+	case OpSemiJoin, OpUnion:
+		// Reducers only restrict: a semijoin's schema is its core's.
+		// Union arms are schema-compatible projections: the first arm's
+		// head names the union's columns.
 		if len(n.Inputs) > 0 {
-			out = outVars(n.Inputs[0])
-		}
-	case OpUnion:
-		// Arms are schema-compatible projections; the first arm's head
-		// names the union's columns.
-		if len(n.Inputs) > 0 {
-			out = outVars(n.Inputs[0])
+			addOutVars(n.Inputs[0], out)
 		}
 	case OpDistinct, OpExchange:
 		if len(n.Inputs) == 1 {
-			out = outVars(n.Inputs[0])
+			addOutVars(n.Inputs[0], out)
 		}
 	case OpProject:
 		for _, t := range n.Head {
@@ -231,7 +278,6 @@ func outVars(n *Node) map[string]bool {
 			}
 		}
 	}
-	return out
 }
 
 // collectVars adds every variable mentioned anywhere in the subtree.

@@ -239,3 +239,70 @@ func dropFragmentHeadVar(n *Node, v string) *Node {
 	}
 	return n
 }
+
+// TestCheckerSharesFragments: a Checker validates trees built over shared
+// fragment subtrees exactly as Validate does, walking each fragment once
+// — a violation inside a fragment is reported at first sight, and the
+// cover-level key invariant is enforced on later trees from what the
+// Checker remembers of the fragments it has already accepted.
+func TestCheckerSharesFragments(t *testing.T) {
+	x := query.Var("x")
+	frag := func(text string) *Node {
+		q := mustCQ(t, text)
+		return Rewrite(FromUCQ(query.UCQ{Name: q.Name, Disjuncts: []query.CQ{q}}))
+	}
+	f0 := frag("f0(x, y) <- advisor(x, y)")
+	f1 := frag("f1(y) <- Prof(y)")
+	f2 := frag("f2(x) <- Student(x)")
+	hidesY := frag("f3(x) <- takes(x, y)") // y is a join key f0 exposes
+	unbound := &Node{Op: OpDistinct, Inputs: []*Node{{Op: OpProject, Head: []query.Term{x, query.Var("w")},
+		Inputs: []*Node{access(0, "Student", x)}}}}
+
+	var c Checker
+	for _, tc := range []struct {
+		name  string
+		frags []*Node
+		known int // fragments the Checker remembers afterwards
+	}{
+		{"two fragments", []*Node{f0, f1}, 2},
+		{"one shared, one new", []*Node{f0, f2}, 3},
+		{"all shared", []*Node{f1, f0, f2}, 3},
+		{"hidden join key against a remembered fragment", []*Node{f0, hidesY}, 4},
+		{"violation inside a new fragment", []*Node{f0, unbound}, 4},
+	} {
+		n := Cover("q", []query.Term{x}, tc.frags)
+		got, want := c.Validate(n), Validate(n)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Errorf("%s: Checker says %v, Validate says %v", tc.name, got, want)
+		}
+		if len(c.frags) != tc.known {
+			t.Errorf("%s: Checker remembers %d fragments, want %d", tc.name, len(c.frags), tc.known)
+		}
+	}
+	if err := c.Validate(Cover("q", []query.Term{x}, []*Node{f0, hidesY})); err == nil {
+		t.Error("a remembered fragment pair must still fail the join-key check")
+	}
+}
+
+// TestCoverFragments: the cover shape comes apart into its fragment
+// subtrees (Exchange wrappers stepped over); nothing else does.
+func TestCoverFragments(t *testing.T) {
+	x := query.Var("x")
+	f0 := FromUCQ(query.UCQ{Name: "f0", Disjuncts: []query.CQ{mustCQ(t, "f0(x) <- Prof(x)")}})
+	f1 := FromUCQ(query.UCQ{Name: "f1", Disjuncts: []query.CQ{mustCQ(t, "f1(x) <- Student(x)")}})
+	if got := CoverFragments(Cover("q", []query.Term{x}, []*Node{f0, f1})); len(got) != 2 || got[0] != f0 || got[1] != f1 {
+		t.Errorf("fragments = %v", got)
+	}
+	wrapped := &Node{Op: OpExchange, Key: "x", Inputs: []*Node{f1}}
+	if got := CoverFragments(Cover("q", []query.Term{x}, []*Node{f0, wrapped})); len(got) != 2 || got[0] != f0 || got[1] != f1 {
+		t.Errorf("fragments behind an exchange = %v", got)
+	}
+	if Cover("q", []query.Term{x}, []*Node{f0}) != f0 {
+		t.Error("a single fragment is its own plan")
+	}
+	for name, n := range map[string]*Node{"ucq": f0, "rewritten ucq": Rewrite(f0), "cq": FromCQ(mustCQ(t, "q(x) <- Prof(x)")), "nil": nil} {
+		if got := CoverFragments(n); got != nil {
+			t.Errorf("%s: fragments = %v, want none", name, got)
+		}
+	}
+}

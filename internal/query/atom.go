@@ -19,14 +19,22 @@ func RoleAtom(pred string, s, o Term) Atom { return Atom{Pred: pred, Args: []Ter
 // Arity returns the number of arguments of the atom.
 func (a Atom) Arity() int { return len(a.Args) }
 
-// Subst returns a copy of the atom with the substitution applied to its
-// arguments.
+// Subst returns the atom with the substitution applied to its
+// arguments. An atom the substitution leaves alone is returned as is,
+// sharing its argument list (argument lists are never mutated in place).
 func (a Atom) Subst(s Substitution) Atom {
-	args := make([]Term, len(a.Args))
 	for i, t := range a.Args {
-		args[i] = s.Apply(t)
+		if s.Apply(t) == t {
+			continue
+		}
+		args := make([]Term, len(a.Args))
+		copy(args, a.Args[:i])
+		for j := i; j < len(a.Args); j++ {
+			args[j] = s.Apply(a.Args[j])
+		}
+		return Atom{Pred: a.Pred, Args: args}
 	}
-	return Atom{Pred: a.Pred, Args: args}
+	return a
 }
 
 // Equal reports syntactic equality of two atoms.

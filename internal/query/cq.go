@@ -87,10 +87,20 @@ func (q CQ) VarOccurrences() map[string]int {
 // the PerfectRef algorithm: it occurs exactly once in the body and is
 // not a head variable.
 func (q CQ) IsUnbound(name string) bool {
-	if q.IsHeadVar(name) {
-		return false
+	return !q.IsHeadVar(name) && q.Occurrences(name) == 1
+}
+
+// Occurrences counts the occurrences of variable name in the body of q.
+func (q CQ) Occurrences(name string) int {
+	n := 0
+	for _, a := range q.Atoms {
+		for _, t := range a.Args {
+			if t.IsVar() && t.Name == name {
+				n++
+			}
+		}
 	}
-	return q.VarOccurrences()[name] == 1
+	return n
 }
 
 // Subst returns a copy of q with the substitution applied to head and
@@ -125,17 +135,25 @@ func (q CQ) Clone() CQ {
 // DedupAtoms removes exact duplicate atoms from the body, preserving
 // order of first occurrence.
 func (q CQ) DedupAtoms() CQ {
-	seen := make(map[string]bool, len(q.Atoms))
-	out := q.Atoms[:0:0]
-	for _, a := range q.Atoms {
-		k := a.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, a)
-		}
-	}
-	q.Atoms = out
+	q.Atoms = AppendDistinctAtoms(make([]Atom, 0, len(q.Atoms)), q.Atoms)
 	return q
+}
+
+// AppendDistinctAtoms appends to dst the atoms not already in it, in
+// order, comparing syntactically: bodies are a handful of atoms, so the
+// scan beats hashing renderings. dst may be atoms[:0], which filters
+// atoms in place.
+func AppendDistinctAtoms(dst, atoms []Atom) []Atom {
+next:
+	for _, a := range atoms {
+		for _, b := range dst {
+			if a.Equal(b) {
+				continue next
+			}
+		}
+		dst = append(dst, a)
+	}
+	return dst
 }
 
 // Vars returns the distinct variable names of the body in order of first

@@ -137,13 +137,21 @@ func (r *Reformulator) reformulate(q query.CQ) (query.UCQ, error) {
 	result := []query.CQ{start}
 	seen := map[string]bool{query.CanonicalKey(start): true}
 
-	add := func(nq query.CQ) {
-		nq = nq.DedupAtoms()
-		k := query.CanonicalKey(nq)
-		if !seen[k] {
-			seen[k] = true
-			result = append(result, nq)
+	// Most generated CQs are duplicates of ones already kept, so a
+	// candidate is assembled in body, keyed into key — two buffers
+	// reused for the whole run — and only copied out when it is new.
+	// Heads and argument lists are shared between disjuncts; nothing
+	// mutates them in place.
+	var body []query.Atom
+	var key []byte
+	add := func(name string, head []query.Term) {
+		atoms := query.AppendDistinctAtoms(body[:0], body)
+		key = query.AppendCanonicalKey(key[:0], query.CQ{Head: head, Atoms: atoms})
+		if seen[string(key)] {
+			return
 		}
+		seen[string(key)] = true
+		result = append(result, query.CQ{Name: name, Head: head, Atoms: append([]query.Atom(nil), atoms...)})
 	}
 
 	for i := 0; i < len(result); i++ {
@@ -154,40 +162,47 @@ func (r *Reformulator) reformulate(q query.CQ) (query.UCQ, error) {
 		// (a) Backward application of positive inclusions to each atom.
 		for ai, atom := range cur.Atoms {
 			for _, repl := range r.applicableRewrites(cur, atom, gen) {
-				nq := cur.Clone()
-				nq.Atoms[ai] = repl
-				add(nq)
+				body = append(body[:0], cur.Atoms...)
+				body[ai] = repl
+				add(cur.Name, cur.Head)
 			}
 		}
-		// (b) Reduce: unify pairs of atoms.
-		headVar := cur.HeadVarSet()
-		shared := sharedVarSet(cur)
-		prefer := func(v string) bool { return headVar[v] || shared[v] }
+		// (b) Reduce: unify pairs of atoms. Representatives prefer head
+		// variables and variables occurring at least twice in the body,
+		// so that anonymous variables never capture meaningful ones.
+		prefer := func(v string) bool { return cur.IsHeadVar(v) || cur.Occurrences(v) >= 2 }
 		for x := 0; x < len(cur.Atoms); x++ {
 			for y := x + 1; y < len(cur.Atoms); y++ {
 				s := query.UnifyPrefer(cur.Atoms[x], cur.Atoms[y], prefer)
 				if s == nil {
 					continue
 				}
-				add(cur.Subst(s))
+				body = body[:0]
+				for _, a := range cur.Atoms {
+					body = append(body, a.Subst(s))
+				}
+				add(cur.Name, substHead(cur.Head, s))
 			}
 		}
 	}
 	return query.UCQ{Name: q.Name, Disjuncts: result}, nil
 }
 
-// sharedVarSet returns variables occurring in ≥2 body positions or in
-// the head; unification representatives prefer these so that anonymous
-// variables never capture meaningful ones.
-func sharedVarSet(q query.CQ) map[string]bool {
-	occ := q.VarOccurrences()
-	out := make(map[string]bool, len(occ))
-	for v, n := range occ {
-		if n >= 2 {
-			out[v] = true
+// substHead applies s to the head, returning head itself when s leaves
+// it alone (the common case: unifiers mostly bind existentials).
+func substHead(head []query.Term, s query.Substitution) []query.Term {
+	for i, h := range head {
+		if s.Apply(h) == h {
+			continue
 		}
+		out := make([]query.Term, len(head))
+		copy(out, head[:i])
+		for j := i; j < len(head); j++ {
+			out[j] = s.Apply(head[j])
+		}
+		return out
 	}
-	return out
+	return head
 }
 
 // applicableRewrites returns the atoms gr(g, I) for every positive

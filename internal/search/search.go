@@ -19,11 +19,18 @@ import (
 	"repro/internal/reformulate"
 )
 
-// Estimator scores a candidate logical plan. The search lowers every
-// cover's JUCQ reformulation into the plan IR and asks the estimator
-// to cost that tree — the very tree the execution backend compiles —
+// Estimator scores a candidate logical plan. The search assembles every
+// cover's tree in the plan IR — the very tree the execution backend
+// compiles — and asks the estimator to cost it, once per distinct cover,
 // so the cost GDL assigns to the winning cover is the backend's
 // estimate of the plan that runs.
+//
+// The trees of one search share their fragment subtrees (see
+// evaluator), so an estimator that keeps per-subtree results, as the
+// two below do, pays for each fragment once per search. That makes an
+// ExtEstimator or RDBMSEstimator value a per-search object: it keeps the
+// subtrees it has seen alive and their estimates frozen, so build a new
+// one for each search; it is not safe for concurrent use.
 type Estimator interface {
 	Name() string
 	Estimate(n *plan.Node) float64
@@ -35,6 +42,9 @@ type Estimator interface {
 type RDBMSEstimator struct {
 	DB      *engine.DB
 	Profile *engine.Profile
+
+	backend *engine.Backend
+	memo    engine.EstimateMemo
 }
 
 // Name identifies the estimator in reports.
@@ -42,7 +52,10 @@ func (e *RDBMSEstimator) Name() string { return "RDBMS(" + e.Profile.Name + ")" 
 
 // Estimate plans the tree under the profile and returns its cost.
 func (e *RDBMSEstimator) Estimate(n *plan.Node) float64 {
-	return engine.NewBackend(e.DB, e.Profile).Estimate(n).Cost
+	if e.backend == nil {
+		e.backend = engine.NewBackend(e.DB, e.Profile)
+	}
+	return e.backend.EstimateShared(n, &e.memo).Cost
 }
 
 // EstimateJUCQ scores a JUCQ by lowering it (compatibility shim for
@@ -54,7 +67,9 @@ func (e *RDBMSEstimator) EstimateJUCQ(j query.JUCQ) float64 {
 // BackendEstimator scores plans through an execution backend's own
 // Estimate — GDL over the sql or shard backend then optimizes the
 // plan as that backend will run it (a sharded Estimate sums per-shard
-// figures, so covers that align with the partitioning win).
+// figures, so covers that align with the partitioning win). Such a
+// backend costs every tree whole; it still gains from the search
+// lowering each fragment once.
 type BackendEstimator struct {
 	Backend plan.Backend
 }
@@ -70,6 +85,8 @@ func (e *BackendEstimator) Estimate(n *plan.Node) float64 {
 // ExtEstimator uses the external cost model (package cost).
 type ExtEstimator struct {
 	Model *cost.Model
+
+	frags map[*plan.Node]plan.Estimate
 }
 
 // Name identifies the estimator in reports.
@@ -77,7 +94,10 @@ func (e *ExtEstimator) Name() string { return "ext" }
 
 // Estimate applies the textbook formulas to the plan tree.
 func (e *ExtEstimator) Estimate(n *plan.Node) float64 {
-	return e.Model.Estimate(n).Cost
+	if e.frags == nil {
+		e.frags = make(map[*plan.Node]plan.Estimate)
+	}
+	return e.Model.EstimateShared(n, e.frags).Cost
 }
 
 // EstimateJUCQ scores a JUCQ by lowering it (compatibility shim for
@@ -88,8 +108,12 @@ func (e *ExtEstimator) EstimateJUCQ(j query.JUCQ) float64 {
 
 // Result is the outcome of a cover search.
 type Result struct {
-	Cover   cover.Cover
-	JUCQ    query.JUCQ
+	Cover cover.Cover
+	JUCQ  query.JUCQ
+	// Plan is the winning cover's logical plan — lowered and rewritten,
+	// the tree the estimator scored — ready for plan.Validate and a
+	// backend's Compile.
+	Plan    *plan.Node
 	Cost    float64
 	Err     error
 	Elapsed time.Duration
@@ -101,6 +125,15 @@ type Result struct {
 	ExploredGq int
 	// Moves is the number of greedy moves applied (GDL only).
 	Moves int
+
+	// FragmentsEstimated counts the distinct fragments the explored
+	// covers are made of: each was reformulated, lowered and handed to
+	// the estimator as one subtree, to be costed once. FragmentsReused
+	// counts the fragment slots of explored covers filled with a subtree
+	// an earlier cover had already built. Their ratio is what the
+	// fragment table saves over costing every cover from scratch.
+	FragmentsEstimated int
+	FragmentsReused    int
 }
 
 // Options tune the search.
@@ -120,27 +153,26 @@ type Options struct {
 }
 
 // Memo is a concurrency-safe cross-search cache of cover cost
-// estimates, keyed by (cover key, estimator name). It must be dropped
-// when the TBox, the data, or the estimator's statistics change — the
-// Answerer ties its lifetime to the answer cache's versioned keys.
+// estimates, keyed by (query canonical form, cover key, estimator
+// name). Cover.Key only encodes the fragment bitmasks, so two queries
+// with the same atom count produce colliding cover keys; the canonical
+// form keeps them apart. It must be dropped when the TBox, the data, or
+// the estimator's statistics change — the Answerer ties its lifetime to
+// the answer cache's versioned keys.
 type Memo struct {
 	mu sync.Mutex
-	m  map[memoKey]memoEntry
+	m  map[memoKey]float64
 }
 
 type memoKey struct {
+	query string
 	cover string
 	est   string
 }
 
-type memoEntry struct {
-	cost float64
-	jucq query.JUCQ
-}
-
 // NewMemo returns an empty cross-search estimate cache.
 func NewMemo() *Memo {
-	return &Memo{m: make(map[memoKey]memoEntry)}
+	return &Memo{m: make(map[memoKey]float64)}
 }
 
 // Len returns the number of memoized estimates.
@@ -150,67 +182,115 @@ func (m *Memo) Len() int {
 	return len(m.m)
 }
 
-func (m *Memo) get(cover, est string) (memoEntry, bool) {
+func (m *Memo) get(k memoKey) (float64, bool) {
 	m.mu.Lock()
-	e, ok := m.m[memoKey{cover, est}]
+	v, ok := m.m[k]
 	m.mu.Unlock()
-	return e, ok
+	return v, ok
 }
 
-func (m *Memo) put(cover, est string, e memoEntry) {
+func (m *Memo) put(k memoKey, v float64) {
 	m.mu.Lock()
-	m.m[memoKey{cover, est}] = e
+	m.m[k] = v
 	m.mu.Unlock()
 }
 
-// evaluator memoizes cover cost estimates within one search, and
-// through Options.Memo across searches. Memo keys are scoped by the
-// query's canonical form: Cover.Key only encodes the fragment bitmasks,
-// so two queries with the same atom count produce colliding cover keys
-// and must not share entries.
+// fragment is one entry of a search's fragment table: a fragment's
+// reformulation, and its lowered and rewritten subtree.
+type fragment struct {
+	ucq  query.UCQ
+	tree *plan.Node
+}
+
+// evaluator costs the covers one search visits. Algorithm 1 moves from
+// cover to cover by unioning two fragments or enlarging one, so a
+// candidate differs from the current cover in at most two fragments;
+// the evaluator therefore works at fragment granularity. Its fragment
+// table maps a fragment's identity to its reformulation and its lowered,
+// rewritten IR subtree, each built once per search; a cover's tree is
+// plan.Cover over the subtrees of its fragments — the same tree
+// plan.Rewrite(plan.FromJUCQ(j)) builds for its JUCQ j, but sharing
+// every unchanged fragment with the trees before it (the IR is
+// immutable, so sharing is safe). Estimators recognize shared subtrees
+// by identity and cost each once.
+//
+// Cover costs are memoized by Cover.Key within the search, and through
+// Options.Memo across searches.
 type evaluator struct {
-	ref   *reformulate.Reformulator
-	est   Estimator
-	memo  *Memo
-	scope string
-	seen  map[string]float64
-	jucqs map[string]query.JUCQ
-	lq    int
-	gq    int
-	err   error
+	ref     *reformulate.Reformulator
+	est     Estimator
+	estName string
+	memo    *Memo
+	scope   string // canonical form of the query, for memo keys
+	seen    map[string]float64
+	frags   map[cover.FragmentID]fragment
+	built   int // fragment table misses
+	reused  int // fragment table hits
+	lq      int
+	gq      int
+	err     error
 }
 
 func newEvaluator(ref *reformulate.Reformulator, est Estimator, memo *Memo, q query.CQ) *evaluator {
-	return &evaluator{ref: ref, est: est, memo: memo, scope: query.CanonicalKey(q) + ";",
-		seen: make(map[string]float64), jucqs: make(map[string]query.JUCQ)}
+	ev := &evaluator{ref: ref, est: est, estName: est.Name(), memo: memo,
+		seen: make(map[string]float64), frags: make(map[cover.FragmentID]fragment)}
+	if memo != nil {
+		ev.scope = query.CanonicalKey(q)
+	}
+	return ev
 }
 
-// estimate returns the cover's cost, reformulating its fragments if the
-// cover has not been seen before (in this search or in the shared memo).
+// build assembles the cover's JUCQ and plan tree from the fragment
+// table, reformulating and lowering the fragments not yet in it.
+func (ev *evaluator) build(c cover.Cover) (query.JUCQ, *plan.Node, error) {
+	subs := make([]query.UCQ, len(c.Frags))
+	trees := make([]*plan.Node, len(c.Frags))
+	for k := range c.Frags {
+		id := c.FragmentID(k)
+		f, ok := ev.frags[id]
+		if ok {
+			ev.reused++
+		} else {
+			u, err := c.ReformulateFragment(k, ev.ref)
+			if err != nil {
+				return query.JUCQ{}, nil, err
+			}
+			f = fragment{ucq: u, tree: plan.Rewrite(plan.FromUCQ(u))}
+			ev.frags[id] = f
+			ev.built++
+		}
+		subs[k], trees[k] = f.ucq, f.tree
+	}
+	j := c.JUCQ(subs)
+	return j, plan.Cover(j.Name, j.Head, trees), nil
+}
+
+// estimate returns the cover's cost, building and scoring its tree if
+// the cover has not been seen before (in this search or in the shared
+// memo). The estimator is called once per distinct cover.
 func (ev *evaluator) estimate(c cover.Cover) (float64, bool) {
-	key := ev.scope + c.Key()
+	key := c.Key()
 	if v, ok := ev.seen[key]; ok {
 		return v, true
 	}
+	mk := memoKey{query: ev.scope, cover: key, est: ev.estName}
 	if ev.memo != nil {
-		if e, ok := ev.memo.get(key, ev.est.Name()); ok {
-			ev.seen[key] = e.cost
-			ev.jucqs[key] = e.jucq
-			return e.cost, true
+		if v, ok := ev.memo.get(mk); ok {
+			ev.seen[key] = v
+			return v, true
 		}
 	}
-	j, err := c.ReformulateJUCQ(ev.ref)
+	_, tree, err := ev.build(c)
 	if err != nil {
 		ev.err = err
 		return 0, false
 	}
-	// Score the rewritten tree — the exact shape core.Answerer hands
-	// the execution backend after its IR simplification pass.
-	v := ev.est.Estimate(plan.Rewrite(plan.FromJUCQ(j)))
+	// The tree is the exact shape core.Answerer hands the execution
+	// backend after its IR simplification pass.
+	v := ev.est.Estimate(tree)
 	ev.seen[key] = v
-	ev.jucqs[key] = j
 	if ev.memo != nil {
-		ev.memo.put(key, ev.est.Name(), memoEntry{cost: v, jucq: j})
+		ev.memo.put(mk, v)
 	}
 	if c.IsGeneralized() {
 		ev.gq++
@@ -220,16 +300,38 @@ func (ev *evaluator) estimate(c cover.Cover) (float64, bool) {
 	return v, true
 }
 
+// result reports the search's outcome for the chosen cover. The
+// fragment counters are read first: assembling the winner's JUCQ and
+// plan goes through the fragment table once more (and, for a winner
+// known only from the cross-search memo, builds it).
+func (ev *evaluator) result(c cover.Cover, cost float64, moves int, start time.Time) Result {
+	res := Result{
+		Cover:              c,
+		Cost:               cost,
+		ExploredLq:         ev.lq,
+		ExploredGq:         ev.gq,
+		Moves:              moves,
+		FragmentsEstimated: ev.built,
+		FragmentsReused:    ev.reused,
+	}
+	res.JUCQ, res.Plan, res.Err = ev.build(c)
+	res.Elapsed = time.Since(start)
+	return res
+}
+
 // GDL runs the greedy cover search of Algorithm 1: starting from Croot,
 // repeatedly apply the best cost-improving move among unioning two
 // fragments and enlarging a fragment with a connected atom; stop when
-// no move improves the current cover (or the time limit strikes).
+// no move improves the current cover (or the time limit strikes, in
+// which case the best improving move found so far in the interrupted
+// round is still taken).
 func GDL(q query.CQ, t *dllite.TBox, ref *reformulate.Reformulator, est Estimator, opts Options) Result {
 	start := time.Now()
 	deadline := time.Time{}
 	if opts.TimeLimit > 0 {
 		deadline = start.Add(opts.TimeLimit)
 	}
+	expired := func() bool { return !deadline.IsZero() && time.Now().After(deadline) }
 	ev := newEvaluator(ref, est, opts.Memo, q)
 	cur := cover.RootCover(q, t)
 	curCost, ok := ev.estimate(cur)
@@ -237,57 +339,10 @@ func GDL(q query.CQ, t *dllite.TBox, ref *reformulate.Reformulator, est Estimato
 		return Result{Err: ev.err, Elapsed: time.Since(start)}
 	}
 	moves := 0
-	for {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			break
-		}
-		bestCover := cover.Cover{}
-		bestCost := curCost
-		found := false
-		consider := func(c cover.Cover) bool {
-			v, ok := ev.estimate(c)
-			if !ok {
-				return false
-			}
-			// Algorithm 1 keeps a move when it is at least as good as
-			// the current cover and better than the best move so far.
-			if (!found && v <= curCost) || (found && v < bestCost) {
-				bestCover = c
-				bestCost = v
-				found = true
-			}
-			return true
-		}
-		// Union moves.
-		for i := 0; i < len(cur.Frags); i++ {
-			for j := i + 1; j < len(cur.Frags); j++ {
-				if !consider(cur.UnionFragments(i, j)) {
-					return Result{Err: ev.err, Elapsed: time.Since(start)}
-				}
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					goto done
-				}
-			}
-		}
-		// Enlarge moves: add a connected atom to a fragment's F-part.
-		for i := 0; i < len(cur.Frags); i++ {
-			for a := 0; a < len(q.Atoms); a++ {
-				c, applies := cur.EnlargeFragment(i, a)
-				if !applies {
-					continue
-				}
-				// The atom must share a variable with the fragment
-				// (Algorithm 1, line 5) and keep the cover valid.
-				if !fragmentConnectedTo(cur, i, a) || c.Validate() != nil {
-					continue
-				}
-				if !consider(c) {
-					return Result{Err: ev.err, Elapsed: time.Since(start)}
-				}
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					goto done
-				}
-			}
+	for !expired() {
+		bestCover, bestCost, found, ok := bestMove(ev, cur, curCost, expired)
+		if !ok {
+			return Result{Err: ev.err, Elapsed: time.Since(start)}
 		}
 		if !found {
 			// Algorithm 1 stops when no candidate move has estimated
@@ -297,21 +352,63 @@ func GDL(q query.CQ, t *dllite.TBox, ref *reformulate.Reformulator, est Estimato
 			// fragments.
 			break
 		}
-		cur = bestCover
-		curCost = bestCost
+		cur, curCost = bestCover, bestCost
 		moves++
 	}
-done:
-	key := ev.scope + cur.Key()
-	return Result{
-		Cover:      cur,
-		JUCQ:       ev.jucqs[key],
-		Cost:       curCost,
-		Elapsed:    time.Since(start),
-		ExploredLq: ev.lq,
-		ExploredGq: ev.gq,
-		Moves:      moves,
+	return ev.result(cur, curCost, moves, start)
+}
+
+// bestMove scans one round of Algorithm 1: every union of two fragments
+// of cur and every enlargement of a fragment by a connected atom. It
+// returns the best move found; when expired reports true mid-round the
+// scan stops and the best move so far is returned. ok is false when a
+// candidate could not be estimated (ev.err says why).
+func bestMove(ev *evaluator, cur cover.Cover, curCost float64, expired func() bool) (best cover.Cover, bestCost float64, found, ok bool) {
+	bestCost = curCost
+	consider := func(c cover.Cover) bool {
+		v, ok := ev.estimate(c)
+		if !ok {
+			return false
+		}
+		// Algorithm 1 keeps a move when it is at least as good as
+		// the current cover and better than the best move so far.
+		if (!found && v <= curCost) || (found && v < bestCost) {
+			best, bestCost, found = c, v, true
+		}
+		return true
 	}
+	// Union moves.
+	for i := 0; i < len(cur.Frags); i++ {
+		for j := i + 1; j < len(cur.Frags); j++ {
+			if !consider(cur.UnionFragments(i, j)) {
+				return best, bestCost, found, false
+			}
+			if expired() {
+				return best, bestCost, found, true
+			}
+		}
+	}
+	// Enlarge moves: add a connected atom to a fragment's F-part.
+	for i := 0; i < len(cur.Frags); i++ {
+		for a := 0; a < len(cur.Q.Atoms); a++ {
+			c, applies := cur.EnlargeFragment(i, a)
+			if !applies {
+				continue
+			}
+			// The atom must share a variable with the fragment
+			// (Algorithm 1, line 5) and keep the cover valid.
+			if !fragmentConnectedTo(cur, i, a) || c.Validate() != nil {
+				continue
+			}
+			if !consider(c) {
+				return best, bestCost, found, false
+			}
+			if expired() {
+				return best, bestCost, found, true
+			}
+		}
+	}
+	return best, bestCost, found, true
 }
 
 // fragmentConnectedTo reports whether atom a shares a variable with
@@ -348,13 +445,5 @@ func EDL(q query.CQ, t *dllite.TBox, ref *reformulate.Reformulator, est Estimato
 	if ev.err != nil {
 		return Result{Err: ev.err, Elapsed: time.Since(start)}
 	}
-	key := ev.scope + best.Key()
-	return Result{
-		Cover:      best,
-		JUCQ:       ev.jucqs[key],
-		Cost:       bestCost,
-		Elapsed:    time.Since(start),
-		ExploredLq: ev.lq,
-		ExploredGq: ev.gq,
-	}
+	return ev.result(best, bestCost, 0, start)
 }

@@ -261,8 +261,24 @@ type ExplainResponse struct {
 	CacheHit  bool   `json:"cacheHit"`
 	// ShardCache mirrors QueryResponse.ShardCache.
 	ShardCache *ShardCacheStats `json:"shardCache,omitempty"`
-	Explain    *plan.Explain    `json:"explain"`
-	Text       string           `json:"text"`
+	// Search reports the cover search behind the plan: present for the
+	// search strategies when the search ran for this request (a cache
+	// hit skips it).
+	Search  *SearchStats  `json:"search,omitempty"`
+	Explain *plan.Explain `json:"explain"`
+	Text    string        `json:"text"`
+}
+
+// SearchStats is the cover search's work: the distinct covers whose
+// cost was estimated, and the fragments those covers were assembled
+// from — each fragment reformulated, lowered and costed once, then
+// reused by every other cover containing it.
+type SearchStats struct {
+	ExploredLq         int `json:"exploredLq"`
+	ExploredGq         int `json:"exploredGq"`
+	Moves              int `json:"moves"`
+	FragmentsEstimated int `json:"fragmentsEstimated"`
+	FragmentsReused    int `json:"fragmentsReused"`
 }
 
 // handleExplain answers the query like POST /query but returns the
@@ -281,6 +297,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		CacheHit:   res.CacheHit,
 		ShardCache: cacheStatsOf(backend),
 		Explain:    res.Explain,
+	}
+	if sr := res.Search; sr != nil {
+		resp.Search = &SearchStats{
+			ExploredLq: sr.ExploredLq, ExploredGq: sr.ExploredGq, Moves: sr.Moves,
+			FragmentsEstimated: sr.FragmentsEstimated, FragmentsReused: sr.FragmentsReused,
+		}
 	}
 	if res.Explain != nil {
 		resp.Text = res.Explain.Text()

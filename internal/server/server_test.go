@@ -377,6 +377,25 @@ func TestExplainEndpoint(t *testing.T) {
 	if gout.Strategy != "ucq" || gout.Explain == nil {
 		t.Errorf("GET explain = %+v", gout)
 	}
+	if out.Search != nil || gout.Search != nil {
+		t.Errorf("fixed-cover strategies ran no search, got %+v / %+v", out.Search, gout.Search)
+	}
+
+	// A search strategy reports what the search explored and how many
+	// fragments its covers were assembled from.
+	sresp, err := http.Post(srv.URL+"/explain", "application/json",
+		bytesNewBuffer(`{"query": "q(x) <- PhDStudent(x), worksWith(y, x)", "strategy": "gdl-ext"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var sout ExplainResponse
+	if err := json.NewDecoder(sresp.Body).Decode(&sout); err != nil {
+		t.Fatal(err)
+	}
+	if s := sout.Search; s == nil || s.ExploredLq+s.ExploredGq == 0 || s.FragmentsEstimated == 0 {
+		t.Errorf("gdl-ext explain carries no search statistics: %+v", sout.Search)
+	}
 }
 
 func bytesNewBuffer(s string) *bytes.Buffer { return bytes.NewBufferString(s) }
