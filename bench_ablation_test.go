@@ -1,7 +1,7 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-// the Postgres sampling shortcut, the RDF layout's column budget,
-// reformulation memoization, UCQ-vs-USCQ factorization, and the
-// materialized-view extension.
+// Ablation benchmarks for design choices: the Postgres sampling
+// shortcut, the RDF layout's column budget, reformulation memoization,
+// UCQ-vs-USCQ factorization, the SQL round trip, the parallel union,
+// and the streaming executor against the materializing one.
 package repro
 
 import (
@@ -10,13 +10,14 @@ import (
 
 	"repro/internal/cover"
 	"repro/internal/engine"
+	"repro/internal/exp"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/reformulate"
 	"repro/internal/search"
 	"repro/internal/sqlexec"
 	"repro/internal/sqlgen"
-	"repro/internal/views"
 )
 
 // BenchmarkAblationSampling isolates the §6.3 estimation anomaly: GDL
@@ -119,38 +120,6 @@ func BenchmarkAblationFactorization(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationViews measures the §7 future-work extension:
-// answering the A3–A6 star family with and without the materialized
-// fragment-view cache.
-func BenchmarkAblationViews(b *testing.B) {
-	env, _, _ := benchEnvs()
-	ref := reformulate.New(env.TBox)
-	stars := lubm.StarQueries()
-	b.Run("without-views", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range stars {
-				c := cover.RootCover(q, env.TBox)
-				j, err := c.ReformulateJUCQ(ref)
-				if err != nil {
-					b.Fatal(err)
-				}
-				engine.EvaluateJUCQ(j, env.DB, env.Profile)
-			}
-		}
-	})
-	b.Run("with-views", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mgr := views.NewManager(env.DB, env.Profile)
-			for _, q := range stars {
-				c := cover.RootCover(q, env.TBox)
-				if _, err := mgr.AnswerCover(c, ref); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkAblationSQLPath compares the engine's native JUCQ evaluation
 // with the full SQL round-trip (generate text, parse, execute) — the
 // overhead a driver-to-RDBMS hop adds on top of plan execution.
@@ -184,46 +153,62 @@ func BenchmarkAblationSQLPath(b *testing.B) {
 func BenchmarkAblationParallelUnion(b *testing.B) {
 	env, _, _ := benchEnvs()
 	ref := reformulate.New(env.TBox)
-	u := ref.MustReformulate(lubm.Queries()[8])
-	plan := engine.PlanUCQ(u, env.DB, env.Profile)
+	exec := compileUCQ(b, env, ref.MustReformulate(lubm.Queries()[8]))
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				engine.Drain(engine.CompileUCQ(plan, env.DB, nil, workers))
+				if _, err := exec.Run(workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
 }
 
+// compileUCQ compiles the UCQ's plan on the native backend.
+func compileUCQ(b *testing.B, env *exp.Env, u query.UCQ) plan.Executable {
+	b.Helper()
+	exec, err := engine.NewBackend(env.DB, env.Profile).Compile(plan.FromUCQ(u))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return exec
+}
+
 // BenchmarkAblationExecPath compares the executors on UCQ
-// reformulations: the streaming batched operator pipeline (cold =
-// compile per execution, warm = compiled tree re-executed, the serving
-// mode) against the materialize-everything reference path. Run with
-// -benchmem to see the allocation gap the streaming model exists for.
+// reformulations: the native backend's streaming operator pipeline
+// (cold = compile per execution, warm = compiled once and run again,
+// the serving mode) against the materialize-everything reference path.
+// Run with -benchmem to see the allocation gap the streaming model
+// exists for.
 func BenchmarkAblationExecPath(b *testing.B) {
 	env, _, _ := benchEnvs()
 	ref := reformulate.New(env.TBox)
 	for _, qi := range []int{2, 8} { // Q3 (160 arms), Q9 (300 arms)
 		q := lubm.Queries()[qi]
-		plan := engine.PlanUCQ(ref.MustReformulate(q), env.DB, env.Profile)
+		u := ref.MustReformulate(q)
 		b.Run(q.Name+"/streaming-cold", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				engine.ExecUCQ(plan, env.DB)
+				if _, err := compileUCQ(b, env, u).Run(1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 		b.Run(q.Name+"/streaming-warm", func(b *testing.B) {
 			b.ReportAllocs()
-			op := engine.CompileUCQ(plan, env.DB, nil, 1)
+			exec := compileUCQ(b, env, u)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				engine.Drain(op)
+				if _, err := exec.Run(1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 		b.Run(q.Name+"/materialized", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				engine.ExecUCQMaterialized(plan, env.DB)
+				engine.ExecUCQMaterialized(u, env.DB, env.Profile)
 			}
 		})
 	}

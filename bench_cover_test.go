@@ -1,17 +1,12 @@
-// Cover-execution benchmarks: the streaming hash-join pipeline against
-// the materialize-every-fragment fold on multi-fragment covers
-// (BenchmarkCoverExec), and the answer cache against the full
-// reformulate-search-plan pipeline on repeated queries
-// (BenchmarkCoverCache). CI runs these once per push (-bench=Cover
-// -benchtime=1x); cmd/benchcover emits the same series as
-// BENCH_cover.json.
+// The shard benchmark: the native backend against the shard backend on
+// multi-fragment root covers (cmd/benchcover emits the same series as
+// BENCH_shard.json).
 package repro
 
 import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/engine"
 	"repro/internal/lubm"
@@ -26,39 +21,6 @@ import (
 func coverBenchQueries() []query.CQ {
 	qs := lubm.Queries()
 	return []query.CQ{qs[2], qs[8]} // Q3, Q9
-}
-
-// BenchmarkCoverExec compares materialized and streaming execution of
-// multi-fragment root covers, the streaming side at 1/2/4/8 workers
-// (clamped to GOMAXPROCS on small machines). Run with -benchmem for the
-// bytes/op series.
-func BenchmarkCoverExec(b *testing.B) {
-	env, _, _ := benchEnvs()
-	ref := reformulate.New(env.TBox)
-	for _, q := range coverBenchQueries() {
-		c := cover.RootCover(q, env.TBox)
-		j, err := c.ReformulateJUCQ(ref)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan := engine.PlanJUCQ(j, env.DB, env.Profile)
-		b.Run(q.Name+"/materialized", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				engine.ExecJUCQMaterialized(plan, env.DB)
-			}
-		})
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/streaming-w%d", q.Name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				op := engine.CompileJUCQ(plan, env.DB, nil, workers)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					engine.Drain(op)
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkCoverShard compares the native streaming backend (serial
@@ -110,33 +72,5 @@ func BenchmarkCoverShard(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkCoverCache measures what the answer cache eliminates: the
-// same query answered repeatedly with the plan cache on (search,
-// reformulation, and planning amortized to one miss) versus off (the
-// full pipeline every time).
-func BenchmarkCoverCache(b *testing.B) {
-	env, _, _ := benchEnvs()
-	q := lubm.Queries()[8] // Q9
-	for _, mode := range []string{"cached", "uncached"} {
-		b.Run("Q9/gdl-ext/"+mode, func(b *testing.B) {
-			b.ReportAllocs()
-			a := core.New(env.TBox, env.DB, env.Profile)
-			if mode == "uncached" {
-				a.Cache = nil
-				a.SearchOpts.Memo = nil
-			}
-			if _, err := a.Answer(q, core.StrategyGDLExt); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Answer(q, core.StrategyGDLExt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -186,42 +186,3 @@ func BenchmarkGDLSearch(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkExecutorPaths reports every UCQ evaluation path the engine
-// offers on the full workload: the streaming operator pipeline
-// (sequential and parallel union) and the materialize-everything
-// reference executor. Run with -benchmem to compare allocations.
-func BenchmarkExecutorPaths(b *testing.B) {
-	env, _, _ := benchEnvs()
-	ref := reformulate.New(env.TBox)
-	for _, qi := range []int{1, 2, 8} { // Q2, Q3, Q9
-		q := lubm.Queries()[qi]
-		plan := engine.PlanUCQ(ref.MustReformulate(q), env.DB, env.Profile)
-		b.Run(q.Name+"/streaming", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				engine.ExecUCQ(plan, env.DB)
-			}
-		})
-		b.Run(q.Name+"/streaming-warm", func(b *testing.B) {
-			b.ReportAllocs()
-			op := engine.CompileUCQ(plan, env.DB, nil, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				engine.Drain(op)
-			}
-		})
-		b.Run(q.Name+"/streaming-parallel", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				engine.Drain(engine.CompileUCQ(plan, env.DB, nil, 4))
-			}
-		})
-		b.Run(q.Name+"/materialized", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				engine.ExecUCQMaterialized(plan, env.DB)
-			}
-		})
-	}
-}

@@ -1,11 +1,8 @@
-// Command benchcover runs the cover-execution benchmark matrix
-// programmatically (testing.Benchmark) and writes the series to
-// BENCH_cover.json: materialized vs streaming hash-join execution of
-// multi-fragment root covers at 1/2/4/8 workers, plus the repeated
-// query with the answer cache on and off. It also writes
-// BENCH_shard.json: the shard backend at 1/2/4/8 shards against the
-// serial native baseline, with the speedup and the GOMAXPROCS the run
-// saw (sharded speedup needs cores to spread over).
+// Command benchcover runs the shard benchmark series programmatically
+// (testing.Benchmark) and writes it to BENCH_shard.json: the shard
+// backend at 1/2/4/8 shards against the serial native baseline, with
+// the speedup and the GOMAXPROCS the run saw (sharded speedup needs
+// cores to spread over).
 //
 // The shard series includes a hand-built shuffle cover (QShuffle:
 // memberOf(x, d) joined with Department(d) on d, which no shard
@@ -15,9 +12,9 @@
 //
 // Usage:
 //
-//	benchcover                      # BENCH_cover.json + BENCH_shard.json
-//	benchcover -o out.json -shard-o shard.json -scale 8
-//	benchcover -short -shard        # CI smoke: scale-1 DB, shard series only
+//	benchcover                      # BENCH_shard.json
+//	benchcover -shard-o shard.json -scale 8
+//	benchcover -short               # CI smoke: scale-1 DB, QShuffle only
 package main
 
 import (
@@ -28,7 +25,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/engine"
 	"repro/internal/exp"
@@ -38,29 +34,6 @@ import (
 	"repro/internal/reformulate"
 	"repro/internal/shard"
 )
-
-// Entry is one benchmark series point.
-type Entry struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-func record(out *[]Entry, name string, fn func(b *testing.B)) {
-	r := testing.Benchmark(fn)
-	e := Entry{
-		Name:        name,
-		Iterations:  r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-	}
-	*out = append(*out, e)
-	fmt.Printf("%-40s %10d iter %14.0f ns/op %10d B/op %8d allocs/op\n",
-		e.Name, e.Iterations, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
-}
 
 // ShardEntry is one point of the BENCH_shard.json series: the shard
 // backend at a given fan-out against the serial native baseline on the
@@ -225,12 +198,10 @@ func shardSeries(env *exp.Env, short bool) ([]ShardEntry, error) {
 
 func main() {
 	var (
-		out       = flag.String("o", "BENCH_cover.json", "output file")
-		shardOut  = flag.String("shard-o", "BENCH_shard.json", "shard series output file")
-		scale     = flag.Int("scale", 4, "universities in the generated database")
-		seed      = flag.Int64("seed", 1, "generator seed")
-		short     = flag.Bool("short", false, "smoke mode: scale-1 database, QShuffle only, shard fan-outs 1 and 2")
-		shardOnly = flag.Bool("shard", false, "run only the shard series (skip the cover matrix)")
+		shardOut = flag.String("shard-o", "BENCH_shard.json", "shard series output file")
+		scale    = flag.Int("scale", 4, "universities in the generated database")
+		seed     = flag.Int64("seed", 1, "generator seed")
+		short    = flag.Bool("short", false, "smoke mode: scale-1 database, QShuffle only, shard fan-outs 1 and 2")
 	)
 	flag.Parse()
 	if *short {
@@ -238,67 +209,6 @@ func main() {
 	}
 
 	env := exp.BuildEnv(*scale, *seed, engine.LayoutSimple, engine.ProfilePostgres())
-	if *shardOnly {
-		series, err := shardSeries(env, *short)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchcover:", err)
-			os.Exit(1)
-		}
-		writeJSON(*shardOut, series)
-		return
-	}
-	ref := reformulate.New(env.TBox)
-	var entries []Entry
-
-	for _, qi := range []int{2, 8} { // Q3, Q9
-		q := lubm.Queries()[qi]
-		c := cover.RootCover(q, env.TBox)
-		j, err := c.ReformulateJUCQ(ref)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchcover:", err)
-			os.Exit(1)
-		}
-		plan := engine.PlanJUCQ(j, env.DB, env.Profile)
-		record(&entries, q.Name+"/materialized", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				engine.ExecJUCQMaterialized(plan, env.DB)
-			}
-		})
-		for _, workers := range []int{1, 2, 4, 8} {
-			record(&entries, fmt.Sprintf("%s/streaming-w%d", q.Name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				op := engine.CompileJUCQ(plan, env.DB, nil, workers)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					engine.Drain(op)
-				}
-			})
-		}
-	}
-
-	q9 := lubm.Queries()[8]
-	for _, mode := range []string{"cached", "uncached"} {
-		record(&entries, "Q9/gdl-ext/"+mode, func(b *testing.B) {
-			b.ReportAllocs()
-			a := core.New(env.TBox, env.DB, env.Profile)
-			if mode == "uncached" {
-				a.Cache = nil
-			}
-			if _, err := a.Answer(q9, core.StrategyGDLExt); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Answer(q9, core.StrategyGDLExt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-
-	writeJSON(*out, entries)
-
 	series, err := shardSeries(env, *short)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcover:", err)

@@ -1,7 +1,6 @@
 // Command experiments regenerates every table and figure of the
-// paper's evaluation (Section 6) on scaled LUBM∃ databases. See the
-// per-experiment index in DESIGN.md and the recorded outputs in
-// EXPERIMENTS.md.
+// paper's evaluation (Section 6) on scaled LUBM∃ databases, through
+// the harness in internal/exp.
 //
 // Usage:
 //

@@ -14,10 +14,23 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/reformulate"
 	"repro/internal/search"
 )
+
+// runPlan compiles n on the native backend and drains one run with
+// the given worker budget.
+func runPlan(t *testing.T, env *exp.Env, n *plan.Node, workers int) *engine.Relation {
+	t.Helper()
+	c, err := engine.NewBackend(env.DB, env.Profile).CompilePlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, _ := c.Tree(workers)
+	return engine.Drain(op)
+}
 
 // tupleSet canonicalizes a relation for set comparison.
 func tupleSet(rel *engine.Relation, db *engine.DB) map[string]bool {
@@ -63,7 +76,7 @@ func TestCoverExecutionDifferentialLUBM(t *testing.T) {
 	ref := reformulate.New(env.TBox)
 	for _, q := range lubm.Queries() {
 		u := ref.MustReformulate(q)
-		truth := tupleSet(engine.ExecUCQ(engine.PlanUCQ(u, env.DB, env.Profile), env.DB), env.DB)
+		truth := tupleSet(runPlan(t, env, plan.FromUCQ(u), 1), env.DB)
 
 		covers := map[string]cover.Cover{"croot": cover.RootCover(q, env.TBox)}
 		est := &search.ExtEstimator{Model: env.A.Model}
@@ -77,11 +90,10 @@ func TestCoverExecutionDifferentialLUBM(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", q.Name, cname, err)
 			}
-			plan := engine.PlanJUCQ(j, env.DB, env.Profile)
-			mat := tupleSet(engine.ExecJUCQMaterialized(plan, env.DB), env.DB)
+			mat := tupleSet(engine.ExecJUCQMaterialized(j, env.DB, env.Profile), env.DB)
 			requireSameAnswers(t, q.Name+"/"+cname+"/jucq-materialized", mat, truth)
 			for _, workers := range []int{1, 4} {
-				got := tupleSet(engine.Drain(engine.CompileJUCQ(plan, env.DB, nil, workers)), env.DB)
+				got := tupleSet(runPlan(t, env, plan.FromJUCQ(j), workers), env.DB)
 				requireSameAnswers(t, q.Name+"/"+cname+"/jucq-streaming", got, truth)
 			}
 
@@ -89,11 +101,10 @@ func TestCoverExecutionDifferentialLUBM(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", q.Name, cname, err)
 			}
-			splan := engine.PlanJUSCQ(js, env.DB, env.Profile)
-			smat := tupleSet(engine.ExecJUSCQMaterialized(splan, env.DB), env.DB)
+			smat := tupleSet(engine.ExecJUSCQMaterialized(js, env.DB, env.Profile), env.DB)
 			requireSameAnswers(t, q.Name+"/"+cname+"/juscq-materialized", smat, truth)
 			for _, workers := range []int{1, 4} {
-				got := tupleSet(engine.Drain(engine.CompileJUSCQ(splan, env.DB, nil, workers)), env.DB)
+				got := tupleSet(runPlan(t, env, plan.FromJUSCQ(js), workers), env.DB)
 				requireSameAnswers(t, q.Name+"/"+cname+"/juscq-streaming", got, truth)
 			}
 		}
@@ -133,8 +144,7 @@ func TestCoverExecutionEdgeCasesLUBM(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		plan := engine.PlanJUCQ(tc.j, env.DB, env.Profile)
-		want := tupleSet(engine.ExecJUCQMaterialized(plan, env.DB), env.DB)
+		want := tupleSet(engine.ExecJUCQMaterialized(tc.j, env.DB, env.Profile), env.DB)
 		if tc.empty != (len(want) == 0) {
 			t.Fatalf("%s: materialized returned %d answers, empty=%v", tc.name, len(want), tc.empty)
 		}
@@ -142,7 +152,7 @@ func TestCoverExecutionEdgeCasesLUBM(t *testing.T) {
 			t.Fatalf("%s: expected a non-empty cross product", tc.name)
 		}
 		for _, workers := range []int{1, 4} {
-			got := tupleSet(engine.Drain(engine.CompileJUCQ(plan, env.DB, nil, workers)), env.DB)
+			got := tupleSet(runPlan(t, env, plan.FromJUCQ(tc.j), workers), env.DB)
 			requireSameAnswers(t, tc.name, got, want)
 		}
 	}

@@ -25,8 +25,7 @@
 //	internal/lubm         the LUBM∃ benchmark (TBox, generator, Q1-Q13)
 //	internal/exp          the experiment harness behind cmd/experiments
 //
-// See README.md for a tour, DESIGN.md for the system inventory and the
-// per-experiment index, and EXPERIMENTS.md for paper-vs-measured
-// results. The benchmarks in bench_test.go regenerate every table and
-// figure of the paper's evaluation section.
+// See README.md for a tour ("Package tour" lists every package). The
+// benchmarks in bench_test.go regenerate every table and figure of the
+// paper's evaluation section; cmd/experiments prints them as tables.
 package repro

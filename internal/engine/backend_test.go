@@ -18,8 +18,28 @@ func backendUCQ(t *testing.T) query.UCQ {
 	}}
 }
 
-// TestBackendMatchesPlannedExec: compiling through the plan IR returns
-// exactly the tuples and estimate of the direct planned execution.
+// compilePlan compiles n on the native backend, failing the test on
+// error.
+func compilePlan(t *testing.T, db *DB, prof *Profile, n *plan.Node) *Compiled {
+	t.Helper()
+	c, err := NewBackend(db, prof).CompilePlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// drainPlan compiles n on the native backend and drains one run with
+// the given worker budget.
+func drainPlan(t *testing.T, db *DB, prof *Profile, n *plan.Node, workers int) *Relation {
+	t.Helper()
+	op, _ := compilePlan(t, db, prof, n).Tree(workers)
+	return Drain(op)
+}
+
+// TestBackendMatchesPlannedExec: compiling a UCQ through the plan IR
+// returns the materialized executor's tuples, and the estimate of the
+// profile's union arithmetic over the planned arms.
 func TestBackendMatchesPlannedExec(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	prof := ProfilePostgres()
@@ -34,18 +54,23 @@ func TestBackendMatchesPlannedExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := PlanUCQ(u, db, prof)
-	want := ExecUCQPlanned(p, db, prof, 1)
-	if !reflect.DeepEqual(rr.Tuples, want.Tuples) {
-		t.Errorf("tuples = %v, want %v", rr.Tuples, want.Tuples)
+	if want := ExecUCQMaterialized(u, db, prof).Decode(db.Dict); !reflect.DeepEqual(rr.Tuples, want) {
+		t.Errorf("tuples = %v, want %v", rr.Tuples, want)
 	}
-	if est := exec.Estimate(); est.Cost != p.EstCost || est.Card != p.EstCard {
-		t.Errorf("estimate = %+v, want cost %.1f card %.1f", est, p.EstCost, p.EstCard)
+	var cost, card float64
+	for _, d := range u.Disjuncts {
+		p := PlanCQ(d, db, prof)
+		cost += p.EstCost
+		card += p.EstCard
+	}
+	if est := exec.Estimate(); est.Cost != cost+card*prof.CDedup || est.Card != card {
+		t.Errorf("estimate = %+v, want cost %.1f card %.1f", est, cost+card*prof.CDedup, card)
 	}
 }
 
 // TestBackendJUCQMatchesPlannedExec: the two-fragment cover shape runs
-// through the hash join and still matches the direct execution.
+// through the hash join, matches the materialized fold, and is costed
+// as coverEstimate over its fragments' own estimates.
 func TestBackendJUCQMatchesPlannedExec(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	prof := ProfilePostgres()
@@ -65,13 +90,15 @@ func TestBackendJUCQMatchesPlannedExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := PlanJUCQ(j, db, prof)
-	want := ExecJUCQPlanned(p, db, prof, 1)
-	if !reflect.DeepEqual(rr.Tuples, want.Tuples) {
-		t.Errorf("tuples = %v, want %v", rr.Tuples, want.Tuples)
+	if want := ExecJUCQMaterialized(j, db, prof).Decode(db.Dict); !reflect.DeepEqual(rr.Tuples, want) {
+		t.Errorf("tuples = %v, want %v", rr.Tuples, want)
 	}
-	if est := exec.Estimate(); est.Cost != p.EstCost {
-		t.Errorf("estimate cost = %.1f, want %.1f", est.Cost, p.EstCost)
+	frags := make([]plan.Estimate, len(j.Subs))
+	for i, sub := range j.Subs {
+		frags[i] = b.Estimate(plan.FromUCQ(sub))
+	}
+	if est, want := exec.Estimate(), coverEstimate(frags, prof); est != want {
+		t.Errorf("estimate = %+v, want %+v", est, want)
 	}
 }
 
@@ -126,8 +153,8 @@ func TestBackendExplainActuals(t *testing.T) {
 	}
 }
 
-// TestBackendUSCQ: the factorized dialect compiles and matches its
-// planned execution.
+// TestBackendUSCQ: the factorized dialect compiles and matches the
+// materialized evaluation of its expansion.
 func TestBackendUSCQ(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	prof := ProfilePostgres()
@@ -141,9 +168,8 @@ func TestBackendUSCQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ExecUSCQPlanned(PlanUSCQ(u, db, prof), db, prof, 1)
-	if !reflect.DeepEqual(rr.Tuples, want.Tuples) {
-		t.Errorf("tuples = %v, want %v", rr.Tuples, want.Tuples)
+	if want := ExecUCQMaterialized(u.Expand(), db, prof).Decode(db.Dict); !reflect.DeepEqual(rr.Tuples, want) {
+		t.Errorf("tuples = %v, want %v", rr.Tuples, want)
 	}
 }
 
@@ -165,7 +191,8 @@ func TestBackendEstimateMalformed(t *testing.T) {
 // — with the fragments' figures recalled from a memo on later trees — is
 // bit for bit the estimate Compile freezes for the same tree, for plain
 // and factorized covers, rewritten or not, and for the mixed-dialect
-// cover no lowering produces.
+// cover no lowering produces (each fragment compiles in its own
+// dialect either way).
 func TestEstimateSharedMatchesCompile(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	b := NewBackend(db, ProfilePostgres())
@@ -214,4 +241,42 @@ func TestEstimateSharedMatchesCompile(t *testing.T) {
 	if est := b.EstimateShared(plan.Cover("j", []query.Term{x}, []*plan.Node{t1, hidden}), &memo); !math.IsInf(est.Cost, 1) {
 		t.Errorf("cover hiding a join key estimates to %+v, want +Inf cost", est)
 	}
+}
+
+// TestDisjointConstantUnionExplained: a union whose arms project
+// different head constants — the shape a push-Distinct rule would
+// target — passes Rewrite unchanged, and its native EXPLAIN carries an
+// actual row count on every node and an estimate on every node the
+// profile costs (all but the Union, whose figures the Distinct above it
+// reports).
+func TestDisjointConstantUnionExplained(t *testing.T) {
+	db := loadDB(t, LayoutSimple, "A(a)\nB(b)\nC(k1)\nC(k2)")
+	x := query.Var("x")
+	tagged := func(pred, tag string) query.CQ {
+		return query.CQ{Name: "q", Head: []query.Term{x, query.Cst(tag)}, Atoms: []query.Atom{query.ConceptAtom(pred, x)}}
+	}
+	n := plan.FromUCQ(query.UCQ{Name: "q", Disjuncts: []query.CQ{tagged("A", "k1"), tagged("B", "k2")}})
+	if r := plan.Rewrite(n); r != n {
+		t.Fatalf("Rewrite changed the union: %s", r)
+	}
+	rr, err := compilePlan(t, db, ProfilePostgres(), n).Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rr.Tuples) != 2 {
+		t.Fatalf("tuples = %v", rr.Tuples)
+	}
+	var walk func(*plan.ExplainNode)
+	walk = func(e *plan.ExplainNode) {
+		if e.ActualRows == plan.UnknownRows {
+			t.Errorf("%s %s: no actual rows", e.Op, e.Detail)
+		}
+		if e.Op != "union" && e.EstRows == plan.UnknownRows {
+			t.Errorf("%s %s: no estimate", e.Op, e.Detail)
+		}
+		for _, c := range e.Children {
+			walk(c)
+		}
+	}
+	walk(rr.Explain.Root)
 }

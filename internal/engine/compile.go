@@ -9,6 +9,7 @@ package engine
 import (
 	"sort"
 
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -129,54 +130,55 @@ func compileProject(cur Operator, head []query.Term, colOf map[string]int, db *D
 }
 
 // CompileCQ builds the streaming operator tree of a planned CQ:
-// source → (filter|join)* → project. Duplicates are preserved, like
-// ExecCQ. prof (optional, may be nil) receives per-operator cardinality
-// feedback through prof.Feedback when executions close.
-func CompileCQ(plan CQPlan, db *DB, prof *Profile) Operator {
-	q := plan.Q
-	seq := make([][]query.Term, len(plan.Steps))
-	for i, s := range plan.Steps {
+// source → (filter|join)* → project. Duplicates are preserved (callers
+// apply Distinct). prof (optional, may be nil) receives per-operator
+// cardinality feedback through prof.Feedback when executions close.
+func CompileCQ(p CQPlan, db *DB, prof *Profile) Operator {
+	proj, _ := compileCQ(&p, db, prof, nil, nil)
+	return proj
+}
+
+// compileCQ is CompileCQ that also returns the body pipeline under the
+// projection and records on r (when non-nil) each plan step's operator
+// against the access leaf it reads — leaves indexed like p.Q.Atoms.
+func compileCQ(p *CQPlan, db *DB, prof *Profile, r *run, leaves []*plan.Node) (proj, body Operator) {
+	q := p.Q
+	seq := make([][]query.Term, len(p.Steps))
+	for i, s := range p.Steps {
 		seq[i] = q.Atoms[s.Atom].Args
 	}
 	colOf, cols := pipelineLayout(seq)
 	bound := make([]bool, len(cols))
 	var cur Operator
-	for _, s := range plan.Steps {
+	for _, s := range p.Steps {
 		a := q.Atoms[s.Atom]
 		j := newAtomJoin(a, s.Access, colOf, bound, db)
 		cur = compileStep(cur, cols, []*atomJoin{j}, prof)
 		markBound(a, colOf, bound)
+		if r != nil {
+			r.bind(leaves[s.Atom], s.EstOut, s.EstCost, cur)
+		}
 	}
 	if cur == nil {
 		cur = newSingleton(cols)
 	}
-	return compileProject(cur, q.Head, colOf, db)
-}
-
-// CompileUCQ builds the UCQ tree: distinct over the union of the arm
-// pipelines. With workers > 1 and more than one arm, the union is the
-// parallel operator that spreads arms over worker goroutines.
-func CompileUCQ(plan UCQPlan, db *DB, prof *Profile, workers int) Operator {
-	schema := headSchema(plan.U.Head())
-	arms := make([]Operator, len(plan.Plans))
-	for i := range plan.Plans {
-		arms[i] = CompileCQ(plan.Plans[i], db, prof)
-	}
-	var u Operator
-	if workers > 1 && len(arms) > 1 {
-		u = NewUnionParallel(schema, arms, workers)
-	} else {
-		u = newUnion(schema, arms)
-	}
-	return newDistinct(u)
+	return compileProject(cur, q.Head, colOf, db), cur
 }
 
 // CompileSCQ builds the streaming tree of a planned semi-conjunctive
 // query: each block becomes one join whose alternatives are the block's
 // atoms (their matches are unioned per input row — the factorized
-// evaluation). Duplicates are preserved, like ExecSCQ.
-func CompileSCQ(plan SCQPlan, db *DB, prof *Profile) Operator {
-	s := plan.S
+// evaluation). Duplicates are preserved, like CompileCQ.
+func CompileSCQ(p SCQPlan, db *DB, prof *Profile) Operator {
+	proj, _ := compileSCQ(&p, db, prof, nil, nil)
+	return proj
+}
+
+// compileSCQ is compileCQ for SCQ plans; leaves are indexed like the
+// blocks, and their estimates are unknown — the planner costs whole
+// block orders, not steps.
+func compileSCQ(p *SCQPlan, db *DB, prof *Profile, r *run, leaves []*plan.Node) (proj, body Operator) {
+	s := p.S
 	var seq [][]query.Term
 	for _, block := range s.Blocks {
 		for _, a := range block {
@@ -186,7 +188,7 @@ func CompileSCQ(plan SCQPlan, db *DB, prof *Profile) Operator {
 	colOf, cols := pipelineLayout(seq)
 	bound := make([]bool, len(cols))
 	var cur Operator
-	for _, bi := range plan.Order {
+	for _, bi := range p.Order {
 		block := s.Blocks[bi]
 		alts := make([]*atomJoin, len(block))
 		for i, a := range block {
@@ -196,31 +198,14 @@ func CompileSCQ(plan SCQPlan, db *DB, prof *Profile) Operator {
 		for _, a := range block {
 			markBound(a, colOf, bound)
 		}
+		if r != nil {
+			r.bind(leaves[bi], plan.UnknownRows, plan.UnknownRows, cur)
+		}
 	}
 	if cur == nil {
 		cur = newSingleton(cols)
 	}
-	return compileProject(cur, s.Head, colOf, db)
-}
-
-// CompileUSCQ builds distinct over the union of the SCQ pipelines,
-// parallel across disjuncts when workers > 1.
-func CompileUSCQ(plan USCQPlan, db *DB, prof *Profile, workers int) Operator {
-	var schema []string
-	if len(plan.Plans) > 0 {
-		schema = headSchema(plan.Plans[0].S.Head)
-	}
-	arms := make([]Operator, len(plan.Plans))
-	for i := range plan.Plans {
-		arms[i] = CompileSCQ(plan.Plans[i], db, prof)
-	}
-	var u Operator
-	if workers > 1 && len(arms) > 1 {
-		u = NewUnionParallel(schema, arms, workers)
-	} else {
-		u = newUnion(schema, arms)
-	}
-	return newDistinct(u)
+	return compileProject(cur, s.Head, colOf, db), cur
 }
 
 // compileProjectNamed projects a pipeline whose schema already names
@@ -284,52 +269,4 @@ func coverWorkerSplit(workers, frags int) int {
 		per = 1
 	}
 	return per
-}
-
-// CompileJUCQ builds the end-to-end streaming tree of a planned JUCQ
-// cover: per-fragment pipelines (scan → … → union → distinct, the WITH
-// … DISTINCT clauses of Section 3) feed the streaming hash join, whose
-// output is projected onto the overall head and deduplicated. No
-// fragment is materialized as a Relation; workers bounds the goroutines
-// of the build drain and the fragments' parallel unions together.
-func CompileJUCQ(plan JUCQPlan, db *DB, prof *Profile, workers int) Operator {
-	head := plan.J.Head
-	if len(plan.Frags) == 0 {
-		return newUnion(headSchema(head), nil)
-	}
-	perFrag := coverWorkerSplit(workers, len(plan.Frags))
-	frags := make([]Operator, len(plan.Frags))
-	ests := make([]float64, len(plan.Frags))
-	for i := range plan.Frags {
-		frags[i] = CompileUCQ(plan.Frags[i], db, prof, perFrag)
-		ests[i] = plan.Frags[i].EstCard
-	}
-	if len(frags) == 1 {
-		return newDistinct(compileProjectNamed(frags[0], head, db))
-	}
-	probe, builds := coverJoinOrder(ests)
-	hj := NewHashJoin(frags, probe, builds, workers)
-	return newDistinct(compileProjectNamed(hj, head, db))
-}
-
-// CompileJUSCQ is the JUSCQ analogue of CompileJUCQ: factorized USCQ
-// fragment pipelines feeding the streaming hash join.
-func CompileJUSCQ(plan JUSCQPlan, db *DB, prof *Profile, workers int) Operator {
-	head := plan.J.Head
-	if len(plan.Frags) == 0 {
-		return newUnion(headSchema(head), nil)
-	}
-	perFrag := coverWorkerSplit(workers, len(plan.Frags))
-	frags := make([]Operator, len(plan.Frags))
-	ests := make([]float64, len(plan.Frags))
-	for i := range plan.Frags {
-		frags[i] = CompileUSCQ(plan.Frags[i], db, prof, perFrag)
-		ests[i] = plan.Frags[i].EstCard
-	}
-	if len(frags) == 1 {
-		return newDistinct(compileProjectNamed(frags[0], head, db))
-	}
-	probe, builds := coverJoinOrder(ests)
-	hj := NewHashJoin(frags, probe, builds, workers)
-	return newDistinct(compileProjectNamed(hj, head, db))
 }

@@ -10,14 +10,14 @@
 // unions and DB2's statement-length limit, both of which the paper
 // measures.
 //
-// Execution model: plans compile (compile.go) into trees of Operators
-// (operator.go) exchanging fixed-size batches of int64 rows — scans,
-// index-nested-loop joins, filters, projection, streaming DISTINCT
-// over a 64-bit hash set, and sequential or parallel union (the
-// parallel union operator owns its worker pool). ExecCQ/ExecUCQ are
-// thin wrappers draining compiled pipelines into Relations; the old
-// materialize-everything executor survives as ExecCQMaterialized/
-// ExecUCQMaterialized for differential testing and benchmarking.
+// Execution model: the native backend (backend.go) compiles plan IR
+// trees into trees of Operators (operator.go) exchanging fixed-size
+// batches of int64 rows — scans, index-nested-loop joins, filters,
+// projection, streaming DISTINCT over a 64-bit hash set, sequential or
+// parallel union (the parallel union operator owns its worker pool),
+// and the cover hash join. The old materialize-everything executor
+// survives as Exec*Materialized for differential testing and
+// benchmarking.
 // Per-operator row counters (OpStats, ExplainPipeline) can feed the
 // planner through Profile.Feedback for adaptive re-estimation.
 package engine

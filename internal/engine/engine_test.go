@@ -9,6 +9,7 @@ import (
 	"repro/internal/cover"
 	"repro/internal/dllite"
 	"repro/internal/naive"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/reformulate"
 )
@@ -163,6 +164,15 @@ func relToSet(rel *Relation, d *Dictionary) map[string]bool {
 	return out
 }
 
+// tupleSet canonicalizes decoded answer tuples for set comparison.
+func tupleSet(tuples [][]string) map[string]bool {
+	out := make(map[string]bool, len(tuples))
+	for _, tu := range tuples {
+		out[strings.Join(tu, "\x00")] = true
+	}
+	return out
+}
+
 func naiveToSet(rel *naive.Relation) map[string]bool {
 	out := make(map[string]bool, rel.Size())
 	for k := range rel.Tuples {
@@ -196,10 +206,7 @@ func TestPropEngineMatchesNaiveCQ(t *testing.T) {
 			for _, prof := range []*Profile{ProfilePostgres(), ProfileDB2()} {
 				db := NewDB(layout)
 				db.LoadABox(ab)
-				p := PlanCQ(q, db, prof)
-				rel := ExecCQ(p, db)
-				rel.Distinct()
-				if !sameSets(relToSet(rel, db.Dict), want) {
+				if !sameSets(tupleSet(EvaluateCQ(q, db, prof).Tuples), want) {
 					t.Logf("seed=%d layout=%v prof=%s q=%v", seed, layout, prof.Name, q)
 					t.Logf("abox:\n%s", text)
 					return false
@@ -246,12 +253,7 @@ exists supervisedBy <= PhDStudent
 		for _, layout := range []Layout{LayoutSimple, LayoutRDF} {
 			db := NewDB(layout)
 			db.LoadABox(ab)
-			ans := EvaluateJUCQ(j, db, ProfileDB2())
-			got := make(map[string]bool, len(ans.Tuples))
-			for _, tu := range ans.Tuples {
-				got[strings.Join(tu, "\x00")] = true
-			}
-			if !sameSets(got, want) {
+			if !sameSets(tupleSet(EvaluateJUCQ(j, db, ProfileDB2()).Tuples), want) {
 				t.Logf("seed=%d layout=%v cover=%v", seed, layout, c)
 				return false
 			}
@@ -280,11 +282,9 @@ func TestPropSCQMatchesExpansion(t *testing.T) {
 		}
 		db := NewDB(LayoutSimple)
 		db.LoadABox(ab)
-		p := PlanSCQ(s, db, ProfilePostgres())
-		got := ExecSCQ(p, db)
-		got.Distinct()
-		wantRel := ExecUCQ(PlanUCQ(s.Expand(), db, ProfilePostgres()), db)
-		if !sameSets(relToSet(got, db.Dict), relToSet(wantRel, db.Dict)) {
+		got := EvaluateUSCQ(query.USCQ{Name: "q", Disjuncts: []query.SCQ{s}}, db, ProfilePostgres())
+		want := EvaluateUCQ(s.Expand(), db, ProfilePostgres())
+		if !sameSets(tupleSet(got.Tuples), tupleSet(want.Tuples)) {
 			t.Logf("seed=%d", seed)
 			return false
 		}
@@ -295,24 +295,30 @@ func TestPropSCQMatchesExpansion(t *testing.T) {
 	}
 }
 
+// TestSamplingShortcutFlag: the Postgres profile costs a union of more
+// than 64 CQs from its first 16 arms, extrapolated; DB2 costs every arm,
+// and small unions are never sampled.
 func TestSamplingShortcutFlag(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	var ds []query.CQ
 	for i := 0; i < 100; i++ {
-		ds = append(ds, query.MustParseCQ("q(x) <- PhDStudent(x)"))
+		d := query.MustParseCQ("q(x) <- PhDStudent(x)") // 1 row
+		if i >= 16 {
+			d = query.MustParseCQ("q(x) <- Researcher(x)") // 2 rows
+		}
+		ds = append(ds, d)
 	}
-	u := query.UCQ{Disjuncts: ds}
-	pg := PlanUCQ(u, db, ProfilePostgres())
-	if !pg.Sampled {
-		t.Error("postgres profile must sample unions with >64 arms")
+	card := func(prof *Profile, n int) float64 {
+		return NewBackend(db, prof).Estimate(plan.FromUCQ(query.UCQ{Disjuncts: ds[:n]})).Card
 	}
-	db2 := PlanUCQ(u, db, ProfileDB2())
-	if db2.Sampled {
-		t.Error("db2 profile must not sample")
+	if got := card(ProfilePostgres(), 100); got != 100 {
+		t.Errorf("postgres estimates %.1f rows, want the 16-arm sample scaled to 100", got)
 	}
-	small := query.UCQ{Disjuncts: ds[:10]}
-	if PlanUCQ(small, db, ProfilePostgres()).Sampled {
-		t.Error("small unions are never sampled")
+	if got := card(ProfileDB2(), 100); got != 16+84*2 {
+		t.Errorf("db2 estimates %.1f rows, want every arm costed (184)", got)
+	}
+	if got := card(ProfilePostgres(), 20); got != 16+4*2 {
+		t.Errorf("postgres estimates %.1f rows for 20 arms, want every arm costed (24)", got)
 	}
 }
 
@@ -354,7 +360,7 @@ func TestPlanChoosesIndexAccess(t *testing.T) {
 		t.Errorf("second step should be index-fwd, got %v", p.Steps[1].Access)
 	}
 	// Executing matches expectation.
-	rel := ExecCQ(p, db)
+	rel := Drain(CompileCQ(p, db, nil))
 	rel.Distinct()
 	if len(rel.Rows) != 1 {
 		t.Fatalf("rows = %d", len(rel.Rows))
@@ -368,10 +374,16 @@ func TestExplainStrings(t *testing.T) {
 	if !strings.Contains(p.String(), "est cost") {
 		t.Error("CQ explain should mention cost")
 	}
-	j := query.JUCQ{Name: "q", Head: q.Head, Subs: []query.UCQ{{Disjuncts: []query.CQ{q}}}}
-	jp := PlanJUCQ(j, db, ProfilePostgres())
-	if !strings.Contains(jp.String(), "WITH") {
-		t.Error("JUCQ explain should mention WITH")
+	j := query.JUCQ{Name: "q", Head: q.Head, Subs: []query.UCQ{
+		{Disjuncts: []query.CQ{query.MustParseCQ("f1(x) <- PhDStudent(x)")}},
+		{Disjuncts: []query.CQ{query.MustParseCQ("f2(x) <- supervisedBy(x, y)")}},
+	}}
+	rr, err := compilePlan(t, db, ProfilePostgres(), plan.FromJUCQ(j)).Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := rr.Explain.Text(); !strings.Contains(text, "join") || !strings.Contains(text, "est=") {
+		t.Errorf("cover explain should show the fragment join with estimates:\n%s", text)
 	}
 }
 
@@ -493,11 +505,7 @@ exists supervisedBy <= PhDStudent
 	db := NewDB(LayoutSimple)
 	db.LoadABox(ab)
 	ans := EvaluateJUSCQ(js, db, ProfileDB2())
-	got := make(map[string]bool, len(ans.Tuples))
-	for _, tu := range ans.Tuples {
-		got[strings.Join(tu, "\x00")] = true
-	}
-	if !sameSets(got, naiveToSet(want)) {
+	if !sameSets(tupleSet(ans.Tuples), naiveToSet(want)) {
 		t.Fatalf("engine JUSCQ %v vs naive %v", ans.Tuples, want.Sorted())
 	}
 }

@@ -53,13 +53,6 @@ func (r *Relation) Decode(d *Dictionary) [][]string {
 	return out
 }
 
-// ExecCQ evaluates a planned CQ through the streaming operator
-// pipeline, returning rows projected on the CQ head (duplicates
-// preserved; callers apply Distinct).
-func ExecCQ(plan CQPlan, db *DB) *Relation {
-	return Drain(CompileCQ(plan, db, nil))
-}
-
 func headSchema(head []query.Term) []string {
 	s := make([]string, len(head))
 	for i, h := range head {
@@ -68,15 +61,8 @@ func headSchema(head []query.Term) []string {
 	return s
 }
 
-// ExecUCQ evaluates a planned UCQ with DISTINCT through the streaming
-// pipeline (sequential union; use CompileUCQ with workers > 1 for the
-// parallel union operator).
-func ExecUCQ(plan UCQPlan, db *DB) *Relation {
-	return Drain(CompileUCQ(plan, db, nil, 1))
-}
-
 // HashJoin joins two materialized relations on their shared schema
-// variables (used for JUCQ fragment joins and cached views). Buckets
+// variables (the materialized JUCQ fragment join). Buckets
 // key on the 64-bit hash of the join columns; matches are verified
 // exactly.
 func HashJoin(l, r *Relation) *Relation {
@@ -138,41 +124,12 @@ func HashJoin(l, r *Relation) *Relation {
 	return out
 }
 
-// ExecJUCQ evaluates a planned JUCQ through the streaming cover
-// pipeline: fragment union pipelines feed the streaming hash join —
-// no fragment Relation is materialized.
-func ExecJUCQ(plan JUCQPlan, db *DB) *Relation {
-	return Drain(CompileJUCQ(plan, db, nil, 1))
-}
-
-// ExecJUCQMaterialized is the pre-streaming cover path, kept as the
-// differential-testing oracle and benchmark baseline: materialize each
-// fragment with DISTINCT (the WITH clauses of Section 3), join
-// smallest-first (plan estimates breaking ties), then project the
-// overall head with DISTINCT.
-func ExecJUCQMaterialized(plan JUCQPlan, db *DB) *Relation {
-	frags := make([]*Relation, len(plan.Frags))
-	ests := make([]float64, len(plan.Frags))
-	for i := range plan.Frags {
-		frags[i] = ExecUCQ(plan.Frags[i], db)
-		ests[i] = plan.Frags[i].EstCard
-	}
-	return JoinAndProjectEst(frags, ests, plan.J.Head, db)
-}
-
-// JoinAndProject joins materialized fragment relations smallest-first
-// and projects the overall head with DISTINCT — the tail of the WITH
-// query of Section 3. It is exported so view-based evaluation
-// (package views) can substitute cached fragment relations.
-func JoinAndProject(frags []*Relation, head []query.Term, db *DB) *Relation {
-	return JoinAndProjectEst(frags, nil, head, db)
-}
-
-// JoinAndProjectEst is JoinAndProject with the planner's estimated
-// fragment cardinalities: fragments fold left-to-right ordered by
-// materialized size, with the estimates breaking ties, so the smallest
-// build side always joins first even when actual sizes coincide. ests
-// may be nil (pure size order).
+// JoinAndProjectEst joins materialized fragment relations and projects
+// the overall head with DISTINCT — the tail of the WITH query of
+// Section 3. Fragments fold left-to-right ordered by materialized size,
+// the planner's estimated fragment cardinalities breaking ties, so the
+// smallest build side always joins first even when actual sizes
+// coincide.
 func JoinAndProjectEst(frags []*Relation, ests []float64, head []query.Term, db *DB) *Relation {
 	if len(frags) == 0 {
 		return &Relation{Schema: headSchema(head)}
@@ -186,10 +143,7 @@ func JoinAndProjectEst(frags []*Relation, ests []float64, head []query.Term, db 
 		if len(frags[i].Rows) != len(frags[j].Rows) {
 			return len(frags[i].Rows) < len(frags[j].Rows)
 		}
-		if ests != nil {
-			return ests[i] < ests[j]
-		}
-		return false
+		return ests[i] < ests[j]
 	})
 	cur := frags[order[0]]
 	for _, fi := range order[1:] {
@@ -246,60 +200,6 @@ func projectRelation(r *Relation, head []query.Term, db *DB) *Relation {
 type Answer struct {
 	Tuples  [][]string
 	EstCost float64
-}
-
-// EvaluateCQ plans and runs a plain CQ through the pipeline; observed
-// cardinalities flow into prof.Feedback when enabled.
-func EvaluateCQ(q query.CQ, db *DB, prof *Profile) Answer {
-	p := PlanCQ(q, db, prof)
-	r := Drain(CompileCQ(p, db, prof))
-	r.Distinct()
-	return Answer{Tuples: r.Decode(db.Dict), EstCost: p.EstCost}
-}
-
-// EvaluateUCQ plans and runs a UCQ.
-func EvaluateUCQ(u query.UCQ, db *DB, prof *Profile) Answer {
-	p := PlanUCQ(u, db, prof)
-	r := Drain(CompileUCQ(p, db, prof, 1))
-	return Answer{Tuples: r.Decode(db.Dict), EstCost: p.EstCost}
-}
-
-// EvaluateUCQParallel plans and runs a UCQ with its union arms spread
-// over worker goroutines through the parallel union operator.
-func EvaluateUCQParallel(u query.UCQ, db *DB, prof *Profile, workers int) Answer {
-	return ExecUCQPlanned(PlanUCQ(u, db, prof), db, prof, workers)
-}
-
-// ExecUCQPlanned runs an already planned UCQ through the streaming
-// pipeline and decodes the result — the execution half of
-// EvaluateUCQParallel, reusable when the plan is cached.
-func ExecUCQPlanned(p UCQPlan, db *DB, prof *Profile, workers int) Answer {
-	r := Drain(CompileUCQ(p, db, prof, workers))
-	return Answer{Tuples: r.Decode(db.Dict), EstCost: p.EstCost}
-}
-
-// EvaluateJUCQ plans and runs a JUCQ.
-func EvaluateJUCQ(j query.JUCQ, db *DB, prof *Profile) Answer {
-	return EvaluateJUCQParallel(j, db, prof, 1)
-}
-
-// EvaluateJUCQParallel plans and runs a JUCQ through the streaming
-// cover pipeline: fragment pipelines feed the streaming hash join, and
-// the worker budget is split between the join's parallel build drain
-// and the fragments' parallel unions (workers <= 1 keeps the fully
-// sequential pipeline); observed cardinalities flow into prof.Feedback
-// when enabled.
-func EvaluateJUCQParallel(j query.JUCQ, db *DB, prof *Profile, workers int) Answer {
-	p := PlanJUCQ(j, db, prof)
-	return ExecJUCQPlanned(p, db, prof, workers)
-}
-
-// ExecJUCQPlanned runs an already planned JUCQ through the streaming
-// cover pipeline and decodes the result — the execution half of
-// EvaluateJUCQParallel, reusable when the plan is cached.
-func ExecJUCQPlanned(p JUCQPlan, db *DB, prof *Profile, workers int) Answer {
-	r := Drain(CompileJUCQ(p, db, prof, workers))
-	return Answer{Tuples: r.Decode(db.Dict), EstCost: p.EstCost}
 }
 
 // String renders a Relation compactly (diagnostics).

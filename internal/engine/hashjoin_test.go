@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dllite"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -34,13 +35,12 @@ func TestHashJoinMatchesMaterializedJUCQ(t *testing.T) {
 	)
 	for _, layout := range []Layout{LayoutSimple, LayoutRDF} {
 		db := loadDB(t, layout, sampleABox)
-		plan := PlanJUCQ(j, db, ProfilePostgres())
-		want := ExecJUCQMaterialized(plan, db)
+		want := ExecJUCQMaterialized(j, db, ProfilePostgres())
 		if len(want.Rows) != 1 { // Damian
 			t.Fatalf("%v: materialized = %d rows", layout, len(want.Rows))
 		}
 		for _, workers := range []int{1, 4} {
-			got := Drain(CompileJUCQ(plan, db, nil, workers))
+			got := drainPlan(t, db, ProfilePostgres(), plan.FromJUCQ(j), workers)
 			if !sameSets(relToSet(got, db.Dict), relToSet(want, db.Dict)) {
 				t.Fatalf("%v workers=%d: streaming %v != materialized %v",
 					layout, workers, got.Rows, want.Rows)
@@ -57,14 +57,13 @@ func TestHashJoinEmptyBuildSide(t *testing.T) {
 		"f2(y) <- Unicorn(y)",
 	)
 	db := loadDB(t, LayoutSimple, sampleABox)
-	plan := PlanJUCQ(j, db, ProfilePostgres())
 	for _, workers := range []int{1, 4} {
-		got := Drain(CompileJUCQ(plan, db, nil, workers))
+		got := drainPlan(t, db, ProfilePostgres(), plan.FromJUCQ(j), workers)
 		if len(got.Rows) != 0 {
 			t.Fatalf("workers=%d: want empty, got %v", workers, got.Rows)
 		}
 	}
-	if want := ExecJUCQMaterialized(plan, db); len(want.Rows) != 0 {
+	if want := ExecJUCQMaterialized(j, db, ProfilePostgres()); len(want.Rows) != 0 {
 		t.Fatalf("materialized disagrees: %v", want.Rows)
 	}
 }
@@ -77,13 +76,12 @@ func TestHashJoinCrossProduct(t *testing.T) {
 		"f2(y) <- Researcher(y)",
 	)
 	db := loadDB(t, LayoutSimple, sampleABox)
-	plan := PlanJUCQ(j, db, ProfilePostgres())
-	want := ExecJUCQMaterialized(plan, db)
+	want := ExecJUCQMaterialized(j, db, ProfilePostgres())
 	if len(want.Rows) != 2 { // Damian × {Ioana, Francois}
 		t.Fatalf("materialized = %v", want.Rows)
 	}
 	for _, workers := range []int{1, 4} {
-		got := Drain(CompileJUCQ(plan, db, nil, workers))
+		got := drainPlan(t, db, ProfilePostgres(), plan.FromJUCQ(j), workers)
 		if !sameSets(relToSet(got, db.Dict), relToSet(want, db.Dict)) {
 			t.Fatalf("workers=%d: %v != %v", workers, got.Rows, want.Rows)
 		}
@@ -98,9 +96,9 @@ func TestHashJoinReuse(t *testing.T) {
 		"f2(y) <- Researcher(y)",
 	)
 	db := loadDB(t, LayoutSimple, sampleABox)
-	plan := PlanJUCQ(j, db, ProfilePostgres())
+	c := compilePlan(t, db, ProfilePostgres(), plan.FromJUCQ(j))
 	for _, workers := range []int{1, 4} {
-		op := CompileJUCQ(plan, db, nil, workers)
+		op, _ := c.Tree(workers)
 		first := Drain(op)
 		if len(first.Rows) == 0 {
 			t.Fatal("unexpected empty join")
@@ -167,10 +165,9 @@ func TestPropHashJoinMatchesMaterialized(t *testing.T) {
 		j := randJUCQ(r)
 		db := NewDB(LayoutSimple)
 		db.LoadABox(ab)
-		plan := PlanJUCQ(j, db, ProfilePostgres())
-		want := ExecJUCQMaterialized(plan, db)
+		want := ExecJUCQMaterialized(j, db, ProfilePostgres())
 		for _, workers := range []int{1, 4} {
-			got := Drain(CompileJUCQ(plan, db, nil, workers))
+			got := drainPlan(t, db, ProfilePostgres(), plan.FromJUCQ(j), workers)
 			if !sameSets(relToSet(got, db.Dict), relToSet(want, db.Dict)) {
 				t.Logf("seed=%d workers=%d: %d vs %d rows for %s",
 					seed, workers, len(got.Rows), len(want.Rows), j.String())

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dllite"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -68,9 +69,8 @@ func TestPropPipelineMatchesMaterializedCQ(t *testing.T) {
 		for _, layout := range []Layout{LayoutSimple, LayoutRDF} {
 			db := NewDB(layout)
 			db.LoadABox(ab)
-			p := PlanCQ(q, db, ProfilePostgres())
-			stream := ExecCQ(p, db)
-			mat := ExecCQMaterialized(p, db)
+			stream := Drain(CompileCQ(PlanCQ(q, db, ProfilePostgres()), db, nil))
+			mat := ExecCQMaterialized(q, db, ProfilePostgres())
 			if len(stream.Rows) != len(mat.Rows) {
 				t.Logf("seed=%d layout=%v: %d vs %d rows (duplicates must match too)",
 					seed, layout, len(stream.Rows), len(mat.Rows))
@@ -103,10 +103,9 @@ func TestPropPipelineMatchesMaterializedUCQ(t *testing.T) {
 		}
 		db := NewDB(LayoutSimple)
 		db.LoadABox(ab)
-		plan := PlanUCQ(u, db, ProfilePostgres())
-		mat := ExecUCQMaterialized(plan, db)
-		seq := ExecUCQ(plan, db)
-		par := Drain(CompileUCQ(plan, db, nil, 4))
+		mat := ExecUCQMaterialized(u, db, ProfilePostgres())
+		seq := drainPlan(t, db, ProfilePostgres(), plan.FromUCQ(u), 1)
+		par := drainPlan(t, db, ProfilePostgres(), plan.FromUCQ(u), 4)
 		return sameSets(relToSet(seq, db.Dict), relToSet(mat, db.Dict)) &&
 			sameSets(relToSet(par, db.Dict), relToSet(mat, db.Dict))
 	}
@@ -129,9 +128,8 @@ func TestPipelineCrossesBatchBoundaries(t *testing.T) {
 	for _, layout := range []Layout{LayoutSimple, LayoutRDF} {
 		db := loadDB(t, layout, sb.String())
 		q := query.MustParseCQ("q(x, z) <- R(x, y), S(y, z)")
-		p := PlanCQ(q, db, ProfilePostgres())
-		stream := ExecCQ(p, db)
-		mat := ExecCQMaterialized(p, db)
+		stream := Drain(CompileCQ(PlanCQ(q, db, ProfilePostgres()), db, nil))
+		mat := ExecCQMaterialized(q, db, ProfilePostgres())
 		if len(stream.Rows) != n || len(mat.Rows) != n {
 			t.Fatalf("%v: stream=%d mat=%d want %d", layout, len(stream.Rows), len(mat.Rows), n)
 		}
@@ -297,9 +295,9 @@ func TestPropPipelineSCQMatchesMaterializedExpansion(t *testing.T) {
 		}
 		db := NewDB(LayoutSimple)
 		db.LoadABox(ab)
-		got := ExecSCQ(PlanSCQ(s, db, ProfilePostgres()), db)
+		got := Drain(CompileSCQ(PlanSCQ(s, db, ProfilePostgres()), db, nil))
 		got.Distinct()
-		want := ExecUCQMaterialized(PlanUCQ(s.Expand(), db, ProfilePostgres()), db)
+		want := ExecUCQMaterialized(s.Expand(), db, ProfilePostgres())
 		return sameSets(relToSet(got, db.Dict), relToSet(want, db.Dict))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -317,8 +315,8 @@ func TestPipelineReuse(t *testing.T) {
 		query.MustParseCQ("q(x) <- Researcher(x)"),
 		query.MustParseCQ("q(x) <- supervisedBy(x, y)"),
 	}}
-	plan := PlanUCQ(u, db, ProfilePostgres())
-	op := CompileUCQ(plan, db, nil, 1)
+	c := compilePlan(t, db, ProfilePostgres(), plan.FromUCQ(u))
+	op, _ := c.Tree(1)
 	first := Drain(op)
 	for i := 0; i < 3; i++ {
 		again := Drain(op)
@@ -326,7 +324,7 @@ func TestPipelineReuse(t *testing.T) {
 			t.Fatalf("re-execution %d differs: %v vs %v", i, again, first)
 		}
 	}
-	par := CompileUCQ(plan, db, nil, 4)
+	par, _ := c.Tree(4)
 	for i := 0; i < 3; i++ {
 		again := Drain(par)
 		if !sameSets(relToSet(again, db.Dict), relToSet(first, db.Dict)) {
@@ -343,8 +341,7 @@ func TestReuseResetsStatsAndFeedback(t *testing.T) {
 	prof := ProfilePostgres()
 	prof.Feedback = NewCardFeedback()
 	u := query.UCQ{Disjuncts: []query.CQ{query.MustParseCQ("q(x, y) <- supervisedBy(x, y)")}}
-	plan := PlanUCQ(u, db, prof)
-	op := CompileUCQ(plan, db, prof, 1)
+	op, _ := compilePlan(t, db, prof, plan.FromUCQ(u)).Tree(1)
 	Drain(op)
 	first := CollectStats(op)
 	r1, ok := prof.Feedback.Fanout("supervisedBy", AccessRoleScan)
@@ -368,8 +365,7 @@ func TestReuseResetsStatsAndFeedback(t *testing.T) {
 		query.MustParseCQ("q(x) <- PhDStudent(x)"),
 		query.MustParseCQ("q(x) <- Researcher(x)"),
 	}}
-	pp := PlanUCQ(multi, db, prof)
-	pop := CompileUCQ(pp, db, prof, 4)
+	pop, _ := compilePlan(t, db, prof, plan.FromUCQ(multi)).Tree(4)
 	Drain(pop)
 	pf := CollectStats(pop)
 	Drain(pop)
@@ -389,8 +385,10 @@ func TestParallelCloseBeforeOpen(t *testing.T) {
 		query.MustParseCQ("q(x) <- PhDStudent(x)"),
 		query.MustParseCQ("q(x) <- Researcher(x)"),
 	}}
-	plan := PlanUCQ(u, db, ProfilePostgres())
-	arms := []Operator{CompileCQ(plan.Plans[0], db, nil), CompileCQ(plan.Plans[1], db, nil)}
-	op := NewUnionParallel(headSchema(plan.U.Head()), arms, 4)
+	arms := []Operator{
+		CompileCQ(PlanCQ(u.Disjuncts[0], db, ProfilePostgres()), db, nil),
+		CompileCQ(PlanCQ(u.Disjuncts[1], db, ProfilePostgres()), db, nil),
+	}
+	op := NewUnionParallel(arms[0].Schema(), arms, 4)
 	op.Close() // must not panic or block
 }

@@ -6,14 +6,9 @@ import (
 	"testing/quick"
 
 	"repro/internal/dllite"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
-
-// drainParallel compiles a UCQ plan with the parallel union operator
-// and drains it.
-func drainParallel(plan UCQPlan, db *DB, workers int) *Relation {
-	return Drain(CompileUCQ(plan, db, nil, workers))
-}
 
 func TestParallelMatchesSequential(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
@@ -23,10 +18,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 		query.MustParseCQ("q(x) <- supervisedBy(x, y)"),
 		query.MustParseCQ("q(x) <- worksWith(y, x)"),
 	}}
-	plan := PlanUCQ(u, db, ProfilePostgres())
-	seq := ExecUCQ(plan, db)
+	n := plan.FromUCQ(u)
+	seq := drainPlan(t, db, ProfilePostgres(), n, 1)
 	for _, workers := range []int{1, 2, 4, 16} {
-		par := drainParallel(plan, db, workers)
+		par := drainPlan(t, db, ProfilePostgres(), n, workers)
 		if !sameSets(relToSet(par, db.Dict), relToSet(seq, db.Dict)) {
 			t.Errorf("workers=%d: parallel result differs", workers)
 		}
@@ -35,7 +30,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // TestPropParallelEquivalence asserts, on randomized UCQs and data,
 // that the parallel union operator computes exactly the sequential
-// ExecUCQ answer set (run under -race in CI).
+// answer set (run under -race in CI).
 func TestPropParallelEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -51,9 +46,9 @@ func TestPropParallelEquivalence(t *testing.T) {
 		for i := range u.Disjuncts {
 			u.Disjuncts[i].Head = u.Disjuncts[i].Head[:1]
 		}
-		plan := PlanUCQ(u, db, ProfileDB2())
-		seq := ExecUCQ(plan, db)
-		par := drainParallel(plan, db, 4)
+		tree := plan.FromUCQ(u)
+		seq := drainPlan(t, db, ProfileDB2(), tree, 1)
+		par := drainPlan(t, db, ProfileDB2(), tree, 4)
 		return sameSets(relToSet(par, db.Dict), relToSet(seq, db.Dict))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -64,8 +59,7 @@ func TestPropParallelEquivalence(t *testing.T) {
 func TestParallelSingleArmFallsBack(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	u := query.UCQ{Disjuncts: []query.CQ{query.MustParseCQ("q(x) <- Researcher(x)")}}
-	plan := PlanUCQ(u, db, ProfilePostgres())
-	if got := drainParallel(plan, db, 8); len(got.Rows) != 2 {
+	if got := drainPlan(t, db, ProfilePostgres(), plan.FromUCQ(u), 8); len(got.Rows) != 2 {
 		t.Errorf("single-arm parallel = %d rows", len(got.Rows))
 	}
 }
@@ -79,12 +73,11 @@ func TestParallelEarlyClose(t *testing.T) {
 		ds = append(ds, query.MustParseCQ("q(x) <- Researcher(x)"))
 		ds = append(ds, query.MustParseCQ("q(x) <- supervisedBy(x, y)"))
 	}
-	plan := PlanUCQ(query.UCQ{Disjuncts: ds}, db, ProfilePostgres())
-	arms := make([]Operator, len(plan.Plans))
-	for i := range plan.Plans {
-		arms[i] = CompileCQ(plan.Plans[i], db, nil)
+	arms := make([]Operator, len(ds))
+	for i, d := range ds {
+		arms[i] = CompileCQ(PlanCQ(d, db, ProfilePostgres()), db, nil)
 	}
-	op := NewUnionParallel(headSchema(plan.U.Head()), arms, 4)
+	op := NewUnionParallel(arms[0].Schema(), arms, 4)
 	op.Open()
 	b := NewBatch(len(op.Schema()))
 	op.Next(b) // take at most one batch, then abandon the rest
@@ -102,8 +95,7 @@ func TestParallelFeedbackIsRaceFree(t *testing.T) {
 		ds = append(ds, query.MustParseCQ("q(x) <- Researcher(x)"))
 		ds = append(ds, query.MustParseCQ("q(x) <- supervisedBy(x, y)"))
 	}
-	plan := PlanUCQ(query.UCQ{Disjuncts: ds}, db, prof)
-	rel := Drain(CompileUCQ(plan, db, prof, 8))
+	rel := drainPlan(t, db, prof, plan.FromUCQ(query.UCQ{Disjuncts: ds}), 8)
 	if len(rel.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rel.Rows))
 	}

@@ -210,82 +210,92 @@ func estimateStepStatic(a query.Atom, bound map[string]bool, in float64, st *Sta
 	return step
 }
 
-// UCQPlan is a union of CQ plans followed by DISTINCT.
-type UCQPlan struct {
-	U       query.UCQ
-	Plans   []CQPlan
+// SCQPlan orders the blocks of a semi-conjunctive query. Each step
+// unions the alternative atoms of one block — the factorized evaluation
+// that makes USCQs cheaper than expanded UCQs [33].
+type SCQPlan struct {
+	S       query.SCQ
+	Order   []int
 	EstCard float64
 	EstCost float64
-	// Sampled reports whether the profile estimated this union from a
-	// sample of its arms (the Postgres shortcut).
-	Sampled bool
 }
 
-// PlanUCQ plans every disjunct and aggregates cost. When the profile
-// samples (#arms > SampleThreshold), only SampleSize arms are planned
-// for ESTIMATION and the rest are extrapolated — exactly the behaviour
-// that misleads GDL/RDBMS on Q9–Q11 in the paper. Execution still runs
-// all arms (plans for unsampled arms are built on demand at exec time).
-func PlanUCQ(u query.UCQ, db *DB, prof *Profile) UCQPlan {
-	up := UCQPlan{U: u}
-	n := len(u.Disjuncts)
-	sample := n
-	if prof.SampleThreshold > 0 && n > prof.SampleThreshold {
-		sample = prof.SampleSize
-		up.Sampled = true
-	}
-	var costSum, cardSum float64
-	for i := 0; i < n; i++ {
-		p := PlanCQ(u.Disjuncts[i], db, prof)
-		up.Plans = append(up.Plans, p)
-		if i < sample {
-			costSum += p.EstCost
-			cardSum += p.EstCard
+// PlanSCQ greedily orders blocks by estimated output cardinality, with
+// a block's estimate being the sum over its alternative atoms.
+func PlanSCQ(s query.SCQ, db *DB, prof *Profile) SCQPlan {
+	st := db.Stats()
+	n := len(s.Blocks)
+	used := make([]bool, n)
+	bound := map[string]bool{}
+	plan := SCQPlan{S: s}
+	card, cost := 1.0, 0.0
+	for picked := 0; picked < n; picked++ {
+		best := -1
+		var bestOut, bestCost float64
+		for i := 0; i < n; i++ {
+			if used[i] {
+				continue
+			}
+			var outSum, costSum float64
+			for _, a := range s.Blocks[i] {
+				step := estimateStep(a, bound, card, st, prof, db.Layout)
+				outSum += step.EstOut
+				costSum += step.EstCost
+			}
+			if best < 0 || outSum < bestOut {
+				best, bestOut, bestCost = i, outSum, costSum
+			}
 		}
+		used[best] = true
+		for _, a := range s.Blocks[best] {
+			for _, t := range a.Args {
+				if t.IsVar() {
+					bound[t.Name] = true
+				}
+			}
+		}
+		plan.Order = append(plan.Order, best)
+		card = bestOut
+		cost += bestCost
 	}
-	if up.Sampled {
-		scale := float64(n) / float64(sample)
-		costSum *= scale
-		cardSum *= scale
-	}
-	up.EstCard = cardSum // union upper bound; DISTINCT may shrink it
-	up.EstCost = costSum + cardSum*prof.CDedup
-	return up
+	plan.EstCard = card
+	plan.EstCost = cost
+	return plan
 }
 
-// JUCQPlan materializes each fragment UCQ, then joins them.
-type JUCQPlan struct {
-	J       query.JUCQ
-	Frags   []UCQPlan
-	EstCard float64
-	EstCost float64
+// sampledArms is how many leading arms of an n-arm CQ union the
+// profile costs: SampleSize once the union has more than SampleThreshold
+// arms, extrapolating the rest — exactly the behaviour that misleads
+// GDL/RDBMS on Q9–Q11 in the paper — else all n.
+func (p *Profile) sampledArms(n int) int {
+	if p.SampleThreshold > 0 && n > p.SampleThreshold {
+		return min(p.SampleSize, n)
+	}
+	return n
 }
 
-// PlanJUCQ plans the paper's WITH-based evaluation shape (Section 3):
-// every fragment reformulation is materialized with DISTINCT; joining
-// the materialized results is left to hash joins ordered by size.
-func PlanJUCQ(j query.JUCQ, db *DB, prof *Profile) JUCQPlan {
-	jp := JUCQPlan{J: j}
-	ests := make([]plan.Estimate, len(j.Subs))
-	for i, sub := range j.Subs {
-		up := PlanUCQ(sub, db, prof)
-		jp.Frags = append(jp.Frags, up)
-		ests[i] = plan.Estimate{Cost: up.EstCost, Card: up.EstCard}
+// unionEstimate completes the estimate of a DISTINCT union of n arms
+// from the summed figures of the first costed ones: scaled up to all n
+// when only a sample was costed, the card an upper bound (DISTINCT may
+// shrink it), plus the dedup of every row entering DISTINCT.
+func unionEstimate(sum plan.Estimate, costed, n int, prof *Profile) plan.Estimate {
+	if costed < n {
+		scale := float64(n) / float64(costed)
+		sum.Cost *= scale
+		sum.Card *= scale
 	}
-	e := coverEstimate(ests, prof)
-	jp.EstCard, jp.EstCost = e.Card, e.Cost
-	return jp
+	return plan.Estimate{Cost: sum.Cost + sum.Card*prof.CDedup, Card: sum.Card}
 }
 
 // coverEstimate combines per-fragment estimates into the estimate of
 // the cover that joins them — the one place the profile's cover-level
-// arithmetic lives. PlanJUCQ, PlanJUSCQ and Backend.Estimate all end
-// here, so the cost the search assigns a cover is bit for bit the
-// estimate of the plan compiled from it, whether its fragments were
-// planned just now or recalled from an earlier candidate. Each fragment
-// pays its own cost plus materialization; the join is linear in the
-// inputs (hash join); the output is estimated with the independence
-// assumption, crudely contained by the smallest non-empty input.
+// arithmetic lives. Compile and EstimateShared both end here, so the
+// cost the search assigns a cover is bit for bit the estimate of the
+// plan compiled from it, whether its fragments were compiled just now
+// or recalled from an earlier candidate. Each fragment pays its own
+// cost plus materialization; the join is linear in the inputs (hash
+// join); the output is estimated with the independence assumption,
+// crudely contained by the smallest non-empty input.
 func coverEstimate(frags []plan.Estimate, prof *Profile) plan.Estimate {
 	cost := 0.0
 	for _, f := range frags {
@@ -312,15 +322,4 @@ func maxf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// String renders the JUCQ plan EXPLAIN-style.
-func (p JUCQPlan) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "JUCQ %s (est cost %.1f, est rows %.1f)\n", p.J.Name, p.EstCost, p.EstCard)
-	for i, f := range p.Frags {
-		fmt.Fprintf(&b, " WITH f%d AS union of %d CQs (est cost %.1f, est rows %.1f, sampled=%v)\n",
-			i+1, len(f.Plans), f.EstCost, f.EstCard, f.Sampled)
-	}
-	return b.String()
 }

@@ -15,8 +15,7 @@ package engine
 //
 // The paper notes DB2RDF assigns predicates to columns with a linear
 // programming solver; we use first-fit hashing with per-row overflow,
-// which preserves the measured behaviour (Section "Out of scope" of
-// DESIGN.md).
+// which preserves the measured behaviour.
 type rdfStore struct {
 	// NumSlots is the number of hashed predicate columns per row.
 	NumSlots int

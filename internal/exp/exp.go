@@ -1,9 +1,8 @@
 // Package exp implements the paper's experimental harness (Section 6):
 // building scaled LUBM∃ databases, running every strategy over the
 // workload on both engine profiles and layouts, and producing the rows
-// behind each table and figure (see the per-experiment index in
-// DESIGN.md). cmd/experiments renders these rows as text tables;
-// bench_test.go wraps them as testing.B benchmarks.
+// behind each table and figure. cmd/experiments renders these rows as
+// text tables; bench_test.go wraps them as testing.B benchmarks.
 package exp
 
 import (

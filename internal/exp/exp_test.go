@@ -224,7 +224,7 @@ func TestStrategiesMatchMaterializedOnLUBM(t *testing.T) {
 	ref := reformulate.New(env.TBox)
 	for _, q := range lubm.Queries() {
 		u := ref.MustReformulate(q)
-		oracle := engine.ExecUCQMaterialized(engine.PlanUCQ(u, env.DB, env.Profile), env.DB)
+		oracle := engine.ExecUCQMaterialized(u, env.DB, env.Profile)
 		want := tupleSet(oracle.Decode(env.DB.Dict))
 		strategies := []core.Strategy{
 			core.StrategyUCQ, core.StrategyUSCQ, core.StrategyCroot,

@@ -425,20 +425,15 @@ func extractSingleArm(name string, arm *Node) (Lowered, error) {
 	return Lowered{Kind: KindUCQ, UCQ: query.UCQ{Name: name, Disjuncts: []query.CQ{cq}}}, nil
 }
 
-// extractUnion turns Distinct(Union(arms)) into a UCQ or USCQ. Arms
-// may be Distinct-wrapped projections (the push-Distinct rewrite):
-// under the root distinct the per-arm dedup changes no answer, so
-// extraction strips it and recovers the same query.
+// extractUnion turns Distinct(Union(arms)) into a UCQ or USCQ.
 func extractUnion(name string, u *Node) (Lowered, error) {
-	arms := make([]*Node, len(u.Inputs))
+	arms := u.Inputs
 	factorized := false
-	for i, arm := range u.Inputs {
-		p := armProjection(arm)
-		if p == nil {
+	for _, arm := range arms {
+		if arm.Op != OpProject {
 			return Lowered{}, fmt.Errorf("plan: union arm must be a projection, got %s", arm.Op)
 		}
-		arms[i] = p
-		if p.Factorized {
+		if arm.Factorized {
 			factorized = true
 		}
 	}
@@ -462,19 +457,6 @@ func extractUnion(name string, u *Node) (Lowered, error) {
 		out.Disjuncts = append(out.Disjuncts, cq)
 	}
 	return Lowered{Kind: KindUCQ, UCQ: out}, nil
-}
-
-// armProjection resolves a union arm to its projection, stepping over
-// an optional Distinct wrapper. Returns nil if the arm has neither
-// shape.
-func armProjection(arm *Node) *Node {
-	if arm.Op == OpDistinct && len(arm.Inputs) == 1 {
-		arm = arm.Inputs[0]
-	}
-	if arm.Op != OpProject {
-		return nil
-	}
-	return arm
 }
 
 // extractCover turns Distinct(Project(Join(frag...))) into a JUCQ or

@@ -1,7 +1,6 @@
 package plan
 
-// Backend-neutral rewrite rules over the logical IR — the first two
-// rules of the ROADMAP's rule-engine item. Rewrites run before
+// Backend-neutral rewrite rules over the logical IR. Rewrites run before
 // lowering (core.Answerer applies them uniformly, so every backend
 // compiles the simplified tree) and preserve Extract semantics: the
 // dialect query recovered from a rewritten tree is the same query.
@@ -14,14 +13,6 @@ package plan
 //   - nested Project merge: Project(h1, Project(h2, body)) →
 //     Project(h1, body) when h1 resolves through h2 (every h1 variable
 //     is named by an h2 variable; constants pass through).
-//   - push Distinct below non-overlapping Union arms:
-//     Distinct(Union(a1..ak)) → Distinct(Union(Distinct(a1)..)) when
-//     the arms are pairwise disjoint (some head position carries
-//     different constants in both arms, so no row can come from two
-//     arms). Per-arm dedup then bounds the root distinct's working set
-//     by the largest arm instead of the whole union, and each arm
-//     stays independently streamable. The rule fires once — it skips
-//     unions whose arms are already Distinct-wrapped.
 //
 // Nodes are immutable, so Rewrite returns a new tree where anything
 // changed and the original node where nothing did.
@@ -55,64 +46,7 @@ func Rewrite(n *Node) *Node {
 			return m
 		}
 	}
-	if n.Op == OpDistinct && len(n.Inputs) == 1 && n.Inputs[0].Op == OpUnion {
-		if u, ok := pushDistinct(n.Inputs[0]); ok {
-			m := *n
-			m.Inputs = []*Node{u}
-			return &m
-		}
-	}
 	return n
-}
-
-// pushDistinct wraps each arm of a non-overlapping union in its own
-// Distinct. Applicable when the union has at least two arms, every arm
-// is a plain projection (an already-wrapped arm means the rule fired —
-// rewriting again must be the identity), and the arms are pairwise
-// disjoint: some head position carries distinct constants in both, so
-// no output row can originate from more than one arm and per-arm dedup
-// loses nothing the root distinct would keep.
-func pushDistinct(u *Node) (*Node, bool) {
-	if len(u.Inputs) < 2 {
-		return nil, false
-	}
-	for _, arm := range u.Inputs {
-		if arm.Op != OpProject {
-			return nil, false
-		}
-	}
-	for i := 0; i < len(u.Inputs); i++ {
-		for k := i + 1; k < len(u.Inputs); k++ {
-			if !disjointArms(u.Inputs[i], u.Inputs[k]) {
-				return nil, false
-			}
-		}
-	}
-	arms := make([]*Node, len(u.Inputs))
-	for i, arm := range u.Inputs {
-		arms[i] = &Node{Op: OpDistinct, Name: arm.Name, Inputs: []*Node{arm}}
-	}
-	m := *u
-	m.Inputs = arms
-	return &m, true
-}
-
-// disjointArms reports whether two union arms can never emit the same
-// row: some head position is a constant in both and the constants
-// differ. (Reformulated UCQs share one head across disjuncts, so the
-// rule targets hand-built unions of constant-tagged arms.)
-func disjointArms(a, b *Node) bool {
-	n := len(a.Head)
-	if len(b.Head) < n {
-		n = len(b.Head)
-	}
-	for i := 0; i < n; i++ {
-		ta, tb := a.Head[i], b.Head[i]
-		if !ta.IsVar() && !tb.IsVar() && ta.Name != tb.Name {
-			return true
-		}
-	}
-	return false
 }
 
 // mergeProjects composes two stacked projections into one. The outer

@@ -134,8 +134,7 @@ func TestRewriteMergesNestedProjects(t *testing.T) {
 }
 
 // taggedUnion builds Distinct(Union(arms)) where each arm projects a
-// distinct constant tag in the second head position — the disjoint
-// shape the push-Distinct rule targets.
+// distinct constant tag in the second head position.
 func taggedUnion(tags ...string) *Node {
 	arms := make([]*Node, len(tags))
 	for i, tag := range tags {
@@ -147,50 +146,6 @@ func taggedUnion(tags ...string) *Node {
 	}
 	return &Node{Op: OpDistinct, Name: "q", Inputs: []*Node{
 		{Op: OpUnion, Name: "q", Inputs: arms}}}
-}
-
-func TestRewritePushesDistinctBelowDisjointUnion(t *testing.T) {
-	n := taggedUnion("a", "b", "c")
-	before := n.String()
-	r := Rewrite(n)
-	if r == n {
-		t.Fatal("disjoint tagged union must be rewritten")
-	}
-	u := r.Inputs[0]
-	if u.Op != OpUnion || len(u.Inputs) != 3 {
-		t.Fatalf("rewritten = %s", r)
-	}
-	for i, arm := range u.Inputs {
-		if arm.Op != OpDistinct || len(arm.Inputs) != 1 || arm.Inputs[0].Op != OpProject {
-			t.Fatalf("arm %d = %s, want Distinct(Project)", i, arm)
-		}
-	}
-	// Copy-on-write: the original tree is untouched.
-	if n.String() != before {
-		t.Fatal("rewrite mutated the input tree")
-	}
-	if n.Inputs[0].Inputs[0].Op != OpProject {
-		t.Fatal("original arm was wrapped in place")
-	}
-	// The rewritten tree stays valid and extracts to the same query.
-	if err := Validate(r); err != nil {
-		t.Fatalf("Validate(rewritten) = %v", err)
-	}
-	lo1, err := Extract(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo2, err := Extract(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lo1, lo2) {
-		t.Fatalf("extract drifted: %+v vs %+v", lo1, lo2)
-	}
-	// Idempotent: the wrapped arms mean the rule already fired.
-	if again := Rewrite(r); again != r {
-		t.Fatalf("second rewrite changed the tree: %s", again)
-	}
 }
 
 func TestRewritePushDistinctDoesNotFire(t *testing.T) {
@@ -213,6 +168,22 @@ func TestRewritePushDistinctDoesNotFire(t *testing.T) {
 	same := taggedUnion("a", "a")
 	if r := Rewrite(same); r != same {
 		t.Fatalf("equal-constant arms rewritten: %s", r)
+	}
+	// Pairwise-disjoint arms keep their single Distinct above the Union:
+	// there is no per-arm Distinct rule.
+	disjoint := taggedUnion("a", "b", "c")
+	if r := Rewrite(disjoint); r != disjoint {
+		t.Fatalf("disjoint tagged union rewritten: %s", r)
+	}
+	// A Distinct-wrapped arm is not a legal union arm.
+	arm := disjoint.Inputs[0].Inputs[0]
+	wrapped := taggedUnion("a", "b", "c")
+	wrapped.Inputs[0].Inputs[0] = &Node{Op: OpDistinct, Name: arm.Name, Inputs: []*Node{arm}}
+	if err := Validate(wrapped); err == nil {
+		t.Fatal("Validate accepted a Distinct-wrapped union arm")
+	}
+	if _, err := Extract(wrapped); err == nil {
+		t.Fatal("Extract accepted a Distinct-wrapped union arm")
 	}
 }
 

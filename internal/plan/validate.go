@@ -29,8 +29,7 @@ import (
 //   - SemiJoin has a core plus at least one reducer, and every reducer
 //     shares a variable with the core (a disconnected reducer cannot
 //     restrict anything).
-//   - Union has at least one arm; arms are projections (possibly
-//     Distinct-wrapped, the push-Distinct rewrite shape) of equal
+//   - Union has at least one arm; arms are projections of equal
 //     arity.
 //   - Distinct has exactly one input and never sits directly above
 //     another Distinct.
@@ -170,17 +169,16 @@ func (c *Checker) node(n *Node) error {
 	case OpUnion:
 		var arity0 int
 		for i, arm := range n.Inputs {
-			p := armProjection(arm)
-			if p == nil {
+			if arm.Op != OpProject {
 				return fmt.Errorf("plan: validate: union arm %d is %s, want project", i, arm.Op)
 			}
 			if i == 0 {
-				arity0 = len(p.Head)
+				arity0 = len(arm.Head)
 				continue
 			}
-			if len(p.Head) != arity0 {
+			if len(arm.Head) != arity0 {
 				return fmt.Errorf("plan: validate: union arm %d has arity %d, arm 0 has arity %d",
-					i, len(p.Head), arity0)
+					i, len(arm.Head), arity0)
 			}
 		}
 	case OpExchange:

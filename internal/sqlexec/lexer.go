@@ -9,7 +9,7 @@
 // Scope: the simple layout's grammar. RDF-layout SQL (hashed-column
 // CASE expansions) is generated for statement-size accounting and
 // executed natively by the engine; parsing it is deliberately out of
-// scope (DESIGN.md §6).
+// scope.
 package sqlexec
 
 import (
