@@ -19,7 +19,11 @@ type lifecycleOp struct {
 	emitted int
 	opens   int
 	closes  int
+	gauge   *openGauge // optional: shared with sibling stubs
 }
+
+// openGauge counts how many of the stubs sharing it are open at once.
+type openGauge struct{ open, peak int }
 
 func newLifecycleOp(total int) *lifecycleOp {
 	return &lifecycleOp{opBase: opBase{name: "stub", schema: []string{"x"}}, total: total}
@@ -29,6 +33,10 @@ func (o *lifecycleOp) Open() {
 	o.resetStats()
 	o.opens++
 	o.emitted = 0
+	if g := o.gauge; g != nil {
+		g.open++
+		g.peak = max(g.peak, g.open)
+	}
 }
 
 func (o *lifecycleOp) Next(out *Batch) bool {
@@ -45,6 +53,9 @@ func (o *lifecycleOp) Close() {
 		return
 	}
 	o.closes++
+	if o.gauge != nil {
+		o.gauge.open--
+	}
 }
 
 func (o *lifecycleOp) Children() []Operator { return nil }
@@ -132,6 +143,76 @@ func TestHashJoinEarlyCloseBalanced(t *testing.T) {
 	op.Open()
 	op.Close() // closed before any Next
 	assertBalanced(t, []*lifecycleOp{probe, build})
+}
+
+// gaugedStubs returns n stubs of rows rows each, sharing one gauge.
+func gaugedStubs(n, rows int) ([]*lifecycleOp, []Operator, *openGauge) {
+	g := &openGauge{}
+	stubs := make([]*lifecycleOp, n)
+	children := make([]Operator, n)
+	for i := range stubs {
+		stubs[i] = newLifecycleOp(rows)
+		stubs[i].gauge = g
+		children[i] = stubs[i]
+	}
+	return stubs, children, g
+}
+
+// TestUnionOpensOneArmAtATime: the sequential union opens an arm when
+// it reaches it and closes it once exhausted, so a UCQ's arms never
+// hold their batches at the same time.
+func TestUnionOpensOneArmAtATime(t *testing.T) {
+	stubs, children, g := gaugedStubs(6, 3*DefaultBatchSize)
+	rel := Drain(newUnion([]string{"x"}, children))
+	if len(rel.Rows) != 6*3*DefaultBatchSize {
+		t.Fatalf("drained %d rows, want %d", len(rel.Rows), 6*3*DefaultBatchSize)
+	}
+	if g.peak != 1 {
+		t.Fatalf("%d arms open at once, want 1", g.peak)
+	}
+	assertBalanced(t, stubs)
+	for i, s := range stubs {
+		if s.opens != 1 {
+			t.Fatalf("arm %d opened %d times, want 1", i, s.opens)
+		}
+	}
+}
+
+// TestUnionEarlyAndDoubleCloseBalanced: closing the sequential union
+// mid-stream closes the one open arm and leaves the unreached ones
+// unopened; a second Close changes nothing.
+func TestUnionEarlyAndDoubleCloseBalanced(t *testing.T) {
+	stubs, children, g := gaugedStubs(4, 3*DefaultBatchSize)
+	op := newUnion([]string{"x"}, children)
+	op.Open()
+	if !op.Next(NewBatch(1)) {
+		t.Fatal("no batch from 4 producing arms")
+	}
+	op.Close()
+	assertBalanced(t, stubs)
+	if stubs[0].opens != 1 || stubs[1].opens != 0 || g.open != 0 {
+		t.Fatalf("arm opens %d/%d, %d still open; want 1/0, 0", stubs[0].opens, stubs[1].opens, g.open)
+	}
+	op.Close()
+	assertBalanced(t, stubs)
+}
+
+// TestDoubleCloseReleasesBatchOnce: an operator returns its input batch
+// to the pool in Close; a second Close must not return it again, or two
+// later owners would share one batch.
+func TestDoubleCloseReleasesBatchOnce(t *testing.T) {
+	for _, op := range []Operator{
+		newDistinct(newLifecycleOp(10)),
+		newProject(newLifecycleOp(10), []string{"x"}, []int{0}, []int64{0}, false),
+		NewHashJoin([]Operator{newLifecycleOp(10), newLifecycleOp(10)}, 0, []int{1}, 1),
+	} {
+		op.Open()
+		op.Close()
+		op.Close()
+		if a, b := getBatch(1), getBatch(1); a == b {
+			t.Fatalf("%s: one batch handed out twice after a double Close", op.Stats().Op)
+		}
+	}
 }
 
 // TestCloseWithoutOpenIsNoOp: a compiled-but-never-opened tree may be

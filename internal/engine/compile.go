@@ -33,9 +33,18 @@ func pipelineLayout(atomSeq [][]query.Term) (map[string]int, []string) {
 
 // newAtomJoin compiles one atom against the current layout and bound
 // mask. Constants are resolved once; a constant absent from the
-// dictionary makes the atom dead (it can match nothing).
+// dictionary makes the atom dead (it can match nothing). On the simple
+// layout the atom's table is resolved once too, so probes skip the
+// DB's per-call table lookup.
 func newAtomJoin(a query.Atom, access StepAccess, colOf map[string]int, bound []bool, db *DB) *atomJoin {
 	j := &atomJoin{db: db, pred: a.Pred, arity: a.Arity(), access: access}
+	if db.Layout != LayoutRDF {
+		if j.arity == 1 {
+			j.concept = db.Concept(a.Pred)
+		} else {
+			j.role = db.Role(a.Pred)
+		}
+	}
 	ref := func(t query.Term) termRef {
 		if t.Const {
 			id, ok := db.Dict.Lookup(t.Name)

@@ -56,7 +56,6 @@ type Exchange struct {
 	started atomic.Bool
 	stopped sync.Once
 	wg      sync.WaitGroup
-	pool    sync.Pool
 
 	sent []atomic.Int64 // rows source i routed to a different shard
 	recv []atomic.Int64 // rows delivered to endpoint i
@@ -102,7 +101,6 @@ func NewExchange(sources []Operator, key string, workers int) (*Exchange, []Oper
 		h.dstop[i] = make(chan struct{})
 		h.srcDone[i] = make(chan struct{})
 	}
-	h.pool.New = func() any { return NewBatch(h.width) }
 	eps := make([]Operator, n)
 	for i := 0; i < n; i++ {
 		eps[i] = &exchangeOp{
@@ -186,13 +184,15 @@ func (h *Exchange) discard(d int) {
 }
 
 // drainSource runs source idx to completion, routing its rows into
-// per-destination staging batches and shipping each as it fills.
+// per-destination staging batches and shipping each as it fills. All
+// its batches come from the engine's batch pool.
 func (h *Exchange) drainSource(idx int) {
 	in := h.sources[idx]
 	in.Open()
 	defer in.Close()
 	staging := make([]*Batch, h.n)
-	b := NewBatch(h.width)
+	b := getBatch(h.width)
+	defer putBatch(b)
 	for in.Next(b) {
 		for r := 0; r < b.Len(); r++ {
 			row := b.Row(r)
@@ -202,8 +202,7 @@ func (h *Exchange) drainSource(idx int) {
 			}
 			st := staging[d]
 			if st == nil {
-				st = h.pool.Get().(*Batch)
-				st.Reset()
+				st = getBatch(h.width)
 				staging[d] = st
 			}
 			st.Append(row)
@@ -231,7 +230,7 @@ func (h *Exchange) ship(d int, b *Batch) {
 	case h.chans[d] <- b:
 		h.recv[d].Add(rows)
 	case <-h.dstop[d]:
-		h.pool.Put(b)
+		putBatch(b)
 	}
 }
 
@@ -256,8 +255,7 @@ func (o *exchangeOp) Next(out *Batch) bool {
 		return false
 	}
 	out.CopyFrom(b)
-	b.Reset()
-	o.hub.pool.Put(b)
+	putBatch(b)
 	return o.yield(out)
 }
 

@@ -34,7 +34,7 @@ func clampWorkers(workers, tasks int) int {
 }
 
 // buildTable is one build side of the join chain: the child pipeline's
-// rows in an arena, bucketed by the 64-bit hash of the join columns the
+// rows in an arena, chained by the 64-bit hash of the join columns the
 // fragment shares with the output schema accumulated so far.
 type buildTable struct {
 	child Operator
@@ -47,18 +47,19 @@ type buildTable struct {
 	extra   []int
 	outBase int
 
-	arena   []int64
-	buckets map[uint64][]int32
+	arena []int64
+	index hashIndex
 }
 
 // load drains the child pipeline into the hash table. The child is
 // opened and closed here, exactly once per execution.
 func (bt *buildTable) load() {
 	bt.arena = bt.arena[:0]
-	bt.buckets = make(map[uint64][]int32)
+	bt.index = hashIndex{}
 	bt.child.Open()
 	defer bt.child.Close()
-	b := NewBatch(bt.width)
+	b := getBatch(bt.width)
+	defer putBatch(b)
 	for bt.child.Next(b) {
 		for i := 0; i < b.Len(); i++ {
 			row := b.Row(i)
@@ -66,25 +67,18 @@ func (bt *buildTable) load() {
 			for _, jc := range bt.join {
 				h = mix64(h ^ uint64(row[jc[1]]))
 			}
-			bt.buckets[h] = append(bt.buckets[h], int32(len(bt.arena)/int32Width(bt.width)))
+			bt.index.add(h)
 			bt.arena = append(bt.arena, row...)
 		}
 	}
 }
 
-// int32Width guards the degenerate zero-width (boolean fragment) case:
-// rows carry no columns, so arena offsets cannot index them — every row
-// is identical and the row count lives in the bucket slice length.
-func int32Width(w int) int {
-	if w == 0 {
-		return 1
-	}
-	return w
-}
-
-func (bt *buildTable) rowAt(i int32) []int64 {
-	w := int32Width(bt.width)
-	return bt.arena[int(i)*w : int(i)*w+bt.width]
+// rowAt returns build row r, numbered from 1 as hashIndex chains them.
+// A zero-width (boolean fragment) row is empty, so the arena stays
+// empty and only the index counts the rows.
+func (bt *buildTable) rowAt(r int32) []int64 {
+	off := int(r-1) * bt.width
+	return bt.arena[off : off+bt.width]
 }
 
 // probeHash hashes the already-bound output columns this table joins on.
@@ -160,16 +154,13 @@ func NewHashJoin(children []Operator, probeIdx int, buildOrder []int, workers in
 		probe:   probe,
 		builds:  builds,
 		workers: workers,
+		scratch: make([]int64, len(schema)),
 	}
 }
 
 func (o *hashJoinOp) Open() {
 	o.resetStats()
-	if o.in == nil {
-		o.in = NewBatch(len(o.probe.Schema()))
-		o.scratch = make([]int64, len(o.schema))
-	}
-	o.in.Reset()
+	takeBatch(&o.in, len(o.probe.Schema()))
 	o.inPos = 0
 	o.pend = o.pend[:0]
 	o.pendPos = 0
@@ -203,7 +194,7 @@ func (o *hashJoinOp) Open() {
 		wg.Wait()
 	}
 	for _, bt := range o.builds {
-		if len(bt.buckets) == 0 {
+		if bt.index.rows() == 0 {
 			o.dead = true
 		}
 	}
@@ -250,8 +241,8 @@ func (o *hashJoinOp) expand(level int) {
 		return
 	}
 	bt := o.builds[level]
-	for _, ri := range bt.buckets[bt.probeHash(o.scratch)] {
-		brow := bt.rowAt(ri)
+	for r := bt.index.head(bt.probeHash(o.scratch)); r != 0; r = bt.index.next[r-1] {
+		brow := bt.rowAt(r)
 		if !bt.equalOn(o.scratch, brow) {
 			continue
 		}
@@ -275,6 +266,7 @@ func (o *hashJoinOp) Close() {
 	for _, bt := range o.builds {
 		bt.child.Close()
 	}
+	releaseBatch(&o.in)
 }
 
 func (o *hashJoinOp) Children() []Operator {

@@ -17,10 +17,17 @@ package engine
 // Every operator counts the batches and rows it emits; per-operator
 // cardinalities feed the planner's cost model through
 // Profile.Feedback (profile.go).
+//
+// Batch storage is pooled engine-wide (getBatch/putBatch): an operator
+// takes its input batch in Open and returns it in Close, and the
+// sequential union opens one arm at a time, so a run of a UCQ's
+// hundreds of arms — and every later run of the same plan — reuses a
+// handful of buffers instead of growing fresh ones.
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // DefaultBatchSize is the row capacity of one exchanged batch.
@@ -35,9 +42,10 @@ type Batch struct {
 	data  []int64
 }
 
-// NewBatch allocates a batch for rows of the given width. Storage
-// grows lazily up to the row capacity, so short streams (the common
-// case across hundreds of reformulation arms) stay cheap.
+// NewBatch allocates a batch for rows of the given width. Storage grows
+// on demand up to the row capacity and survives Reset, so a pooled
+// batch (getBatch, the engine's own source of batches) grows once and
+// is then reused run after run.
 func NewBatch(width int) *Batch {
 	return &Batch{width: width}
 }
@@ -73,6 +81,56 @@ func (b *Batch) CopyFrom(src *Batch) {
 	b.width = src.width
 	b.n = src.n
 	b.data = append(b.data[:0], src.data...)
+}
+
+// --- pooled batch storage ---
+
+// maxPooledWidth bounds the row widths that have a pool; a wider batch
+// is allocated per use.
+const maxPooledWidth = 32
+
+// batchPools recycles batches engine-wide, one pool per row width. They
+// are sync.Pools, so idle batches are freed by the garbage collector
+// rather than outliving the runs that needed them.
+var batchPools [maxPooledWidth + 1]sync.Pool
+
+// getBatch takes an empty batch of the given width from the pool.
+func getBatch(width int) *Batch {
+	if width <= maxPooledWidth {
+		if b, ok := batchPools[width].Get().(*Batch); ok {
+			return b
+		}
+	}
+	return NewBatch(width)
+}
+
+// putBatch empties b and returns it to the pool. The caller must hold
+// no other reference to b: the next getBatch may hand it out.
+func putBatch(b *Batch) {
+	if b.width > maxPooledWidth {
+		return
+	}
+	b.Reset()
+	batchPools[b.width].Put(b)
+}
+
+// takeBatch gives an operator its input batch in Open: an empty one,
+// from the pool unless the operator still holds one.
+func takeBatch(owner **Batch, width int) {
+	if *owner == nil {
+		*owner = getBatch(width)
+	}
+	(*owner).Reset()
+}
+
+// releaseBatch returns an operator's batch to the pool in Close and
+// clears the field holding it, so a second release finds nothing to
+// return and no batch is ever pooled twice.
+func releaseBatch(owner **Batch) {
+	if *owner != nil {
+		putBatch(*owner)
+		*owner = nil
+	}
 }
 
 // OpStats reports what one operator produced during execution.
@@ -180,28 +238,102 @@ func equalRows(a, b []int64) bool {
 	return true
 }
 
-// rowSet is an exact duplicate detector: rows bucket by 64-bit hash and
+// hashIndex chains row numbers by 64-bit hash without a slice per
+// hash: an open-addressed table of slots, one per distinct hash, plus
+// one next link per row, so a hash's rows are walked in insertion
+// order. Callers keep the rows themselves (an arena indexed by row
+// number) and verify collisions against them.
+type hashIndex struct {
+	slots []hashSlot
+	next  []int32 // per row: 1 + the next row under the same hash, or 0
+	used  int
+}
+
+// hashSlot holds one hash's chain as 1 + row number at both ends;
+// first == 0 marks an empty slot.
+type hashSlot struct {
+	hash        uint64
+	first, last int32
+}
+
+// rows returns the number of rows added.
+func (x *hashIndex) rows() int { return len(x.next) }
+
+// head returns 1 + the first row added under h, or 0 if there is none;
+// next[r-1] continues the chain from r.
+func (x *hashIndex) head(h uint64) int32 {
+	if len(x.slots) == 0 {
+		return 0
+	}
+	mask := uint64(len(x.slots) - 1)
+	for i := h & mask; x.slots[i].first != 0; i = (i + 1) & mask {
+		if x.slots[i].hash == h {
+			return x.slots[i].first
+		}
+	}
+	return 0
+}
+
+// add appends row number rows() under hash h.
+func (x *hashIndex) add(h uint64) {
+	if 4*(x.used+1) > 3*len(x.slots) {
+		x.grow()
+	}
+	r := int32(len(x.next)) + 1
+	x.next = append(x.next, 0)
+	mask := uint64(len(x.slots) - 1)
+	i := h & mask
+	for ; x.slots[i].first != 0; i = (i + 1) & mask {
+		if s := &x.slots[i]; s.hash == h {
+			x.next[s.last-1] = r
+			s.last = r
+			return
+		}
+	}
+	x.slots[i] = hashSlot{hash: h, first: r, last: r}
+	x.used++
+}
+
+// grow doubles the slot table and re-places the occupied slots.
+func (x *hashIndex) grow() {
+	old := x.slots
+	x.slots = make([]hashSlot, max(16, 2*len(old)))
+	mask := uint64(len(x.slots) - 1)
+	for _, s := range old {
+		if s.first == 0 {
+			continue
+		}
+		i := s.hash & mask
+		for x.slots[i].first != 0 {
+			i = (i + 1) & mask
+		}
+		x.slots[i] = s
+	}
+}
+
+// rowSet is an exact duplicate detector: rows chain by 64-bit hash and
 // collisions are resolved by comparing against an arena of inserted
 // rows, so no false merges occur.
 type rowSet struct {
 	width int
-	seen  map[uint64][]int
+	index hashIndex
 	arena []int64
 }
 
 func newRowSet(width int) *rowSet {
-	return &rowSet{width: width, seen: make(map[uint64][]int)}
+	return &rowSet{width: width}
 }
 
 // insert adds row if unseen, reporting whether it was new.
 func (s *rowSet) insert(row []int64) bool {
 	h := hashRow(row)
-	for _, off := range s.seen[h] {
+	for r := s.index.head(h); r != 0; r = s.index.next[r-1] {
+		off := int(r-1) * s.width
 		if equalRows(s.arena[off:off+s.width], row) {
 			return false
 		}
 	}
-	s.seen[h] = append(s.seen[h], len(s.arena))
+	s.index.add(h)
 	s.arena = append(s.arena, row...)
 	return true
 }
@@ -366,6 +498,11 @@ type atomJoin struct {
 	// dead marks an atom with a constant absent from the dictionary: it
 	// can match nothing.
 	dead bool
+	// The atom's table on the simple layout, resolved once per build;
+	// nil for an absent predicate, which the tables' nil-receiver guards
+	// read as empty. Unused on the RDF layout.
+	concept *ConceptTable
+	role    *RoleTable
 
 	// cached full role scan (built lazily, once per operator, for
 	// mid-pipeline cross products).
@@ -394,20 +531,51 @@ func (j *atomJoin) unbound() bool {
 	return !j.s.isBound() && !j.o.isBound()
 }
 
+// The per-row probes: the resolved table on the simple layout, the
+// DB's layout dispatch on the RDF one.
+
+func (j *atomJoin) conceptContains(id int64) bool {
+	if j.db.Layout == LayoutRDF {
+		return j.db.ConceptContains(j.pred, id)
+	}
+	return j.concept.Contains(id)
+}
+
+func (j *atomJoin) roleContains(s, o int64) bool {
+	if j.db.Layout == LayoutRDF {
+		return j.db.RoleContains(j.pred, s, o)
+	}
+	return j.role.ContainsPair(s, o)
+}
+
+func (j *atomJoin) roleObjects(s int64) []int64 {
+	if j.db.Layout == LayoutRDF {
+		return j.db.RoleObjects(j.pred, s)
+	}
+	return j.role.Objects(s)
+}
+
+func (j *atomJoin) roleSubjects(o int64) []int64 {
+	if j.db.Layout == LayoutRDF {
+		return j.db.RoleSubjects(j.pred, o)
+	}
+	return j.role.Subjects(o)
+}
+
 // keep evaluates a fully bound atom against one row.
 func (j *atomJoin) keep(row []int64) bool {
 	if j.dead {
 		return false
 	}
 	if j.arity == 1 {
-		return j.db.ConceptContains(j.pred, j.s.value(row))
+		return j.conceptContains(j.s.value(row))
 	}
 	s := j.s.value(row)
 	o := s
 	if !j.sameVar {
 		o = j.o.value(row)
 	}
-	return j.db.RoleContains(j.pred, s, o)
+	return j.roleContains(s, o)
 }
 
 // matchSet is one row's pending expansions: either keep copies of the
@@ -437,7 +605,7 @@ func (j *atomJoin) matches(row []int64) matchSet {
 	}
 	if j.arity == 1 {
 		if j.s.isBound() {
-			if j.db.ConceptContains(j.pred, j.s.value(row)) {
+			if j.conceptContains(j.s.value(row)) {
 				return matchSet{keep: 1}
 			}
 			return matchSet{}
@@ -452,9 +620,9 @@ func (j *atomJoin) matches(row []int64) matchSet {
 		}
 		return matchSet{}
 	case sB:
-		return matchSet{vals: j.db.RoleObjects(j.pred, j.s.value(row)), wc1: j.o.col}
+		return matchSet{vals: j.roleObjects(j.s.value(row)), wc1: j.o.col}
 	case oB:
-		return matchSet{vals: j.db.RoleSubjects(j.pred, j.o.value(row)), wc1: j.s.col}
+		return matchSet{vals: j.roleSubjects(j.o.value(row)), wc1: j.s.col}
 	default:
 		j.loadScan()
 		if j.sameVar {
@@ -505,10 +673,7 @@ func newFilter(child Operator, j *atomJoin, prof *Profile) *filterOp {
 func (o *filterOp) Open() {
 	o.resetStats()
 	o.rowsIn = 0
-	if o.in == nil {
-		o.in = NewBatch(len(o.child.Schema()))
-	}
-	o.in.Reset()
+	takeBatch(&o.in, len(o.child.Schema()))
 	o.child.Open()
 }
 
@@ -534,6 +699,7 @@ func (o *filterOp) Close() {
 		return
 	}
 	o.child.Close()
+	releaseBatch(&o.in)
 	o.prof.observeStep(o.join.pred, o.join.access, o.rowsIn, o.rows)
 }
 
@@ -576,10 +742,7 @@ func newJoin(child Operator, alts []*atomJoin, prof *Profile) *joinOp {
 func (o *joinOp) Open() {
 	o.resetStats()
 	o.rowsIn = 0
-	if o.in == nil {
-		o.in = NewBatch(len(o.child.Schema()))
-	}
-	o.in.Reset()
+	takeBatch(&o.in, len(o.child.Schema()))
 	o.inPos, o.altIdx = 0, 0
 	o.curRow = nil
 	o.pend, o.pendIdx = matchSet{}, 0
@@ -644,6 +807,8 @@ func (o *joinOp) Close() {
 		return
 	}
 	o.child.Close()
+	releaseBatch(&o.in)
+	o.curRow = nil // a row of the released batch
 	if len(o.alts) == 1 {
 		o.prof.observeStep(o.alts[0].pred, o.alts[0].access, o.rowsIn, o.rows)
 	}
@@ -676,16 +841,13 @@ func newProject(child Operator, schema []string, srcCols []int, consts []int64, 
 		srcCols: srcCols,
 		consts:  consts,
 		dead:    dead,
+		scratch: make([]int64, len(schema)),
 	}
 }
 
 func (o *projectOp) Open() {
 	o.resetStats()
-	if o.in == nil {
-		o.in = NewBatch(len(o.child.Schema()))
-		o.scratch = make([]int64, len(o.schema))
-	}
-	o.in.Reset()
+	takeBatch(&o.in, len(o.child.Schema()))
 	o.child.Open()
 }
 
@@ -718,6 +880,7 @@ func (o *projectOp) Close() {
 		return
 	}
 	o.child.Close()
+	releaseBatch(&o.in)
 }
 func (o *projectOp) Children() []Operator { return []Operator{o.child} }
 
@@ -741,10 +904,7 @@ func newDistinct(child Operator) *distinctOp {
 
 func (o *distinctOp) Open() {
 	o.resetStats()
-	if o.in == nil {
-		o.in = NewBatch(len(o.child.Schema()))
-	}
-	o.in.Reset()
+	takeBatch(&o.in, len(o.child.Schema()))
 	o.set = newRowSet(len(o.child.Schema()))
 	o.child.Open()
 }
@@ -770,17 +930,22 @@ func (o *distinctOp) Close() {
 		return
 	}
 	o.child.Close()
+	releaseBatch(&o.in)
+	o.set = nil
 }
 func (o *distinctOp) Children() []Operator { return []Operator{o.child} }
 
 // --- sequential union ---
 
 // unionOp concatenates its children's streams (UNION ALL; wrap in
-// distinctOp for UNION).
+// distinctOp for UNION). It opens one arm at a time, when it reaches
+// it, and closes the arm once exhausted, so only the current arm holds
+// batch storage — the parallel union's workers do the same.
 type unionOp struct {
 	opBase
 	children []Operator
 	idx      int
+	armOpen  bool // children[idx] is open
 }
 
 func newUnion(schema []string, children []Operator) *unionOp {
@@ -790,22 +955,30 @@ func newUnion(schema []string, children []Operator) *unionOp {
 func (o *unionOp) Open() {
 	o.resetStats()
 	o.idx = 0
-	for _, c := range o.children {
-		c.Open()
-	}
+	o.armOpen = false
 }
 
 func (o *unionOp) Next(out *Batch) bool {
 	out.Reset()
 	for o.idx < len(o.children) {
-		if o.children[o.idx].Next(out) {
+		arm := o.children[o.idx]
+		if !o.armOpen {
+			arm.Open()
+			o.armOpen = true
+		}
+		if arm.Next(out) {
 			return o.yield(out)
 		}
+		arm.Close()
+		o.armOpen = false
 		o.idx++
 	}
 	return false
 }
 
+// Close closes the arm still open after an early stop; the arms already
+// exhausted, and those never reached, are no-ops through their own
+// closeOnce guard.
 func (o *unionOp) Close() {
 	if !o.closeOnce() {
 		return
@@ -826,7 +999,8 @@ func Drain(op Operator) *Relation {
 	op.Open()
 	defer op.Close()
 	rel := &Relation{Schema: op.Schema()}
-	b := NewBatch(len(op.Schema()))
+	b := getBatch(len(op.Schema()))
+	defer putBatch(b)
 	for op.Next(b) {
 		for i := 0; i < b.Len(); i++ {
 			rel.Rows = append(rel.Rows, append([]int64(nil), b.Row(i)...))

@@ -26,7 +26,6 @@ type unionParallelOp struct {
 	stop    chan struct{}
 	stopped sync.Once
 	wg      sync.WaitGroup
-	pool    sync.Pool
 }
 
 // NewUnionParallel builds a parallel union over children with up to
@@ -70,8 +69,6 @@ func (o *unionParallelOp) Open() {
 	o.results = make(chan *Batch, o.workers*2)
 	o.stop = make(chan struct{})
 	o.stopped = sync.Once{}
-	width := len(o.schema)
-	o.pool.New = func() any { return NewBatch(width) }
 
 	if o.perChild {
 		for _, c := range o.children {
@@ -107,20 +104,21 @@ func (o *unionParallelOp) Open() {
 }
 
 // drainChild runs one child pipeline to completion, shipping its
-// batches to the consumer. It returns false when the operator was
-// closed early.
+// batches, drawn from the engine's batch pool, to the consumer. It
+// returns false when the operator was closed early.
 func (o *unionParallelOp) drainChild(c Operator) bool {
 	c.Open()
 	defer c.Close()
 	for {
-		b := o.pool.Get().(*Batch)
+		b := getBatch(len(o.schema))
 		if !c.Next(b) {
-			o.pool.Put(b)
+			putBatch(b)
 			return true
 		}
 		select {
 		case o.results <- b:
 		case <-o.stop:
+			putBatch(b)
 			return false
 		}
 	}
@@ -132,8 +130,7 @@ func (o *unionParallelOp) Next(out *Batch) bool {
 		return false
 	}
 	out.CopyFrom(b)
-	b.Reset()
-	o.pool.Put(b)
+	putBatch(b)
 	return o.yield(out)
 }
 
@@ -142,8 +139,10 @@ func (o *unionParallelOp) Close() {
 		return
 	}
 	o.stopped.Do(func() { close(o.stop) })
-	// Unblock any producer and wait for the workers to finish.
-	for range o.results {
+	// Unblock any producer and wait for the workers to finish, pooling
+	// the batches nobody consumed.
+	for b := range o.results {
+		putBatch(b)
 	}
 	// The workers have exited (results closes only after wg.Wait), so
 	// closing every child here is race-free. Children a worker already
