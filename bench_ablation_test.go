@@ -92,7 +92,7 @@ func BenchmarkAblationMemoization(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					est.EstimateJUCQ(j)
+					est.Estimate(plan.FromJUCQ(j))
 				}
 			}
 		}

@@ -30,7 +30,7 @@ func main() {
 		tboxPath    = flag.String("tbox", "", "path to the TBox file (required)")
 		aboxPath    = flag.String("abox", "", "path to the ABox file (required)")
 		queryText   = flag.String("query", "", "conjunctive query, e.g. \"q(x) <- A(x), R(x, y)\" (required)")
-		strategy    = flag.String("strategy", "gdl-ext", "one of: ucq, uscq, croot, gdl-rdbms, gdl-ext, edl")
+		strategy    = flag.String("strategy", "gdl-ext", "one of: ucq, ucq-min, uscq, croot, gdl-rdbms, gdl-ext, edl")
 		profileName = flag.String("profile", "postgres", "engine profile: postgres or db2")
 		layoutName  = flag.String("layout", "simple", "data layout: simple or rdf")
 		showSQL     = flag.Bool("sql", false, "print the generated SQL")
@@ -112,7 +112,9 @@ func main() {
 		}
 	}
 	if *showSQL {
-		fmt.Println(sqlgen.JUCQ(res.JUCQ, sqlgen.Options{Layout: layout, Pretty: true}))
+		sql, err := sqlgen.Render(res.Plan, sqlgen.Options{Layout: layout, Pretty: true})
+		fatal(err)
+		fmt.Println(sql)
 	}
 	for _, t := range res.Tuples {
 		fmt.Println(strings.Join(t, "\t"))

@@ -19,7 +19,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cover"
 	"repro/internal/plan"
-	"repro/internal/query"
 )
 
 // DefaultAnswerCacheSize is the LRU capacity New wires into an
@@ -36,8 +35,8 @@ type cacheKey struct {
 }
 
 // cachedPlan is the reusable front half of one Answer call: the chosen
-// cover, its reformulation, the generated SQL, the logical plan it
-// lowered into, and the backend executable compiled from that plan.
+// cover, the logical plan its reformulation lowered into, the SQL
+// rendered from that plan, and the backend executable compiled from it.
 // The IR and the executable are immutable/concurrency-safe; physical
 // state is rebuilt inside every Run.
 type cachedPlan struct {
@@ -47,8 +46,6 @@ type cachedPlan struct {
 	sql          string
 
 	searchTime time.Duration // the original search cost, reported once
-
-	jucq query.JUCQ // the JUCQ reformulation (zero for USCQ strategies)
 
 	ir   *plan.Node      // the logical plan every backend compiles
 	exec plan.Executable // compiled for the backend in the cache key

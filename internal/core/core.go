@@ -207,8 +207,7 @@ type Result struct {
 	Tuples [][]string
 
 	Cover        cover.Cover
-	JUCQ         query.JUCQ
-	NumDisjuncts int // total CQs across fragments
+	NumDisjuncts int // total CQs (SCQs for uscq) across fragments
 	NumFragments int
 
 	// Plan is the logical plan the strategy lowered into — the tree
@@ -327,41 +326,32 @@ func (a *Answerer) buildPlan(q query.CQ, s Strategy, res *Result, backend plan.B
 	}
 	cp := &cachedPlan{cover: c, numFragments: len(c.Frags), searchTime: res.SearchTime}
 
-	if s == StrategyUSCQ {
+	switch {
+	case s == StrategyUSCQ:
 		js, err := c.ReformulateJUSCQ(a.Ref)
 		if err != nil {
 			return nil, err
 		}
-		for _, sub := range js.Subs {
-			cp.numDisjuncts += len(sub.Disjuncts)
-		}
-		cp.sql = sqlgen.JUSCQ(js, sqlgen.Options{Layout: a.DB.Layout})
 		cp.ir = plan.FromJUSCQ(js)
-	} else {
-		if sr != nil {
-			// The search reformulated and lowered the winning cover,
-			// fragment by fragment, to cost it: take its JUCQ and its
-			// tree instead of doing both a second time.
-			cp.jucq, cp.ir = sr.JUCQ, sr.Plan
-		} else {
-			j, err := c.ReformulateJUCQ(a.Ref)
+	case sr != nil:
+		// The search reformulated and lowered the winning cover, fragment
+		// by fragment, to cost it: take its tree instead of doing both a
+		// second time.
+		cp.ir = sr.Plan
+	default:
+		j, err := c.ReformulateJUCQ(a.Ref)
+		if err != nil {
+			return nil, err
+		}
+		if s == StrategyUCQMin {
+			// §2.3: evaluate the containment-minimized UCQ instead.
+			m, err := a.Ref.ReformulateMinimal(q)
 			if err != nil {
 				return nil, err
 			}
-			if s == StrategyUCQMin {
-				// §2.3: evaluate the containment-minimized UCQ instead.
-				m, err := a.Ref.ReformulateMinimal(q)
-				if err != nil {
-					return nil, err
-				}
-				j.Subs = []query.UCQ{m}
-			}
-			cp.jucq, cp.ir = j, plan.FromJUCQ(j)
+			j.Subs = []query.UCQ{m}
 		}
-		for _, sub := range cp.jucq.Subs {
-			cp.numDisjuncts += len(sub.Disjuncts)
-		}
-		cp.sql = sqlgen.JUCQ(cp.jucq, sqlgen.Options{Layout: a.DB.Layout})
+		cp.ir = plan.FromJUCQ(j)
 	}
 	// Backend-neutral IR simplification (single-arm union collapse,
 	// nested project merge) — applied here so every backend compiles
@@ -376,6 +366,13 @@ func (a *Answerer) buildPlan(q query.CQ, s Strategy, res *Result, backend plan.B
 	if err := plan.Validate(cp.ir); err != nil {
 		return nil, err
 	}
+	// The statement shipped to the RDBMS, rendered from the same tree.
+	sql, err := sqlgen.Render(cp.ir, sqlgen.Options{Layout: a.DB.Layout})
+	if err != nil {
+		return nil, err
+	}
+	cp.sql = sql
+	cp.numDisjuncts = numArms(cp.ir)
 	exec, err := backend.Compile(cp.ir)
 	if err != nil {
 		return nil, err
@@ -391,7 +388,6 @@ func (a *Answerer) execute(cp *cachedPlan, res *Result, backend plan.Backend) (*
 	res.Cover = cp.cover
 	res.NumFragments = cp.numFragments
 	res.NumDisjuncts = cp.numDisjuncts
-	res.JUCQ = cp.jucq
 	res.Plan = cp.ir
 	res.SQL = cp.sql
 	res.SQLSize = len(cp.sql)
@@ -415,6 +411,21 @@ func (a *Answerer) execute(cp *cachedPlan, res *Result, backend plan.Backend) (*
 		ob.Observe(cp.ir, rr.Explain)
 	}
 	return res, nil
+}
+
+// numArms counts the union arms across the plan's fragments. It runs on
+// trees sqlgen.Render has taken apart already, so plan.Arms cannot fail.
+func numArms(n *plan.Node) int {
+	frags := plan.CoverFragments(n)
+	if frags == nil {
+		frags = []*plan.Node{n}
+	}
+	total := 0
+	for _, f := range frags {
+		arms, _ := plan.Arms(f)
+		total += len(arms)
+	}
+	return total
 }
 
 // Violation reports a disjointness constraint contradicted by the data.

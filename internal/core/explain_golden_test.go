@@ -3,13 +3,18 @@ package core
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"io"
+	"math"
 	"os"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/lubm"
+	"repro/internal/query"
 )
 
 // explainGoldenFile holds the native backend's EXPLAIN of every golden
@@ -26,13 +31,9 @@ const explainGoldenFile = "testdata/explain_golden.jsonl.gz"
 // EXPLAIN JSON of each, in case order.
 func explainGoldenCases(t *testing.T, workers int) (names []string, explains [][]byte) {
 	t.Helper()
-	tb := lubm.TBox()
-	db := engine.NewDB(engine.LayoutSimple)
-	lubm.Generate(lubm.Config{Universities: 1, Seed: 1}, db)
-	db.Finalize()
-	qs := append(lubm.Queries(), lubm.StarQueries()[:3]...)
+	tb, db := lubm.TBox(), goldenDB(engine.LayoutSimple)
 	strategies := []Strategy{StrategyUCQ, StrategyUSCQ, StrategyCroot, StrategyGDLExt, StrategyGDLRDBMS}
-	for _, q := range qs {
+	for _, q := range goldenQueries() {
 		for _, s := range strategies {
 			a := New(tb, db, engine.ProfilePostgres())
 			a.Workers = workers
@@ -51,10 +52,23 @@ func explainGoldenCases(t *testing.T, workers int) (names []string, explains [][
 	return names, explains
 }
 
-// readExplainGolden loads the golden file into case name → EXPLAIN JSON.
-func readExplainGolden(t *testing.T) map[string][]byte {
+// goldenDB generates the one-university database of the golden cases.
+func goldenDB(layout engine.Layout) *engine.DB {
+	db := engine.NewDB(layout)
+	lubm.Generate(lubm.Config{Universities: 1, Seed: 1}, db)
+	db.Finalize()
+	return db
+}
+
+// goldenQueries are the golden cases' queries: LUBM Q1–Q13 and A3–A5.
+func goldenQueries() []query.CQ {
+	return append(lubm.Queries(), lubm.StarQueries()[:3]...)
+}
+
+// readGzip returns the uncompressed contents of a gzipped golden file.
+func readGzip(t *testing.T, path string) []byte {
 	t.Helper()
-	f, err := os.Open(explainGoldenFile)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +81,13 @@ func readExplainGolden(t *testing.T) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return data
+}
+
+// readExplainGolden loads the golden file into case name → EXPLAIN JSON.
+func readExplainGolden(t *testing.T) map[string][]byte {
+	t.Helper()
+	data := readGzip(t, explainGoldenFile)
 	want := map[string][]byte{}
 	for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
 		name, ex, ok := bytes.Cut(line, []byte("\t"))
@@ -98,4 +119,143 @@ func TestExplainGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// updateSQLGolden rewrites sqlGoldenFile from the current code instead
+// of comparing against it: go test ./internal/core -run TestSQLGolden
+// -update-sql-golden.
+var updateSQLGolden = flag.Bool("update-sql-golden", false, "rewrite "+sqlGoldenFile)
+
+// sqlGoldenFile records, per golden case, everything a consumer of the
+// plan tree derives from it besides the native EXPLAIN: the SQL text of
+// both layouts, the ε estimate, and the shard backend's
+// alignment/exchange decision. Gzipped JSONL, one sqlGoldenCase a line.
+const sqlGoldenFile = "testdata/sql_golden.jsonl.gz"
+
+// sqlGoldenCase is one line of sqlGoldenFile.
+type sqlGoldenCase struct {
+	Case string `json:"case"`
+	// SQL is the simple-layout Result.SQL; BackendSQL the sql backend's
+	// Explain.SQL for the same query and strategy.
+	SQL        string `json:"sql"`
+	BackendSQL string `json:"backend_sql"`
+	// RDFLen and RDFSHA256 fingerprint the RDF-layout Result.SQL.
+	RDFLen    int    `json:"rdf_len"`
+	RDFSHA256 string `json:"rdf_sha256"`
+	// EpsCost and EpsCard are the math.Float64bits of the ε estimate
+	// of Result.Plan.
+	EpsCost uint64 `json:"eps_cost"`
+	EpsCard uint64 `json:"eps_card"`
+	// Shard2 and Shard7 are the shard backend's EXPLAIN root Detail at
+	// two and seven shards.
+	Shard2 string `json:"shard2"`
+	Shard7 string `json:"shard7"`
+}
+
+// sqlGoldenCases runs LUBM Q1–Q13 and A3–A5 under ucq, ucq-min, uscq,
+// croot, gdl-ext and gdl-rdbms on one-university databases of both
+// layouts, each case on fresh Answerers, and returns one record per
+// case, in case order.
+func sqlGoldenCases(t *testing.T) []sqlGoldenCase {
+	t.Helper()
+	tb := lubm.TBox()
+	simple, rdf := goldenDB(engine.LayoutSimple), goldenDB(engine.LayoutRDF)
+	strategies := []Strategy{StrategyUCQ, StrategyUCQMin, StrategyUSCQ, StrategyCroot, StrategyGDLExt, StrategyGDLRDBMS}
+	var out []sqlGoldenCase
+	for _, q := range goldenQueries() {
+		for _, s := range strategies {
+			c := sqlGoldenCase{Case: q.Name + "/" + string(s)}
+			fail := func(stage string, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s %s: %v", c.Case, stage, err)
+				}
+			}
+			a := New(tb, simple, engine.ProfilePostgres())
+			res, err := a.Answer(q, s)
+			fail("native", err)
+			c.SQL = res.SQL
+			est := a.Model.Estimate(res.Plan)
+			c.EpsCost, c.EpsCard = math.Float64bits(est.Cost), math.Float64bits(est.Card)
+
+			// A fresh Answerer per backend: the answer cache keys on the
+			// backend's name, which does not carry the shard count.
+			a = New(tb, simple, engine.ProfilePostgres())
+			sqlb, err := NewBackendByName("sql", simple, a.Profile, 0)
+			fail("sql backend", err)
+			res, err = a.AnswerWith(q, s, sqlb)
+			fail("sql", err)
+			c.BackendSQL = res.Explain.SQL
+
+			for _, n := range []int{2, 7} {
+				a = New(tb, simple, engine.ProfilePostgres())
+				sb, err := NewBackendByName("shard", simple, a.Profile, n)
+				fail("shard backend", err)
+				res, err = a.AnswerWith(q, s, sb)
+				fail("shard", err)
+				if n == 2 {
+					c.Shard2 = res.Explain.Root.Detail
+				} else {
+					c.Shard7 = res.Explain.Root.Detail
+				}
+			}
+
+			res, err = New(tb, rdf, engine.ProfilePostgres()).Answer(q, s)
+			fail("rdf", err)
+			sum := sha256.Sum256([]byte(res.SQL))
+			c.RDFLen, c.RDFSHA256 = len(res.SQL), hex.EncodeToString(sum[:])
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestSQLGolden: the SQL text of both layouts, the ε estimate and the
+// shard alignment decision of every golden case reproduce the recorded
+// ones exactly.
+func TestSQLGolden(t *testing.T) {
+	got := sqlGoldenCases(t)
+	if *updateSQLGolden {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		enc := json.NewEncoder(zw)
+		for _, c := range got {
+			if err := enc.Encode(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(sqlGoldenFile, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want := map[string]sqlGoldenCase{}
+	dec := json.NewDecoder(bytes.NewReader(readGzip(t, sqlGoldenFile)))
+	for dec.More() {
+		var c sqlGoldenCase
+		if err := dec.Decode(&c); err != nil {
+			t.Fatal(err)
+		}
+		want[c.Case] = c
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden file has %d cases, the test runs %d", len(want), len(got))
+	}
+	for _, g := range got {
+		w, ok := want[g.Case]
+		switch {
+		case !ok:
+			t.Errorf("%s: no golden record", g.Case)
+		case g != w:
+			t.Errorf("%s: differs from the golden record\n got: %.400s\nwant: %.400s", g.Case, g.String(), w.String())
+		}
+	}
+}
+
+func (c sqlGoldenCase) String() string {
+	b, _ := json.Marshal(c)
+	return string(b)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/lubm"
 	"repro/internal/query"
 	"repro/internal/sqlexec"
+	"repro/internal/sqlgen"
 )
 
 // TestViaSQLMatchesNative: routing evaluation through the generated SQL
@@ -63,6 +65,39 @@ func TestViaSQLWorkload(t *testing.T) {
 		}
 		if len(rn.Tuples) != len(rs.Tuples) {
 			t.Errorf("%s: native %d vs SQL-path %d answers", q.Name, len(rn.Tuples), len(rs.Tuples))
+		}
+	}
+}
+
+// TestPrettySQLAnswersEveryStrategy: the pretty statement cmd/obda -sql
+// prints — the chosen plan rendered through sqlgen.Render — parses and
+// answers, through sqlexec.Exec, exactly what the strategy answered,
+// for every strategy (the uscq statement once came out empty).
+func TestPrettySQLAnswersEveryStrategy(t *testing.T) {
+	example := answerer(t, engine.LayoutSimple, engine.ProfilePostgres())
+	cases := map[*Answerer][]query.CQ{
+		example:         {query.MustParseCQ("q(x) <- PhDStudent(x), worksWith(y, x)")},
+		lubmAnswerer(t): sweepQueries(),
+	}
+	for a, qs := range cases {
+		for _, q := range qs {
+			for _, s := range Strategies() {
+				res, err := a.Answer(q, s)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", q.Name, s, err)
+				}
+				sql, err := sqlgen.Render(res.Plan, sqlgen.Options{Layout: a.DB.Layout, Pretty: true})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", q.Name, s, err)
+				}
+				rel, err := sqlexec.Exec(sql, a.DB)
+				if err != nil {
+					t.Fatalf("%s/%s: %v\n%s", q.Name, s, err, sql)
+				}
+				if got, want := sorted(rel.Decode(a.DB.Dict)), sorted(res.Tuples); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s: the pretty SQL answers %d tuples, the strategy %d", q.Name, s, len(got), len(want))
+				}
+			}
 		}
 	}
 }

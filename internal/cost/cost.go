@@ -13,7 +13,6 @@ package cost
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/plan"
@@ -45,8 +44,7 @@ func DefaultConstants() Constants {
 }
 
 // Estimate is a (cost, cardinality) pair in abstract cost units — the
-// plan IR's estimate type, so figures pass between the dialect formulas
-// and plan trees unconverted.
+// plan IR's estimate type.
 type Estimate = plan.Estimate
 
 // Model is the ε estimator bound to a database's statistics.
@@ -75,42 +73,6 @@ func (m *Model) accessMul() float64 {
 		return m.C.RDFMul
 	}
 	return 1
-}
-
-// CQ estimates a conjunctive query: greedy smallest-relation-first join
-// order, independence across predicates, uniformity within attributes.
-func (m *Model) CQ(q query.CQ) Estimate {
-	n := len(q.Atoms)
-	used := make([]bool, n)
-	bound := map[string]bool{}
-	card, cost := 1.0, 0.0
-	mul := m.accessMul()
-	ent := float64(m.Stats.TotalEntities)
-	if ent < 1 {
-		ent = 1
-	}
-	for picked := 0; picked < n; picked++ {
-		best := -1
-		var bOut, bCost float64
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			out, c := m.atomStep(q.Atoms[i], bound, card, ent, mul)
-			if best < 0 || out < bOut {
-				best, bOut, bCost = i, out, c
-			}
-		}
-		used[best] = true
-		for _, t := range q.Atoms[best].Args {
-			if t.IsVar() {
-				bound[t.Name] = true
-			}
-		}
-		card = bOut
-		cost += bCost
-	}
-	return Estimate{Cost: cost, Card: card}
 }
 
 func (m *Model) atomStep(a query.Atom, bound map[string]bool, in, ent, mul float64) (out, cost float64) {
@@ -152,36 +114,13 @@ func (m *Model) atomStep(a query.Atom, bound map[string]bool, in, ent, mul float
 	return
 }
 
-// UCQ estimates a union: the sum of the disjuncts plus DISTINCT. Every
-// arm is estimated — no sampling, regardless of size.
-func (m *Model) UCQ(u query.UCQ) Estimate {
-	var e Estimate
-	for _, d := range u.Disjuncts {
-		de := m.CQ(d)
-		e.Cost += de.Cost
-		e.Card += de.Card
-	}
-	e.Cost += e.Card * m.C.Dedup
-	return e
-}
-
-// JUCQ estimates the WITH-materialize-then-join shape: every fragment
-// is materialized with DISTINCT, then hash-joined.
-func (m *Model) JUCQ(j query.JUCQ) Estimate {
-	frags := make([]Estimate, len(j.Subs))
-	for i, sub := range j.Subs {
-		frags[i] = m.UCQ(sub)
-	}
-	return m.Join(frags)
-}
-
 // Join combines per-fragment estimates into the estimate of the cover
-// that joins them — the one place the cover-level arithmetic lives.
-// JUCQ, JUSCQ and the plan-tree Estimate all end here, so a cover costs
-// the same whether its fragments were estimated just now or recalled
-// from an earlier candidate of the same search. Each fragment pays its
-// own cost plus materialization; the join is linear in its inputs; the
-// output is the independence product capped by the smallest input.
+// that joins them — the one place the cover-level arithmetic lives, so
+// a cover costs the same whether its fragments were estimated just now
+// or recalled from an earlier candidate of the same search. Each
+// fragment pays its own cost plus materialization; the join is linear
+// in its inputs; the output is the independence product capped by the
+// smallest input.
 func (m *Model) Join(frags []Estimate) Estimate {
 	cost := 0.0
 	for _, fe := range frags {
@@ -203,92 +142,6 @@ func (m *Model) Join(frags []Estimate) Estimate {
 	return Estimate{Cost: cost, Card: card}
 }
 
-// SCQ estimates a factorized block query.
-func (m *Model) SCQ(s query.SCQ) Estimate {
-	n := len(s.Blocks)
-	used := make([]bool, n)
-	bound := map[string]bool{}
-	card, cost := 1.0, 0.0
-	mul := m.accessMul()
-	ent := maxf(float64(m.Stats.TotalEntities), 1)
-	for picked := 0; picked < n; picked++ {
-		best := -1
-		var bOut, bCost float64
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			var out, c float64
-			for _, a := range s.Blocks[i] {
-				o, cc := m.atomStep(a, bound, card, ent, mul)
-				out += o
-				c += cc
-			}
-			if best < 0 || out < bOut {
-				best, bOut, bCost = i, out, c
-			}
-		}
-		used[best] = true
-		for _, a := range s.Blocks[best] {
-			for _, t := range a.Args {
-				if t.IsVar() {
-					bound[t.Name] = true
-				}
-			}
-		}
-		card = bOut
-		cost += bCost
-	}
-	return Estimate{Cost: cost, Card: card}
-}
-
-// USCQ estimates a union of SCQs.
-func (m *Model) USCQ(u query.USCQ) Estimate {
-	var e Estimate
-	for _, s := range u.Disjuncts {
-		se := m.SCQ(s)
-		e.Cost += se.Cost
-		e.Card += se.Card
-	}
-	e.Cost += e.Card * m.C.Dedup
-	return e
-}
-
-// JUSCQ estimates the USCQ fragment join.
-func (m *Model) JUSCQ(j query.JUSCQ) Estimate {
-	frags := make([]Estimate, len(j.Subs))
-	for i, sub := range j.Subs {
-		frags[i] = m.USCQ(sub)
-	}
-	return m.Join(frags)
-}
-
-// Calibrate fits the model's time scale against the engine by running a
-// small probe workload and comparing measured wall time with estimated
-// cost, as the paper calibrates its Java cost model per RDBMS
-// (Section 6.1: "we calibrated the cost model for each of Postgres and
-// DB2, by empirically determining the values of a few constant
-// coefficients"). It returns the fitted cost-unit→seconds factor and
-// scales nothing in place: the factor only matters when comparing
-// against wall clocks, not for ranking covers.
-func (m *Model) Calibrate(db *engine.DB, prof *engine.Profile, probes []query.CQ) float64 {
-	if len(probes) == 0 {
-		return 0
-	}
-	var estSum, secSum float64
-	for _, q := range probes {
-		est := m.CQ(q)
-		start := time.Now()
-		engine.EvaluateCQ(q, db, prof)
-		secSum += time.Since(start).Seconds()
-		estSum += est.Cost
-	}
-	if estSum == 0 {
-		return 0
-	}
-	return secSum / estSum
-}
-
 func maxf(a, b float64) float64 {
 	if a > b {
 		return a
@@ -303,20 +156,19 @@ func minf(a, b float64) float64 {
 	return b
 }
 
-// Estimate scores a logical plan tree with the ε formulas — the same
-// figures the search obtains on JUCQs, reachable from any plan.Node. A
-// malformed tree costs +Inf (search treats it as "never pick this").
+// Estimate scores a logical plan tree with the ε formulas. A malformed
+// tree costs +Inf (search treats it as "never pick this").
 func (m *Model) Estimate(n *plan.Node) Estimate {
 	return m.EstimateShared(n, nil)
 }
 
 // EstimateShared is Estimate for the candidate covers of one search,
 // which are built over shared fragment subtrees: a cover-shaped tree is
-// taken apart, each fragment subtree is extracted into its dialect and
-// estimated once — frags remembers the result by subtree identity — and
-// the cover is the Join of its fragments' estimates. Any other tree is
-// a single UCQ or USCQ and is estimated directly. A nil frags remembers
-// nothing. The map must not outlive the statistics it was filled under.
+// taken apart, each fragment subtree is estimated once — frags
+// remembers the result by subtree identity — and the cover is the Join
+// of its fragments' estimates. Any other tree is a single fragment and
+// is estimated directly. A nil frags remembers nothing. The map must
+// not outlive the statistics it was filled under.
 func (m *Model) EstimateShared(n *plan.Node, frags map[*plan.Node]Estimate) Estimate {
 	subs := plan.CoverFragments(n)
 	if subs == nil {
@@ -336,18 +188,71 @@ func (m *Model) EstimateShared(n *plan.Node, frags map[*plan.Node]Estimate) Esti
 	return m.Join(ests)
 }
 
-// fragment estimates a tree that extracts into a single UCQ or USCQ: a
-// cover fragment, or a whole plan that is no cover.
+// fragment estimates a union of arms — a cover fragment, or a whole plan
+// that is no cover: the sum of the arms plus DISTINCT. Every arm is
+// estimated, no sampling, regardless of size. A tree of any other shape
+// (a cover nested inside a fragment among them) is not one the formulas
+// decompose and costs +Inf.
 func (m *Model) fragment(n *plan.Node) Estimate {
-	lo, err := plan.Extract(n)
-	switch {
-	case err != nil:
-	case lo.Kind == plan.KindUCQ:
-		return m.UCQ(lo.UCQ)
-	case lo.Kind == plan.KindUSCQ:
-		return m.USCQ(lo.USCQ)
+	arms, err := plan.Arms(n)
+	if err != nil {
+		return Estimate{Cost: math.Inf(1)}
 	}
-	// Malformed, or a cover nested inside a fragment: not a shape any
-	// lowering produces, and not one the formulas decompose.
-	return Estimate{Cost: math.Inf(1)}
+	var e Estimate
+	for _, arm := range arms {
+		ae, err := m.arm(arm)
+		if err != nil {
+			return Estimate{Cost: math.Inf(1)}
+		}
+		e.Cost += ae.Cost
+		e.Card += ae.Card
+	}
+	e.Cost += e.Card * m.C.Dedup
+	return e
+}
+
+// arm estimates one union arm: greedy smallest-output-first join order
+// over its access leaves (taken in Pos order, ties to the earlier),
+// independence across predicates, uniformity within attributes. A leaf
+// is a block of alternatives whose matches add up (a factorized SCQ
+// block); a plain CQ arm is a list of one-atom blocks.
+func (m *Model) arm(n *plan.Node) (Estimate, error) {
+	leaves, err := plan.ArmLeaves(n)
+	if err != nil {
+		return Estimate{}, err
+	}
+	used := make([]bool, len(leaves))
+	bound := map[string]bool{}
+	card, cost := 1.0, 0.0
+	mul := m.accessMul()
+	ent := maxf(float64(m.Stats.TotalEntities), 1)
+	for range leaves {
+		best := -1
+		var bOut, bCost float64
+		for i, acc := range leaves {
+			if used[i] {
+				continue
+			}
+			var out, c float64
+			for _, a := range acc.Atoms {
+				o, cc := m.atomStep(a, bound, card, ent, mul)
+				out += o
+				c += cc
+			}
+			if best < 0 || out < bOut {
+				best, bOut, bCost = i, out, c
+			}
+		}
+		used[best] = true
+		for _, a := range leaves[best].Atoms {
+			for _, t := range a.Args {
+				if t.IsVar() {
+					bound[t.Name] = true
+				}
+			}
+		}
+		card = bOut
+		cost += bCost
+	}
+	return Estimate{Cost: cost, Card: card}, nil
 }

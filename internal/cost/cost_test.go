@@ -45,9 +45,16 @@ func itoa(i int) string {
 	return string(buf[n:])
 }
 
+// ucqPlan lowers the union of the given CQs into a fragment tree.
+func ucqPlan(cqs ...query.CQ) *plan.Node {
+	return plan.FromUCQ(query.UCQ{Name: "q", Disjuncts: cqs})
+}
+
+func cqPlan(text string) *plan.Node { return ucqPlan(query.MustParseCQ(text)) }
+
 func TestCQCostPositive(t *testing.T) {
 	m := NewModel(buildDB(t, engine.LayoutSimple))
-	e := m.CQ(query.MustParseCQ("q(x) <- A(x), R(x, y)"))
+	e := m.Estimate(cqPlan("q(x) <- A(x), R(x, y)"))
 	if e.Cost <= 0 || e.Card <= 0 {
 		t.Fatalf("degenerate estimate: %+v", e)
 	}
@@ -56,9 +63,9 @@ func TestCQCostPositive(t *testing.T) {
 func TestCostMonotoneInUnionSize(t *testing.T) {
 	m := NewModel(buildDB(t, engine.LayoutSimple))
 	d := query.MustParseCQ("q(x) <- A(x), R(x, y)")
-	u5 := query.UCQ{Disjuncts: []query.CQ{d, d, d, d, d}}
-	u10 := query.UCQ{Disjuncts: append(append([]query.CQ{}, u5.Disjuncts...), u5.Disjuncts...)}
-	if m.UCQ(u10).Cost <= m.UCQ(u5).Cost {
+	u5 := []query.CQ{d, d, d, d, d}
+	u10 := append(append([]query.CQ{}, u5...), u5...)
+	if m.Estimate(ucqPlan(u10...)).Cost <= m.Estimate(ucqPlan(u5...)).Cost {
 		t.Error("UCQ cost must grow with the number of arms")
 	}
 }
@@ -66,9 +73,9 @@ func TestCostMonotoneInUnionSize(t *testing.T) {
 func TestIndexedAccessCheaperThanScan(t *testing.T) {
 	m := NewModel(buildDB(t, engine.LayoutSimple))
 	// A(x) ∧ R(x,y): after binding x via A, R is index-accessed.
-	withIndex := m.CQ(query.MustParseCQ("q(x) <- A(x), R(x, y)"))
+	withIndex := m.Estimate(cqPlan("q(x) <- A(x), R(x, y)"))
 	// The disconnected R(z,y) atom forces a full scan per binding.
-	scan := m.CQ(query.MustParseCQ("q(x) <- A(x), R(x, w), R(z, y)"))
+	scan := m.Estimate(cqPlan("q(x) <- A(x), R(x, w), R(z, y)"))
 	if withIndex.Cost >= scan.Cost {
 		t.Errorf("indexed plan (%.1f) should be cheaper than scan-heavy plan (%.1f)",
 			withIndex.Cost, scan.Cost)
@@ -76,10 +83,10 @@ func TestIndexedAccessCheaperThanScan(t *testing.T) {
 }
 
 func TestRDFLayoutMultiplier(t *testing.T) {
-	q := query.MustParseCQ("q(x, y) <- R(x, y)")
+	q := cqPlan("q(x, y) <- R(x, y)")
 	mS := NewModel(buildDB(t, engine.LayoutSimple))
 	mR := NewModel(buildDB(t, engine.LayoutRDF))
-	if mR.CQ(q).Cost <= mS.CQ(q).Cost {
+	if mR.Estimate(q).Cost <= mS.Estimate(q).Cost {
 		t.Error("RDF layout access must be estimated costlier")
 	}
 }
@@ -89,7 +96,7 @@ func TestJUCQCostIncludesMaterialization(t *testing.T) {
 	u := query.UCQ{Disjuncts: []query.CQ{query.MustParseCQ("f(x) <- A(x)")}}
 	j1 := query.JUCQ{Head: []query.Term{query.Var("x")}, Subs: []query.UCQ{u}}
 	j2 := query.JUCQ{Head: []query.Term{query.Var("x")}, Subs: []query.UCQ{u, u}}
-	if m.JUCQ(j2).Cost <= m.JUCQ(j1).Cost {
+	if m.Estimate(plan.FromJUCQ(j2)).Cost <= m.Estimate(plan.FromJUCQ(j1)).Cost {
 		t.Error("extra fragments must add materialization cost")
 	}
 }
@@ -104,8 +111,12 @@ func TestSCQCheaperThanExpansion(t *testing.T) {
 				query.RoleAtom("S", query.Var("x"), query.Var("y"))},
 		},
 	}
-	factored := m.SCQ(s)
-	expanded := m.UCQ(s.Expand())
+	// The one arm alone (no DISTINCT) against the whole expanded union.
+	factored, err := m.arm(plan.FromSCQ(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	expanded := m.Estimate(plan.FromUCQ(s.Expand()))
 	if factored.Cost > expanded.Cost {
 		t.Errorf("factorized evaluation (%.1f) should not exceed expansion (%.1f)",
 			factored.Cost, expanded.Cost)
@@ -118,35 +129,20 @@ func TestUSCQAndJUSCQ(t *testing.T) {
 		Head:   []query.Term{query.Var("x")},
 		Blocks: [][]query.Atom{{query.ConceptAtom("A", query.Var("x"))}},
 	}
+	one := m.Estimate(plan.FromUSCQ(query.USCQ{Disjuncts: []query.SCQ{s}}))
 	u := query.USCQ{Disjuncts: []query.SCQ{s, s}}
-	if m.USCQ(u).Cost <= m.SCQ(s).Cost {
+	if m.Estimate(plan.FromUSCQ(u)).Cost <= one.Cost {
 		t.Error("USCQ cost must exceed a single SCQ's")
 	}
-	j := query.JUSCQ{Head: []query.Term{query.Var("x")}, Subs: []query.USCQ{u}}
-	if m.JUSCQ(j).Cost <= m.USCQ(u).Cost {
+	j := query.JUSCQ{Head: []query.Term{query.Var("x")}, Subs: []query.USCQ{u, u}}
+	if m.Estimate(plan.FromJUSCQ(j)).Cost <= m.Estimate(plan.FromUSCQ(u)).Cost {
 		t.Error("JUSCQ adds materialization on top of the USCQ")
-	}
-}
-
-func TestCalibrateReturnsScale(t *testing.T) {
-	db := buildDB(t, engine.LayoutSimple)
-	m := NewModel(db)
-	probes := []query.CQ{
-		query.MustParseCQ("q(x) <- A(x), R(x, y)"),
-		query.MustParseCQ("q(x, y) <- R(x, y)"),
-	}
-	scale := m.Calibrate(db, engine.ProfilePostgres(), probes)
-	if scale <= 0 {
-		t.Errorf("calibration scale = %v, want > 0", scale)
-	}
-	if m.Calibrate(db, engine.ProfilePostgres(), nil) != 0 {
-		t.Error("no probes → zero scale")
 	}
 }
 
 func TestEmptyTablesZeroCard(t *testing.T) {
 	m := NewModel(buildDB(t, engine.LayoutSimple))
-	e := m.CQ(query.MustParseCQ("q(x) <- Missing(x)"))
+	e := m.Estimate(cqPlan("q(x) <- Missing(x)"))
 	if e.Card != 0 {
 		t.Errorf("unknown table must estimate zero rows, got %v", e.Card)
 	}
@@ -154,7 +150,10 @@ func TestEmptyTablesZeroCard(t *testing.T) {
 
 // TestEstimateSharedMatchesFormulas: scoring a cover's plan tree
 // fragment by fragment — recalling fragment figures from the shared map
-// on later trees — gives exactly the dialect formulas' figures.
+// on later trees — gives exactly the figures of the cover estimated
+// whole, which are the Join of its fragments' own estimates; a plain CQ
+// arm costs, bit for bit, what the same arm costs as all-singleton
+// factorized blocks.
 func TestEstimateSharedMatchesFormulas(t *testing.T) {
 	m := NewModel(buildDB(t, engine.LayoutSimple))
 	x := query.Var("x")
@@ -170,30 +169,78 @@ func TestEstimateSharedMatchesFormulas(t *testing.T) {
 	shared := map[*plan.Node]Estimate{}
 	for _, subs := range [][]query.UCQ{{f1, f2}, {f1, f3}, {f3, f2, f1}, {f2}} {
 		j := query.JUCQ{Name: "j", Head: []query.Term{x}, Subs: subs}
-		want := m.JUCQ(j)
-		if len(subs) == 1 {
-			want = m.UCQ(subs[0]) // a single fragment is a plain UCQ plan
-		}
 		frags := make([]*plan.Node, len(subs))
+		ests := make([]Estimate, len(subs))
 		for i, u := range subs {
 			frags[i] = tree[u.Name]
+			ests[i] = m.Estimate(plan.FromUCQ(u))
+		}
+		want := m.Join(ests)
+		if len(subs) == 1 {
+			want = ests[0] // a single fragment is a plain UCQ plan
 		}
 		n := plan.Cover(j.Name, j.Head, frags)
 		if got := m.EstimateShared(n, shared); got != want {
-			t.Errorf("%d fragments: shared estimate %+v, formulas %+v", len(subs), got, want)
+			t.Errorf("%d fragments: shared estimate %+v, fragment join %+v", len(subs), got, want)
 		}
 		if got := m.Estimate(plan.FromJUCQ(j)); got != want {
-			t.Errorf("%d fragments: estimate %+v, formulas %+v", len(subs), got, want)
+			t.Errorf("%d fragments: estimate %+v, fragment join %+v", len(subs), got, want)
 		}
 	}
 	if len(shared) != 3 {
 		t.Errorf("shared map holds %d fragment estimates, want 3", len(shared))
 	}
-	js := query.JUSCQ{Name: "j", Head: []query.Term{x}, Subs: []query.USCQ{query.FactorizeUCQ(f1), query.FactorizeUCQ(f3)}}
-	if got, want := m.Estimate(plan.FromJUSCQ(js)), m.JUSCQ(js); got != want {
-		t.Errorf("juscq: estimate %+v, formulas %+v", got, want)
+	for _, u := range []query.UCQ{f1, f2, f3} {
+		var blocks query.USCQ
+		for _, d := range u.Disjuncts {
+			s := query.SCQ{Name: d.Name, Head: d.Head}
+			for _, a := range d.Atoms {
+				s.Blocks = append(s.Blocks, []query.Atom{a})
+			}
+			blocks.Disjuncts = append(blocks.Disjuncts, s)
+		}
+		if got, want := m.Estimate(plan.FromUSCQ(blocks)), m.Estimate(plan.FromUCQ(u)); got != want {
+			t.Errorf("%s: singleton-block estimate %+v, CQ estimate %+v", u.Name, got, want)
+		}
 	}
-	if est := m.Estimate(&plan.Node{Op: plan.OpJoin}); !math.IsInf(est.Cost, 1) {
-		t.Errorf("malformed tree estimates to %+v, want +Inf cost", est)
+	js := query.JUSCQ{Name: "j", Head: []query.Term{x}, Subs: []query.USCQ{query.FactorizeUCQ(f1), query.FactorizeUCQ(f3)}}
+	want := m.Join([]Estimate{m.Estimate(plan.FromUSCQ(js.Subs[0])), m.Estimate(plan.FromUSCQ(js.Subs[1]))})
+	if got := m.Estimate(plan.FromJUSCQ(js)); got != want {
+		t.Errorf("juscq: estimate %+v, fragment join %+v", got, want)
+	}
+}
+
+// TestMalformedTreeCostsInf: every tree shape the formulas cannot take
+// apart costs +Inf rather than a figure for some other query.
+func TestMalformedTreeCostsInf(t *testing.T) {
+	m := NewModel(buildDB(t, engine.LayoutSimple))
+	a := query.ConceptAtom("A", query.Var("x"))
+	r := query.RoleAtom("R", query.Var("x"), query.Var("y"))
+	access := func(atoms ...query.Atom) *plan.Node { return &plan.Node{Op: plan.OpAccess, Atoms: atoms} }
+	project := func(factorized bool, body *plan.Node) *plan.Node {
+		return &plan.Node{Op: plan.OpProject, Head: []query.Term{query.Var("x")}, Factorized: factorized, Inputs: []*plan.Node{body}}
+	}
+	distinct := func(in *plan.Node) *plan.Node { return &plan.Node{Op: plan.OpDistinct, Inputs: []*plan.Node{in}} }
+	union := func(arms ...*plan.Node) *plan.Node { return &plan.Node{Op: plan.OpUnion, Inputs: arms} }
+	cover := plan.FromJUCQ(query.JUCQ{Name: "j", Head: []query.Term{query.Var("x")}, Subs: []query.UCQ{
+		{Disjuncts: []query.CQ{query.MustParseCQ("f(x) <- A(x)")}},
+		{Disjuncts: []query.CQ{query.MustParseCQ("f(x) <- R(x, y)")}},
+	}})
+	for name, n := range map[string]*plan.Node{
+		"bare join":                 {Op: plan.OpJoin},
+		"non-project arm":           distinct(union(project(false, access(a)), access(a))),
+		"multi-atom non-factorized": distinct(union(project(false, access(a, r)))),
+		"collapsed multi-atom arm":  distinct(project(false, access(a, r))),
+		"empty factorized block":    distinct(project(true, access())),
+		"cover nested in fragment": plan.Cover("j", []query.Term{query.Var("x")},
+			[]*plan.Node{cover, cqPlan("f(x) <- A(x)")}),
+	} {
+		if est := m.Estimate(n); !math.IsInf(est.Cost, 1) {
+			t.Errorf("%s: estimates to %+v, want +Inf cost", name, est)
+		}
+	}
+	// The same shapes, well formed, cost a finite figure.
+	if est := m.Estimate(distinct(union(project(true, access(a, a))))); math.IsInf(est.Cost, 1) {
+		t.Errorf("factorized block estimates to %+v, want a finite cost", est)
 	}
 }

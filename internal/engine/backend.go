@@ -227,18 +227,17 @@ type fragmentPlan struct {
 }
 
 func (c *compiler) fragment(n *plan.Node) (*fragmentPlan, error) {
+	arms, err := plan.Arms(n)
+	if err != nil {
+		return nil, err
+	}
 	f := &fragmentPlan{distinct: n}
-	arms := n.Inputs
-	switch in := n.Inputs[0]; in.Op {
-	case plan.OpUnion:
-		f.union, arms = in, in.Inputs
-	case plan.OpProject:
-	default:
-		return nil, fmt.Errorf("plan: distinct input must be union or project, got %s", in.Op)
+	if in := n.Inputs[0]; in.Op == plan.OpUnion {
+		f.union = in
 	}
 	f.arms = make([]armPlan, len(arms))
 	factorized := false
-	for i, arm := range arms { // projections: Validate checked union arms
+	for i, arm := range arms {
 		if err := c.arm(arm, &f.arms[i]); err != nil {
 			return nil, err
 		}
@@ -289,7 +288,11 @@ type armPlan struct {
 }
 
 func (c *compiler) arm(n *plan.Node, a *armPlan) error {
-	a.n, a.leaves = n, plan.AccessLeaves(n.Inputs[0])
+	leaves, err := plan.ArmLeaves(n)
+	if err != nil {
+		return err
+	}
+	a.n, a.leaves = n, leaves
 	db, prof := c.b.DB, c.b.Profile
 	if n.Factorized {
 		s := query.SCQ{Name: n.Name, Head: n.Head, Blocks: make([][]query.Atom, len(a.leaves))}
@@ -301,9 +304,6 @@ func (c *compiler) arm(n *plan.Node, a *armPlan) error {
 	} else {
 		q := query.CQ{Name: n.Name, Head: n.Head, Atoms: make([]query.Atom, len(a.leaves))}
 		for i, acc := range a.leaves {
-			if len(acc.Atoms) != 1 {
-				return fmt.Errorf("plan: non-factorized arm has a %d-atom access block", len(acc.Atoms))
-			}
 			q.Atoms[i] = acc.Atoms[0]
 		}
 		p := PlanCQ(q, db, prof)

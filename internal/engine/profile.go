@@ -27,8 +27,8 @@ type Profile struct {
 	SampleThreshold int
 	SampleSize      int
 
-	// Cost-model constants (cost units per tuple). Fitted per engine by
-	// internal/cost.Calibrate; defaults are sensible out of the box.
+	// Cost-model constants (cost units per tuple), set per engine
+	// profile.
 	CScanTuple float64 // sequential scan, per tuple
 	CProbe     float64 // index probe, per input row
 	CEmit      float64 // per produced row

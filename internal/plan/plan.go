@@ -16,8 +16,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/query"
@@ -48,7 +49,7 @@ const (
 	// the operator above runs partition-local in a sharded execution
 	// (the shuffle of classic distributed query processing). On a
 	// single-node backend it is the identity — rows pass through
-	// unchanged — so Extract sees straight through it.
+	// unchanged — so CoverFragments sees straight through it.
 	OpExchange
 )
 
@@ -83,8 +84,8 @@ type Node struct {
 	// unioned per input row.
 	Atoms []query.Atom
 	// Pos is the atom (or SCQ block) index in the originating query
-	// body (OpAccess only); extraction reassembles bodies in Pos order
-	// so lowering then extracting is the identity on the query.
+	// body (OpAccess only); consumers read an arm's body in Pos order
+	// (ArmLeaves), so the semijoin split never reorders it.
 	Pos int
 
 	// Head is the projected query head (OpProject only).
@@ -143,7 +144,7 @@ func FromCQ(q query.CQ) *Node {
 // other variable bound by the remaining core, and a shared variable
 // keeping it connected. Such an atom only restricts core rows — it can
 // never extend the output. The classification is presentation-only —
-// extraction merges reducers back in Pos order — but it is what lets
+// ArmLeaves reads reducers back in Pos order — but it is what lets
 // EXPLAIN show the f‖g shape of safe covers.
 //
 // Atoms are tried last to first, each against the core as it stands.
@@ -315,92 +316,17 @@ func CoverFragments(n *Node) []*Node {
 	return frags
 }
 
-// Kind identifies which dialect a plan tree extracts back into.
-type Kind int
-
-// The extractable dialects.
-const (
-	KindUCQ Kind = iota
-	KindUSCQ
-	KindJUCQ
-	KindJUSCQ
-)
-
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindUCQ:
-		return "ucq"
-	case KindUSCQ:
-		return "uscq"
-	case KindJUCQ:
-		return "jucq"
-	case KindJUSCQ:
-		return "juscq"
-	}
-	return fmt.Sprintf("kind(%d)", int(k))
-}
-
-// Lowered is a plan tree extracted back into dialect form — the shape
-// backends plan and execute. Exactly the field selected by Kind is
-// meaningful.
-type Lowered struct {
-	Kind  Kind
-	UCQ   query.UCQ
-	USCQ  query.USCQ
-	JUCQ  query.JUCQ
-	JUSCQ query.JUSCQ
-}
-
-// Extract recovers the dialect query from a plan tree produced by the
-// From* lowerings (or any tree of the same shape). Bodies reassemble
-// in Pos order, so Extract(FromX(q)) returns q unchanged. Malformed
-// trees return an error rather than panicking — backends surface it
-// from Compile.
-func Extract(n *Node) (Lowered, error) {
-	if n == nil {
-		return Lowered{}, fmt.Errorf("plan: nil node")
-	}
-	if n.Op != OpDistinct || len(n.Inputs) != 1 {
-		return Lowered{}, fmt.Errorf("plan: root must be distinct over one input, got %s/%d", n.Op, len(n.Inputs))
-	}
-	switch child := n.Inputs[0]; child.Op {
-	case OpUnion:
-		return extractUnion(n.Name, child)
-	case OpProject:
-		if isCoverShape(child) {
-			return extractCover(child)
-		}
-		// Distinct directly over an arm projection: the collapsed
-		// single-arm-union shape the Rewrite pass produces.
-		return extractSingleArm(n.Name, child)
-	default:
-		return Lowered{}, fmt.Errorf("plan: distinct input must be union or project, got %s", child.Op)
-	}
-}
-
 // isCoverShape distinguishes a cover projection (wrapping the join of
 // fragment subtrees, each a Distinct root, possibly behind an Exchange)
 // from a plain arm projection whose union was collapsed away — the only
 // two Projects a Distinct root can wrap.
 func isCoverShape(p *Node) bool {
-	if len(p.Inputs) != 1 || p.Inputs[0].Op != OpJoin {
-		return false
-	}
-	join := p.Inputs[0]
-	if len(join.Inputs) == 0 {
-		return false
-	}
-	for _, in := range join.Inputs {
-		if unwrapExchange(in).Op != OpDistinct {
-			return false
-		}
-	}
-	return true
+	return len(p.Inputs) == 1 && p.Inputs[0].Op == OpJoin &&
+		len(p.Inputs[0].Inputs) > 0 && isCoverJoin(p.Inputs[0])
 }
 
-// unwrapExchange steps over an OpExchange wrapper: for extraction and
-// cover-shape checks an exchange is the identity on its input.
+// unwrapExchange steps over an OpExchange wrapper: for cover-shape
+// checks an exchange is the identity on its input.
 func unwrapExchange(n *Node) *Node {
 	if n != nil && n.Op == OpExchange && len(n.Inputs) == 1 {
 		return n.Inputs[0]
@@ -408,167 +334,69 @@ func unwrapExchange(n *Node) *Node {
 	return n
 }
 
-// extractSingleArm turns Distinct(Project(body)) into the
-// one-disjunct UCQ or USCQ it stands for.
-func extractSingleArm(name string, arm *Node) (Lowered, error) {
-	if arm.Factorized {
-		s, err := extractSCQ(arm)
-		if err != nil {
-			return Lowered{}, err
-		}
-		return Lowered{Kind: KindUSCQ, USCQ: query.USCQ{Name: name, Disjuncts: []query.SCQ{s}}}, nil
+// Arms takes a fragment apart: the arm projections of Distinct(Union(
+// arms)), or the one arm of Distinct(Project(body)) where Rewrite
+// collapsed a single-arm union. Every arm is a Project over one body,
+// whose access leaves (ArmLeaves) are the arm's atoms, or its SCQ
+// blocks when Factorized. Any other shape — a cover among them — is an
+// error. This is the one place the fragment shape is decided for every
+// consumer: the native compiler, the ε model, the SQL renderer and the
+// shard alignment.
+func Arms(frag *Node) ([]*Node, error) {
+	if frag == nil || frag.Op != OpDistinct || len(frag.Inputs) != 1 {
+		return nil, fmt.Errorf("plan: fragment must be distinct over one input")
 	}
-	cq, err := extractCQ(arm)
-	if err != nil {
-		return Lowered{}, err
+	arms := frag.Inputs
+	switch in := frag.Inputs[0]; {
+	case in.Op == OpUnion:
+		arms = in.Inputs
+	case in.Op != OpProject:
+		return nil, fmt.Errorf("plan: distinct input must be union or project, got %s", in.Op)
+	case isCoverShape(in):
+		return nil, fmt.Errorf("plan: fragment is a cover, want a union of arms")
 	}
-	return Lowered{Kind: KindUCQ, UCQ: query.UCQ{Name: name, Disjuncts: []query.CQ{cq}}}, nil
-}
-
-// extractUnion turns Distinct(Union(arms)) into a UCQ or USCQ.
-func extractUnion(name string, u *Node) (Lowered, error) {
-	arms := u.Inputs
-	factorized := false
 	for _, arm := range arms {
-		if arm.Op != OpProject {
-			return Lowered{}, fmt.Errorf("plan: union arm must be a projection, got %s", arm.Op)
-		}
-		if arm.Factorized {
-			factorized = true
+		if arm.Op != OpProject || len(arm.Inputs) != 1 {
+			return nil, fmt.Errorf("plan: union arm must be a projection over one input, got %s", arm.Op)
 		}
 	}
-	if factorized {
-		out := query.USCQ{Name: name}
-		for _, arm := range arms {
-			s, err := extractSCQ(arm)
-			if err != nil {
-				return Lowered{}, err
-			}
-			out.Disjuncts = append(out.Disjuncts, s)
-		}
-		return Lowered{Kind: KindUSCQ, USCQ: out}, nil
-	}
-	out := query.UCQ{Name: name}
-	for _, arm := range arms {
-		cq, err := extractCQ(arm)
-		if err != nil {
-			return Lowered{}, err
-		}
-		out.Disjuncts = append(out.Disjuncts, cq)
-	}
-	return Lowered{Kind: KindUCQ, UCQ: out}, nil
+	return arms, nil
 }
 
-// extractCover turns Distinct(Project(Join(frag...))) into a JUCQ or
-// JUSCQ. Mixed fragment dialects promote to JUSCQ, plain CQ disjuncts
-// becoming all-singleton-block SCQs (semantically identical).
-func extractCover(p *Node) (Lowered, error) {
-	if len(p.Inputs) != 1 || p.Inputs[0].Op != OpJoin {
-		return Lowered{}, fmt.Errorf("plan: cover projection must wrap a join")
+// ArmLeaves returns the access leaves of one of Arms' projections in
+// Pos order — the arm's body as written: one atom per leaf, or one SCQ
+// block per leaf when the arm is Factorized.
+func ArmLeaves(arm *Node) ([]*Node, error) {
+	leaves := accessLeaves(arm.Inputs[0])
+	if len(leaves) == 0 {
+		return nil, fmt.Errorf("plan: arm has no accesses")
 	}
-	join := p.Inputs[0]
-	if len(join.Inputs) == 0 {
-		return Lowered{}, fmt.Errorf("plan: cover join has no fragments")
-	}
-	subs := make([]Lowered, len(join.Inputs))
-	anySCQ := false
-	for i, frag := range join.Inputs {
-		lo, err := Extract(unwrapExchange(frag))
-		if err != nil {
-			return Lowered{}, fmt.Errorf("plan: fragment %d: %w", i, err)
+	for _, acc := range leaves {
+		switch {
+		case len(acc.Atoms) == 0:
+			return nil, fmt.Errorf("plan: empty access block")
+		case !arm.Factorized && len(acc.Atoms) != 1:
+			return nil, fmt.Errorf("plan: non-factorized arm has a %d-atom access block", len(acc.Atoms))
 		}
-		if lo.Kind != KindUCQ && lo.Kind != KindUSCQ {
-			return Lowered{}, fmt.Errorf("plan: fragment %d extracts to %s, want ucq or uscq", i, lo.Kind)
-		}
-		if lo.Kind == KindUSCQ {
-			anySCQ = true
-		}
-		subs[i] = lo
 	}
-	if anySCQ {
-		out := query.JUSCQ{Name: p.Name, Head: p.Head}
-		for _, lo := range subs {
-			if lo.Kind == KindUSCQ {
-				out.Subs = append(out.Subs, lo.USCQ)
-				continue
-			}
-			out.Subs = append(out.Subs, ucqToUSCQ(lo.UCQ))
-		}
-		return Lowered{Kind: KindJUSCQ, JUSCQ: out}, nil
-	}
-	out := query.JUCQ{Name: p.Name, Head: p.Head}
-	for _, lo := range subs {
-		out.Subs = append(out.Subs, lo.UCQ)
-	}
-	return Lowered{Kind: KindJUCQ, JUCQ: out}, nil
+	return leaves, nil
 }
 
-// ucqToUSCQ converts each disjunct to the SCQ with one singleton block
-// per atom — the same query, in factorized clothing.
-func ucqToUSCQ(u query.UCQ) query.USCQ {
-	out := query.USCQ{Name: u.Name}
-	for _, d := range u.Disjuncts {
-		s := query.SCQ{Name: d.Name, Head: d.Head}
-		for _, a := range d.Atoms {
-			s.Blocks = append(s.Blocks, []query.Atom{a})
-		}
-		out.Disjuncts = append(out.Disjuncts, s)
-	}
+// accessLeaves collects the OpAccess descendants of n, sorted by Pos.
+func accessLeaves(n *Node) []*Node {
+	out := appendAccess(nil, n)
+	slices.SortStableFunc(out, func(a, b *Node) int { return cmp.Compare(a.Pos, b.Pos) })
 	return out
 }
 
-// AccessLeaves collects the OpAccess descendants of n, sorted by Pos.
-func AccessLeaves(n *Node) []*Node {
-	var out []*Node
-	var walk func(*Node)
-	walk = func(m *Node) {
-		if m.Op == OpAccess {
-			out = append(out, m)
-			return
-		}
-		for _, in := range m.Inputs {
-			walk(in)
-		}
+func appendAccess(out []*Node, n *Node) []*Node {
+	if n.Op == OpAccess {
+		return append(out, n)
 	}
-	walk(n)
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Pos < out[b].Pos })
+	for _, in := range n.Inputs {
+		out = appendAccess(out, in)
+	}
 	return out
-}
-
-// extractCQ reassembles the CQ of a non-factorized arm projection.
-func extractCQ(arm *Node) (query.CQ, error) {
-	if len(arm.Inputs) != 1 {
-		return query.CQ{}, fmt.Errorf("plan: arm projection must have one input")
-	}
-	q := query.CQ{Name: arm.Name, Head: arm.Head}
-	for _, acc := range AccessLeaves(arm.Inputs[0]) {
-		if len(acc.Atoms) != 1 {
-			return query.CQ{}, fmt.Errorf("plan: non-factorized arm has a %d-atom access block", len(acc.Atoms))
-		}
-		q.Atoms = append(q.Atoms, acc.Atoms[0])
-	}
-	if len(q.Atoms) == 0 {
-		return query.CQ{}, fmt.Errorf("plan: arm has no accesses")
-	}
-	return q, nil
-}
-
-// extractSCQ reassembles the SCQ of a factorized arm projection.
-func extractSCQ(arm *Node) (query.SCQ, error) {
-	if len(arm.Inputs) != 1 {
-		return query.SCQ{}, fmt.Errorf("plan: arm projection must have one input")
-	}
-	s := query.SCQ{Name: arm.Name, Head: arm.Head}
-	for _, acc := range AccessLeaves(arm.Inputs[0]) {
-		if len(acc.Atoms) == 0 {
-			return query.SCQ{}, fmt.Errorf("plan: empty access block")
-		}
-		s.Blocks = append(s.Blocks, acc.Atoms)
-	}
-	if len(s.Blocks) == 0 {
-		return query.SCQ{}, fmt.Errorf("plan: arm has no accesses")
-	}
-	return s, nil
 }
 
 // String renders the tree compactly (single line, diagnostics).

@@ -2,8 +2,9 @@ package plan
 
 // Backend-neutral rewrite rules over the logical IR. Rewrites run before
 // lowering (core.Answerer applies them uniformly, so every backend
-// compiles the simplified tree) and preserve Extract semantics: the
-// dialect query recovered from a rewritten tree is the same query.
+// compiles the simplified tree) and preserve the query the tree stands
+// for: every arm keeps its head and its access leaves (the tests'
+// Extract oracle checks it).
 
 // Rewrite applies the simplification rules bottom-up until none fires:
 //

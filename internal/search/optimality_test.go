@@ -7,6 +7,7 @@ import (
 	"repro/internal/cover"
 	"repro/internal/dllite"
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/reformulate"
 )
@@ -27,7 +28,7 @@ func TestEDLIsExhaustiveOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := est.EstimateJUCQ(j); best < 0 || v < best {
+		if v := est.Estimate(plan.FromJUCQ(j)); best < 0 || v < best {
 			best = v
 		}
 		return true

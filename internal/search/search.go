@@ -58,12 +58,6 @@ func (e *RDBMSEstimator) Estimate(n *plan.Node) float64 {
 	return e.backend.EstimateShared(n, &e.memo).Cost
 }
 
-// EstimateJUCQ scores a JUCQ by lowering it (compatibility shim for
-// callers that have not built a plan tree).
-func (e *RDBMSEstimator) EstimateJUCQ(j query.JUCQ) float64 {
-	return e.Estimate(plan.FromJUCQ(j))
-}
-
 // BackendEstimator scores plans through an execution backend's own
 // Estimate — GDL over the sql or shard backend then optimizes the
 // plan as that backend will run it (a sharded Estimate sums per-shard
@@ -98,12 +92,6 @@ func (e *ExtEstimator) Estimate(n *plan.Node) float64 {
 		e.frags = make(map[*plan.Node]plan.Estimate)
 	}
 	return e.Model.EstimateShared(n, e.frags).Cost
-}
-
-// EstimateJUCQ scores a JUCQ by lowering it (compatibility shim for
-// callers that have not built a plan tree).
-func (e *ExtEstimator) EstimateJUCQ(j query.JUCQ) float64 {
-	return e.Estimate(plan.FromJUCQ(j))
 }
 
 // Result is the outcome of a cover search.

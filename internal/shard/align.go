@@ -29,7 +29,7 @@ import (
 // fragment, it must appear in the head of each of them, otherwise two
 // fragments could match different v values inside one shard.
 
-// occurrence is one use of a relation in the extracted query.
+// occurrence is one use of a relation in the plan.
 type occurrence struct {
 	pred  string
 	first query.Term
@@ -92,83 +92,65 @@ func relSetKey(rels map[string]bool) string {
 	return strings.Join(parts, "\x00")
 }
 
-// collect gathers every atom occurrence of the extracted query and one
-// fragment summary per joined subquery (a single-fragment dialect
-// yields one summary; the cross-fragment condition is then vacuous).
-func collect(lo plan.Lowered) (occs []occurrence, frags []fragment) {
-	newFrag := func(head []query.Term) *fragment {
-		f := &fragment{vars: map[string]bool{}, head: map[string]bool{}}
-		for _, t := range head {
-			if t.IsVar() {
-				f.head[t.Name] = true
-				f.vars[t.Name] = true
-			}
-		}
-		return f
+// collect gathers every atom occurrence of the plan and one fragment
+// summary per joined fragment (a plan that is no cover is one fragment;
+// the cross-fragment condition is then vacuous). A fragment's head is
+// its first arm's.
+func collect(n *plan.Node) (occs []occurrence, frags []fragment, err error) {
+	subs := plan.CoverFragments(n)
+	if subs == nil {
+		subs = []*plan.Node{n}
 	}
-	addAtom := func(f *fragment, a query.Atom) {
-		if len(a.Args) > 0 {
-			o := occurrence{a.Pred, a.Args[0]}
-			occs = append(occs, o)
-			f.occs = append(f.occs, o)
+	for _, sub := range subs {
+		arms, err := plan.Arms(sub)
+		if err != nil {
+			return nil, nil, err
 		}
-		for _, t := range a.Args {
-			if t.IsVar() {
-				f.vars[t.Name] = true
-			}
-		}
-	}
-	addUCQ := func(u query.UCQ) {
-		f := newFrag(u.Head())
-		for _, d := range u.Disjuncts {
-			for _, a := range d.Atoms {
-				addAtom(f, a)
-			}
-		}
-		frags = append(frags, *f)
-	}
-	addUSCQ := func(u query.USCQ) {
-		var head []query.Term
-		if len(u.Disjuncts) > 0 {
-			head = u.Disjuncts[0].Head
-		}
-		f := newFrag(head)
-		for _, s := range u.Disjuncts {
-			for _, b := range s.Blocks {
-				for _, a := range b {
-					addAtom(f, a)
+		f := fragment{vars: map[string]bool{}, head: map[string]bool{}}
+		if len(arms) > 0 {
+			for _, t := range arms[0].Head {
+				if t.IsVar() {
+					f.head[t.Name] = true
+					f.vars[t.Name] = true
 				}
 			}
 		}
-		frags = append(frags, *f)
-	}
-	switch lo.Kind {
-	case plan.KindUCQ:
-		addUCQ(lo.UCQ)
-	case plan.KindUSCQ:
-		addUSCQ(lo.USCQ)
-	case plan.KindJUCQ:
-		for _, u := range lo.JUCQ.Subs {
-			addUCQ(u)
+		for _, arm := range arms {
+			leaves, err := plan.ArmLeaves(arm)
+			if err != nil {
+				return nil, nil, err
+			}
+			for _, acc := range leaves {
+				for _, a := range acc.Atoms {
+					if len(a.Args) > 0 {
+						o := occurrence{a.Pred, a.Args[0]}
+						occs = append(occs, o)
+						f.occs = append(f.occs, o)
+					}
+					for _, t := range a.Args {
+						if t.IsVar() {
+							f.vars[t.Name] = true
+						}
+					}
+				}
+			}
 		}
-	case plan.KindJUSCQ:
-		for _, u := range lo.JUSCQ.Subs {
-			addUSCQ(u)
-		}
+		frags = append(frags, f)
 	}
-	return occs, frags
+	return occs, frags, nil
 }
 
-// analyze picks the partition variable and relation split for one
-// extracted plan. Among the valid candidates it prefers the one whose
-// shard-local relations carry the most rows (statistics from the base
-// database), so the biggest scans are the ones that shrink N-fold;
+// analyze picks the partition variable and relation split for one plan
+// (an error when the plan is neither a cover nor a fragment). Among the
+// valid candidates it prefers the one whose shard-local relations carry
+// the most rows (statistics from the base database), so the biggest
+// scans are the ones that shrink N-fold;
 // ties break on relation count, then variable name, keeping the choice
 // deterministic.
-func analyze(lo plan.Lowered, st *engine.Statistics) analysis {
-	occs, frags := collect(lo)
-	if len(occs) == 0 {
-		return analysis{}
+func analyze(n *plan.Node, st *engine.Statistics) (analysis, error) {
+	occs, frags, err := collect(n)
+	if err != nil || len(occs) == 0 {
+		return analysis{}, err
 	}
 	// Candidate partition variables: anything bound in first position.
 	candidates := map[string]bool{}
@@ -230,7 +212,7 @@ func analyze(lo plan.Lowered, st *engine.Statistics) analysis {
 		}
 	}
 	if !best.aligned() {
-		return best
+		return best, nil
 	}
 	seen := map[string]bool{}
 	for _, o := range occs {
@@ -240,7 +222,7 @@ func analyze(lo plan.Lowered, st *engine.Statistics) analysis {
 		}
 	}
 	sort.Strings(best.broadcast)
-	return best
+	return best, nil
 }
 
 // Exchange analysis: when the co-partitioned analysis above would
@@ -325,13 +307,14 @@ func (e *exchange) describe(n int) string {
 // genuinely needs the shuffle (all-local is the co-partitioned case,
 // handled without an exchange); among valid keys the analysis prefers
 // fewer broadcast fragments, then more shard-local rows, then the
-// lexicographically first variable — deterministic like analyze.
-func analyzeExchange(lo plan.Lowered, st *engine.Statistics, nsh int) *exchange {
+// lexicographically first variable — deterministic like analyze. A
+// plan collect rejects has no exchange.
+func analyzeExchange(n *plan.Node, st *engine.Statistics, nsh int) *exchange {
 	if nsh < 2 {
 		return nil
 	}
-	_, frags := collect(lo)
-	if len(frags) < 2 {
+	_, frags, err := collect(n)
+	if err != nil || len(frags) < 2 {
 		return nil
 	}
 	shared := map[string]int{}

@@ -38,11 +38,8 @@ func skewABox() string {
 func TestAnalyzeExchange(t *testing.T) {
 	db := loadDB(t, testABox)
 	st := db.Stats()
-	lo, err := plan.Extract(shuffleCover())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := analyzeExchange(lo, st, 3)
+	cover := shuffleCover()
+	ex := analyzeExchange(cover, st, 3)
 	if ex == nil || ex.key != "y" {
 		t.Fatalf("exchange = %+v", ex)
 	}
@@ -62,39 +59,28 @@ func TestAnalyzeExchange(t *testing.T) {
 	}
 
 	// Below two shards there is nothing to repartition.
-	if ex := analyzeExchange(lo, st, 1); ex != nil {
+	if ex := analyzeExchange(cover, st, 1); ex != nil {
 		t.Fatalf("single shard must not exchange, got %+v", ex)
 	}
 	// A single fragment has no cover join to repartition for.
-	slo, err := plan.Extract(plan.FromUCQ(ucq("q(x, y) <- worksFor(x, y)")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex := analyzeExchange(slo, st, 3); ex != nil {
+	if ex := analyzeExchange(plan.FromUCQ(ucq("q(x, y) <- worksFor(x, y)")), st, 3); ex != nil {
 		t.Fatalf("single fragment must not exchange, got %+v", ex)
 	}
 	// A fully co-partitioned cover needs no shuffle fragment at all.
-	alo, err := plan.Extract(plan.FromJUCQ(query.JUCQ{Name: "q",
+	aligned := plan.FromJUCQ(query.JUCQ{Name: "q",
 		Head: query.MustParseCQ("q(x) <- Employee(x)").Head,
-		Subs: []query.UCQ{ucq("q1(x) <- Employee(x)"), ucq("q2(x) <- Manager(x)")}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex := analyzeExchange(alo, st, 3); ex != nil {
+		Subs: []query.UCQ{ucq("q1(x) <- Employee(x)"), ucq("q2(x) <- Manager(x)")}})
+	if ex := analyzeExchange(aligned, st, 3); ex != nil {
 		t.Fatalf("aligned cover must not exchange, got %+v", ex)
 	}
 	// A fragment whose scans never align (constant first position)
 	// broadcasts inside an otherwise-shuffled plan.
-	blo, err := plan.Extract(plan.FromJUCQ(query.JUCQ{Name: "q",
+	bex := analyzeExchange(plan.FromJUCQ(query.JUCQ{Name: "q",
 		Head: query.MustParseCQ("q(x, y) <- worksFor(x, y)").Head,
 		Subs: []query.UCQ{
 			ucq("q1(x, y) <- worksFor(x, y)"),
 			ucq("q2(y) <- locatedIn('acme', y)"),
-		}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bex := analyzeExchange(blo, st, 3)
+		}}), st, 3)
 	if bex == nil || bex.frags[1].mode != fragBroadcast {
 		t.Fatalf("constant-rooted fragment must broadcast, got %+v", bex)
 	}

@@ -146,30 +146,26 @@ func (b *Backend) viewsByRels(rels map[string]bool) []*engine.DB {
 	return vs
 }
 
-// analyze validates and extracts the plan and picks the co-partitioned
-// alignment. Validation runs once here for both Compile and Estimate;
-// the per-shard engine compiles re-check, but a malformed plan never
+// analyze validates the plan and picks the co-partitioned alignment.
+// Validation runs once here for both Compile and Estimate; the
+// per-shard engine compiles re-check, but a malformed plan never
 // reaches partitioned views.
-func (b *Backend) analyze(n *plan.Node) (analysis, plan.Lowered, error) {
+func (b *Backend) analyze(n *plan.Node) (analysis, error) {
 	if err := plan.Validate(n); err != nil {
-		return analysis{}, plan.Lowered{}, err
+		return analysis{}, err
 	}
-	lo, err := plan.Extract(n)
-	if err != nil {
-		return analysis{}, plan.Lowered{}, err
-	}
-	return analyze(lo, b.part.Base.Stats()), lo, nil
+	return analyze(n, b.part.Base.Stats())
 }
 
 // pickExchange decides whether the plan should repartition instead of
 // broadcasting: only when the co-partitioned analysis is not already a
 // perfect fit (fully aligned, nothing broadcast) and the exchange
 // analysis finds a usable key.
-func (b *Backend) pickExchange(an analysis, lo plan.Lowered) *exchange {
+func (b *Backend) pickExchange(an analysis, n *plan.Node) *exchange {
 	if an.aligned() && len(an.broadcast) == 0 {
 		return nil
 	}
-	return analyzeExchange(lo, b.part.Base.Stats(), b.NumShards())
+	return analyzeExchange(n, b.part.Base.Stats(), b.NumShards())
 }
 
 // Compile lowers the plan once per shard view, through the plan cache:
@@ -188,11 +184,11 @@ func (b *Backend) Compile(n *plan.Node) (plan.Executable, error) {
 }
 
 func (b *Backend) compile(n *plan.Node) (plan.Executable, error) {
-	an, lo, err := b.analyze(n)
+	an, err := b.analyze(n)
 	if err != nil {
 		return nil, err
 	}
-	if ex := b.pickExchange(an, lo); ex != nil {
+	if ex := b.pickExchange(an, n); ex != nil {
 		if xe, err := b.compileExchange(n, ex); err == nil {
 			return xe, nil
 		}
@@ -215,19 +211,6 @@ func (b *Backend) compile(n *plan.Node) (plan.Executable, error) {
 	return &executable{b: b, node: n, an: an, parts: parts, est: est}, nil
 }
 
-// coverParts takes a cover plan apart: Distinct(Project(Join(frags))).
-// Returns nils when the plan has any other shape.
-func coverParts(n *plan.Node) (proj *plan.Node, frags []*plan.Node) {
-	if n == nil || n.Op != plan.OpDistinct || len(n.Inputs) != 1 {
-		return nil, nil
-	}
-	proj = n.Inputs[0]
-	if proj.Op != plan.OpProject || len(proj.Inputs) != 1 || proj.Inputs[0].Op != plan.OpJoin {
-		return nil, nil
-	}
-	return proj, proj.Inputs[0].Inputs
-}
-
 // compileExchange lowers a cover plan into the shuffle execution: each
 // fragment compiled per shard against its own partitioned views (or
 // once, for broadcast fragments), a global join order fixed from the
@@ -235,10 +218,11 @@ func coverParts(n *plan.Node) (proj *plan.Node, frags []*plan.Node) {
 // cover with Exchange wrappers on the repartitioned fragments —
 // validated so the exchange invariants are machine-checked.
 func (b *Backend) compileExchange(n *plan.Node, ex *exchange) (*exchangeExec, error) {
-	proj, frags := coverParts(n)
+	frags := plan.CoverFragments(n)
 	if frags == nil || len(frags) != len(ex.frags) {
 		return nil, fmt.Errorf("shard: exchange needs the cover shape distinct(project(join(...)))")
 	}
+	proj := n.Inputs[0]
 	nsh := b.NumShards()
 	base := engine.NewBackend(b.part.Base, b.prof)
 	parts := make([][]*engine.Compiled, len(frags))
@@ -327,12 +311,12 @@ func (b *Backend) exchangeEstimate(n *plan.Node, ex *exchange, fragEst []plan.Es
 // union-arm estimate in the engine). Malformed plans cost +Inf,
 // delegated through the base engine backend.
 func (b *Backend) Estimate(n *plan.Node) plan.Estimate {
-	an, lo, err := b.analyze(n)
+	an, err := b.analyze(n)
 	if err != nil {
 		return engine.NewBackend(b.part.Base, b.prof).Estimate(n)
 	}
-	if ex := b.pickExchange(an, lo); ex != nil {
-		if _, frags := coverParts(n); frags != nil && len(frags) == len(ex.frags) {
+	if ex := b.pickExchange(an, n); ex != nil {
+		if frags := plan.CoverFragments(n); frags != nil && len(frags) == len(ex.frags) {
 			base := engine.NewBackend(b.part.Base, b.prof)
 			fragEst := make([]plan.Estimate, len(frags))
 			for j, frag := range frags {

@@ -98,12 +98,17 @@ func TestAnalyzeAlignment(t *testing.T) {
 	db := loadDB(t, testABox)
 	st := db.Stats()
 
-	// worksFor and Employee both bind x first; Company binds y.
-	lo, err := plan.Extract(plan.FromUCQ(ucq("q(x) <- Employee(x), worksFor(x, y), Company(y)")))
-	if err != nil {
-		t.Fatal(err)
+	mustAnalyze := func(n *plan.Node) analysis {
+		t.Helper()
+		an, err := analyze(n, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return an
 	}
-	an := analyze(lo, st)
+
+	// worksFor and Employee both bind x first; Company binds y.
+	an := mustAnalyze(plan.FromUCQ(ucq("q(x) <- Employee(x), worksFor(x, y), Company(y)")))
 	if an.partVar != "x" || !an.partitioned["Employee"] || !an.partitioned["worksFor"] {
 		t.Fatalf("analysis = %+v", an)
 	}
@@ -113,22 +118,14 @@ func TestAnalyzeAlignment(t *testing.T) {
 
 	// A constant in first position forces the relation to broadcast
 	// everywhere; with no other relation left the plan cannot align.
-	lo, err = plan.Extract(plan.FromUCQ(ucq("q(y) <- worksFor('ann', y), worksFor(x, y)")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if an := analyze(lo, st); an.aligned() {
+	if an := mustAnalyze(plan.FromUCQ(ucq("q(y) <- worksFor('ann', y), worksFor(x, y)"))); an.aligned() {
 		t.Fatalf("constant first arg must kill alignment, got %+v", an)
 	}
 
 	// Cross-fragment: x is shared through both fragment heads — valid.
 	j := query.JUCQ{Name: "q", Head: query.MustParseCQ("q(x) <- Employee(x)").Head,
 		Subs: []query.UCQ{ucq("q1(x) <- worksFor(x, y)"), ucq("q2(x) <- Manager(x)")}}
-	lo, err = plan.Extract(plan.FromJUCQ(j))
-	if err != nil {
-		t.Fatal(err)
-	}
-	an = analyze(lo, st)
+	an = mustAnalyze(plan.FromJUCQ(j))
 	if an.partVar != "x" || !an.partitioned["worksFor"] || !an.partitioned["Manager"] {
 		t.Fatalf("cover analysis = %+v", an)
 	}
@@ -137,12 +134,18 @@ func TestAnalyzeAlignment(t *testing.T) {
 	// not equated by the fragment join — it must not partition.
 	j = query.JUCQ{Name: "q", Head: query.MustParseCQ("q(y) <- Company(y)").Head,
 		Subs: []query.UCQ{ucq("q1(y) <- worksFor(x, y)"), ucq("q2(z) <- worksFor(x, z)")}}
-	lo, err = plan.Extract(plan.FromJUCQ(j))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if an := analyze(lo, st); an.partVar == "x" {
+	if an := mustAnalyze(plan.FromJUCQ(j)); an.partVar == "x" {
 		t.Fatalf("x is not joined across fragments, got %+v", an)
+	}
+
+	// The rewritten tree — single-arm unions collapsed — aligns alike.
+	if an := mustAnalyze(plan.Rewrite(plan.FromJUCQ(j))); an.partVar == "x" {
+		t.Fatalf("rewritten cover: x is not joined across fragments, got %+v", an)
+	}
+
+	// A tree that is neither a cover nor a union of arms is rejected.
+	if _, err := analyze(&plan.Node{Op: plan.OpJoin}, st); err == nil {
+		t.Fatal("a bare join must not analyze")
 	}
 }
 

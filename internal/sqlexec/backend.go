@@ -1,10 +1,9 @@
 package sqlexec
 
 // The SQL-text implementation of plan.Backend: the logical plan is
-// extracted back into its dialect, rendered to the exact SQL the
-// paper would ship to the RDBMS (sqlgen), and executed by parsing and
-// evaluating that text (Exec) — end-to-end through the statement
-// surface, exactly what the old Answerer.ViaSQL switch did. Cost
+// rendered to the exact SQL the paper would ship to the RDBMS
+// (sqlgen.Render), and executed by parsing and evaluating that text
+// (Exec) — end-to-end through the statement surface. Cost
 // estimation delegates to the native engine backend: the SQL path has
 // no optimizer of its own, and sharing the estimator keeps the two
 // backends' Estimate comparable on identical plans.
@@ -15,7 +14,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/plan"
-	"repro/internal/query"
 	"repro/internal/sqlgen"
 )
 
@@ -60,8 +58,8 @@ func (b *Backend) Observe(n *plan.Node, ex *plan.Explain) {
 // Name identifies the backend in cache keys and EXPLAIN output.
 func (b *Backend) Name() string { return "sql" }
 
-// Compile extracts the plan, generates its SQL, and checks that the
-// executor supports the layout (the SQL schema mirrors the simple
+// Compile validates the plan and renders its SQL, after checking that
+// the executor supports the layout (the SQL schema mirrors the simple
 // layout's tables only).
 func (b *Backend) Compile(n *plan.Node) (plan.Executable, error) {
 	if b.DB.Layout != engine.LayoutSimple {
@@ -70,23 +68,9 @@ func (b *Backend) Compile(n *plan.Node) (plan.Executable, error) {
 	if err := plan.Validate(n); err != nil {
 		return nil, err
 	}
-	lo, err := plan.Extract(n)
+	sql, err := sqlgen.Render(n, sqlgen.Options{Layout: b.DB.Layout})
 	if err != nil {
 		return nil, err
-	}
-	var sql string
-	switch lo.Kind {
-	case plan.KindUCQ:
-		u := lo.UCQ
-		sql = sqlgen.JUCQ(query.JUCQ{Name: u.Name, Head: u.Head(), Subs: []query.UCQ{u}}, sqlgen.Options{Layout: b.DB.Layout})
-	case plan.KindJUCQ:
-		sql = sqlgen.JUCQ(lo.JUCQ, sqlgen.Options{Layout: b.DB.Layout})
-	case plan.KindUSCQ:
-		u := lo.USCQ
-		head := u.Expand().Head()
-		sql = sqlgen.JUSCQ(query.JUSCQ{Name: u.Name, Head: head, Subs: []query.USCQ{u}}, sqlgen.Options{Layout: b.DB.Layout})
-	default:
-		sql = sqlgen.JUSCQ(lo.JUSCQ, sqlgen.Options{Layout: b.DB.Layout})
 	}
 	return &sqlExecutable{b: b, node: n, sql: sql, est: b.Estimate(n)}, nil
 }

@@ -147,7 +147,7 @@ func TestSameVariableTwiceInAtom(t *testing.T) {
 	db := engine.NewDB(engine.LayoutSimple)
 	db.LoadABox(dllite.MustParseABox("R(a, a)\nR(a, b)"))
 	// sqlgen renders q(x) <- R(x,x) with a self-equality condition.
-	sql := sqlgen.CQ(query.MustParseCQ("q(x) <- R(x, x)"), sqlgen.Options{Layout: engine.LayoutSimple})
+	sql := sqlgen.UCQ(query.UCQ{Disjuncts: []query.CQ{query.MustParseCQ("q(x) <- R(x, x)")}}, sqlgen.Options{Layout: engine.LayoutSimple})
 	rel, err := Exec(sql, db)
 	if err != nil {
 		t.Fatalf("%v\nsql: %s", err, sql)
@@ -272,7 +272,11 @@ func TestRoundTripUSCQ(t *testing.T) {
 	u := ref.MustReformulate(q)
 	uscq := query.FactorizeUCQ(u)
 	native := engine.EvaluateUSCQ(uscq, db, engine.ProfilePostgres())
-	rel, err := Exec(sqlgen.USCQ(uscq, sqlgen.Options{Layout: engine.LayoutSimple}), db)
+	sql, err := sqlgen.Render(plan.FromUSCQ(uscq), sqlgen.Options{Layout: engine.LayoutSimple})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := Exec(sql, db)
 	if err != nil {
 		t.Fatal(err)
 	}

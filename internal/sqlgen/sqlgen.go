@@ -1,7 +1,9 @@
-// Package sqlgen translates the FOL query dialects into SQL text for
-// the two physical layouts of Section 6.1. The generated text is what
-// the paper's statement-size measurements are about: simple-layout SQL
-// grows linearly with the number of union arms, while RDF-layout SQL
+// Package sqlgen renders a plan tree as the SQL text shipped to the
+// RDBMS, for the two physical layouts of Section 6.1: one statement per
+// cover, one WITH clause per fragment, one SELECT per union arm (the
+// shape of Section 3). The generated text is what the paper's
+// statement-size measurements are about: simple-layout SQL grows
+// linearly with the number of union arms, while RDF-layout SQL
 // additionally multiplies every atom by a CASE over the hashed
 // predicate columns — the combination that drives DB2 past its
 // statement-length limit on Q9/Q10 (Section 6.3).
@@ -12,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -54,33 +57,133 @@ func sanitize(name string) string {
 	return b.String()
 }
 
-// CQ renders one conjunctive query as a SELECT.
-func CQ(q query.CQ, o Options) string {
+// Render renders a validated plan tree — a cover, or a single fragment
+// — as one statement:
+//
+//	WITH f1 AS (...), ..., fn AS (...)
+//	SELECT DISTINCT x̄ FROM f1, ..., fn WHERE cond(1..n)
+//
+// A single fragment is f1 alone, selected under its own head. A tree of
+// any other shape is an error.
+func Render(n *plan.Node, o Options) (string, error) {
+	frags := plan.CoverFragments(n)
+	cover := frags != nil
+	if !cover {
+		frags = []*plan.Node{n}
+	}
 	var b strings.Builder
-	writeCQ(&b, q, o)
+	sep := o.sep()
+	b.WriteString("WITH ")
+	fragHeads := make([][]query.Term, len(frags))
+	for i, f := range frags {
+		if i > 0 {
+			b.WriteString(", ")
+			b.WriteString(sep)
+		}
+		fmt.Fprintf(&b, "f%d AS (", i+1)
+		h, err := writeUnion(&b, f, o)
+		if err != nil {
+			return "", err
+		}
+		fragHeads[i] = h
+		b.WriteString(")")
+	}
+	head := fragHeads[0]
+	if cover {
+		head = n.Inputs[0].Head
+	}
+	b.WriteString(sep)
+	writeJoinTail(&b, head, fragHeads, o)
+	return b.String(), nil
+}
+
+// UCQ renders a union of CQs: the body of one WITH clause. UCQ, JUCQ
+// and JUSCQ render through the plan tree of their lowering; one Render
+// rejects (a disjunct without atoms) renders as the empty string.
+func UCQ(u query.UCQ, o Options) string {
+	var b strings.Builder
+	if _, err := writeUnion(&b, plan.FromUCQ(u), o); err != nil {
+		return ""
+	}
 	return b.String()
 }
 
-func writeCQ(b *strings.Builder, q query.CQ, o Options) {
-	sep := o.sep()
-	// FROM clause with one aliased table (or RDF subselect) per atom.
-	b.WriteString("SELECT DISTINCT ")
-	if len(q.Head) == 0 {
-		b.WriteString("1")
+// JUCQ renders a cover reformulation through its plan tree.
+func JUCQ(j query.JUCQ, o Options) string {
+	s, _ := Render(plan.FromJUCQ(j), o)
+	return s
+}
+
+// JUSCQ renders a factorized cover reformulation through its plan tree.
+func JUSCQ(j query.JUSCQ, o Options) string {
+	s, _ := Render(plan.FromJUSCQ(j), o)
+	return s
+}
+
+// writeUnion writes one fragment — its arms as SELECTs separated by
+// UNION — and returns the fragment's head, its first arm's.
+func writeUnion(b *strings.Builder, frag *plan.Node, o Options) ([]query.Term, error) {
+	arms, err := plan.Arms(frag)
+	if err != nil {
+		return nil, err
+	}
+	for i, arm := range arms {
+		if i > 0 {
+			b.WriteString(o.sep())
+			b.WriteString("UNION")
+			b.WriteString(o.sep())
+		}
+		if err := writeArm(b, arm, o); err != nil {
+			return nil, err
+		}
+	}
+	if len(arms) == 0 {
+		return nil, nil
+	}
+	return arms[0].Head, nil
+}
+
+// writeArm writes one union arm as a SELECT over one aliased source per
+// access leaf, in Pos order: the atom's table (or RDF subselect) as tᵢ,
+// or — for a factorized arm — the UNION subselect of the block's
+// alternatives as bᵢ. The first binding of each variable names its
+// column; every later binding and every constant becomes a WHERE
+// condition.
+func writeArm(b *strings.Builder, arm *plan.Node, o Options) error {
+	leaves, err := plan.ArmLeaves(arm)
+	if err != nil {
+		return err
+	}
+	alias := "t"
+	if arm.Factorized {
+		alias = "b"
 	}
 	varCol := map[string]string{}
-	// First binding of each variable names its column.
-	for i, a := range q.Atoms {
-		alias := fmt.Sprintf("t%d", i)
+	var conds []string
+	for i, acc := range leaves {
+		a := acc.Atoms[0] // a block's alternatives bind the same arguments
+		src := fmt.Sprintf("%s%d", alias, i)
 		for j, t := range a.Args {
-			if t.IsVar() {
-				if _, ok := varCol[t.Name]; !ok {
-					varCol[t.Name] = alias + "." + colName(a, j)
+			col := src + "." + colName(a, j)
+			if t.Const {
+				conds = append(conds, col+" = '"+t.Name+"'")
+				continue
+			}
+			if prev, ok := varCol[t.Name]; ok {
+				if prev != col {
+					conds = append(conds, prev+" = "+col)
 				}
+			} else {
+				varCol[t.Name] = col
 			}
 		}
 	}
-	for i, h := range q.Head {
+	sep := o.sep()
+	b.WriteString("SELECT DISTINCT ")
+	if len(arm.Head) == 0 {
+		b.WriteString("1")
+	}
+	for i, h := range arm.Head {
 		if i > 0 {
 			b.WriteString(", ")
 		}
@@ -93,38 +196,38 @@ func writeCQ(b *strings.Builder, q query.CQ, o Options) {
 	}
 	b.WriteString(sep)
 	b.WriteString("FROM ")
-	for i, a := range q.Atoms {
+	for i, acc := range leaves {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		writeAtomSource(b, a, o)
-		fmt.Fprintf(b, " t%d", i)
-	}
-	// WHERE: join conditions + constants.
-	var conds []string
-	seenVar := map[string]string{}
-	for i, a := range q.Atoms {
-		alias := fmt.Sprintf("t%d", i)
-		for j, t := range a.Args {
-			col := alias + "." + colName(a, j)
-			if t.Const {
-				conds = append(conds, col+" = '"+t.Name+"'")
-				continue
-			}
-			if prev, ok := seenVar[t.Name]; ok {
-				if prev != col {
-					conds = append(conds, prev+" = "+col)
+		if !arm.Factorized {
+			writeAtomSource(b, acc.Atoms[0], o)
+		} else {
+			b.WriteString("(")
+			for k, a := range acc.Atoms {
+				if k > 0 {
+					b.WriteString(" UNION ")
 				}
-			} else {
-				seenVar[t.Name] = col
+				b.WriteString("SELECT ")
+				for j := range a.Args {
+					if j > 0 {
+						b.WriteString(", ")
+					}
+					b.WriteString(colName(a, j))
+				}
+				b.WriteString(" FROM ")
+				writeAtomSource(b, a, o)
 			}
+			b.WriteString(")")
 		}
+		fmt.Fprintf(b, " %s%d", alias, i)
 	}
 	if len(conds) > 0 {
 		b.WriteString(sep)
 		b.WriteString("WHERE ")
 		b.WriteString(strings.Join(conds, " AND "))
 	}
+	return nil
 }
 
 func colName(a query.Atom, j int) string {
@@ -177,179 +280,6 @@ func writeAtomSource(b *strings.Builder, a query.Atom, o Options) {
 		fmt.Fprintf(b, "pred%d = '%s'", i, a.Pred)
 	}
 	b.WriteString(")")
-}
-
-// UCQ renders a union of CQs.
-func UCQ(u query.UCQ, o Options) string {
-	var b strings.Builder
-	writeUCQ(&b, u, o)
-	return b.String()
-}
-
-func writeUCQ(b *strings.Builder, u query.UCQ, o Options) {
-	sep := o.sep()
-	for i, d := range u.Disjuncts {
-		if i > 0 {
-			b.WriteString(sep)
-			b.WriteString("UNION")
-			b.WriteString(sep)
-		}
-		writeCQ(b, d, o)
-	}
-}
-
-// SCQ renders a semi-conjunctive query: each block becomes an inline
-// union subselect, joined with the others.
-func SCQ(s query.SCQ, o Options) string {
-	var b strings.Builder
-	writeSCQ(&b, s, o)
-	return b.String()
-}
-
-func writeSCQ(b *strings.Builder, s query.SCQ, o Options) {
-	sep := o.sep()
-	b.WriteString("SELECT DISTINCT ")
-	if len(s.Head) == 0 {
-		b.WriteString("1")
-	}
-	varCol := map[string]string{}
-	for i, block := range s.Blocks {
-		alias := fmt.Sprintf("b%d", i)
-		a := block[0]
-		for j, t := range a.Args {
-			if t.IsVar() {
-				if _, ok := varCol[t.Name]; !ok {
-					varCol[t.Name] = alias + "." + colName(a, j)
-				}
-			}
-		}
-	}
-	for i, h := range s.Head {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(varCol[h.Name])
-		fmt.Fprintf(b, " AS h%d", i)
-	}
-	b.WriteString(sep)
-	b.WriteString("FROM ")
-	for i, block := range s.Blocks {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString("(")
-		for k, a := range block {
-			if k > 0 {
-				b.WriteString(" UNION ")
-			}
-			b.WriteString("SELECT ")
-			for j := range a.Args {
-				if j > 0 {
-					b.WriteString(", ")
-				}
-				b.WriteString(colName(a, j))
-			}
-			b.WriteString(" FROM ")
-			writeAtomSource(b, a, o)
-		}
-		fmt.Fprintf(b, ") b%d", i)
-	}
-	var conds []string
-	seenVar := map[string]string{}
-	for i, block := range s.Blocks {
-		alias := fmt.Sprintf("b%d", i)
-		a := block[0]
-		for j, t := range a.Args {
-			col := alias + "." + colName(a, j)
-			if t.Const {
-				conds = append(conds, col+" = '"+t.Name+"'")
-				continue
-			}
-			if prev, ok := seenVar[t.Name]; ok {
-				if prev != col {
-					conds = append(conds, prev+" = "+col)
-				}
-			} else {
-				seenVar[t.Name] = col
-			}
-		}
-	}
-	if len(conds) > 0 {
-		b.WriteString(sep)
-		b.WriteString("WHERE ")
-		b.WriteString(strings.Join(conds, " AND "))
-	}
-}
-
-// USCQ renders a union of SCQs.
-func USCQ(u query.USCQ, o Options) string {
-	var b strings.Builder
-	for i, s := range u.Disjuncts {
-		if i > 0 {
-			b.WriteString(o.sep())
-			b.WriteString("UNION")
-			b.WriteString(o.sep())
-		}
-		writeSCQ(&b, s, o)
-	}
-	return b.String()
-}
-
-// JUCQ renders the WITH-based shape of Section 3:
-//
-//	WITH f1 AS (...), ..., fn AS (...)
-//	SELECT DISTINCT x̄ FROM f1, ..., fn WHERE cond(1..n)
-func JUCQ(j query.JUCQ, o Options) string {
-	var b strings.Builder
-	sep := o.sep()
-	b.WriteString("WITH ")
-	for i, sub := range j.Subs {
-		if i > 0 {
-			b.WriteString(", ")
-			b.WriteString(sep)
-		}
-		fmt.Fprintf(&b, "f%d AS (", i+1)
-		writeUCQ(&b, sub, o)
-		b.WriteString(")")
-	}
-	b.WriteString(sep)
-	writeJoinTail(&b, j.Head, headsOf(j), o)
-	return b.String()
-}
-
-// JUSCQ renders the USCQ variant of the WITH shape.
-func JUSCQ(j query.JUSCQ, o Options) string {
-	var b strings.Builder
-	sep := o.sep()
-	b.WriteString("WITH ")
-	for i, sub := range j.Subs {
-		if i > 0 {
-			b.WriteString(", ")
-			b.WriteString(sep)
-		}
-		fmt.Fprintf(&b, "f%d AS (", i+1)
-		b.WriteString(USCQ(sub, o))
-		b.WriteString(")")
-	}
-	b.WriteString(sep)
-	var heads [][]query.Term
-	for _, sub := range j.Subs {
-		if len(sub.Disjuncts) > 0 {
-			heads = append(heads, sub.Disjuncts[0].Head)
-		} else {
-			heads = append(heads, nil)
-		}
-	}
-	writeJoinTail(&b, j.Head, heads, o)
-	return b.String()
-}
-
-func headsOf(j query.JUCQ) [][]query.Term {
-	out := make([][]query.Term, len(j.Subs))
-	for i, sub := range j.Subs {
-		out[i] = sub.Head()
-	}
-	return out
 }
 
 // writeJoinTail writes the final SELECT over the materialized fragments.

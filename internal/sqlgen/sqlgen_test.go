@@ -5,12 +5,28 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
+// cqSQL renders one CQ as the single SELECT of its one-arm union.
+func cqSQL(q query.CQ, o Options) string {
+	return UCQ(query.UCQ{Disjuncts: []query.CQ{q}}, o)
+}
+
+// scqSQL renders one SCQ as the single SELECT of its one-arm union.
+func scqSQL(t *testing.T, s query.SCQ, o Options) string {
+	t.Helper()
+	var b strings.Builder
+	if _, err := writeUnion(&b, plan.FromUSCQ(query.USCQ{Disjuncts: []query.SCQ{s}}), o); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestCQSimpleLayout(t *testing.T) {
 	q := query.MustParseCQ("q(x) <- PhDStudent(x), worksWith(y, x)")
-	sql := CQ(q, Options{Layout: engine.LayoutSimple})
+	sql := cqSQL(q, Options{Layout: engine.LayoutSimple})
 	for _, want := range []string{
 		"SELECT DISTINCT",
 		"c_PhDStudent t0",
@@ -25,7 +41,7 @@ func TestCQSimpleLayout(t *testing.T) {
 
 func TestCQConstants(t *testing.T) {
 	q := query.MustParseCQ("q(x) <- worksWith(x, 'Francois')")
-	sql := CQ(q, Options{Layout: engine.LayoutSimple})
+	sql := cqSQL(q, Options{Layout: engine.LayoutSimple})
 	if !strings.Contains(sql, "t0.o = 'Francois'") {
 		t.Errorf("constant condition missing:\n%s", sql)
 	}
@@ -33,7 +49,7 @@ func TestCQConstants(t *testing.T) {
 
 func TestBooleanCQ(t *testing.T) {
 	q := query.CQ{Name: "b", Atoms: []query.Atom{query.ConceptAtom("A", query.Var("x"))}}
-	sql := CQ(q, Options{Layout: engine.LayoutSimple})
+	sql := cqSQL(q, Options{Layout: engine.LayoutSimple})
 	if !strings.Contains(sql, "SELECT DISTINCT 1") {
 		t.Errorf("boolean head missing:\n%s", sql)
 	}
@@ -52,8 +68,8 @@ func TestUCQUnion(t *testing.T) {
 
 func TestRDFLayoutBlowup(t *testing.T) {
 	q := query.MustParseCQ("q(x) <- PhDStudent(x), worksWith(y, x), supervisedBy(x, z)")
-	simple := CQ(q, Options{Layout: engine.LayoutSimple})
-	rdf := CQ(q, Options{Layout: engine.LayoutRDF})
+	simple := cqSQL(q, Options{Layout: engine.LayoutSimple})
+	rdf := cqSQL(q, Options{Layout: engine.LayoutRDF})
 	if len(rdf) < 5*len(simple) {
 		t.Errorf("RDF SQL should be much longer: %d vs %d bytes", len(rdf), len(simple))
 	}
@@ -124,7 +140,7 @@ func TestSCQFactorizedShape(t *testing.T) {
 			{query.RoleAtom("R", query.Var("x"), query.Var("y"))},
 		},
 	}
-	sql := SCQ(s, Options{Layout: engine.LayoutSimple})
+	sql := scqSQL(t, s, Options{Layout: engine.LayoutSimple})
 	for _, want := range []string{"b0.id = b1.s", "UNION SELECT id FROM c_B"} {
 		if !strings.Contains(sql, want) {
 			t.Errorf("missing %q in:\n%s", want, sql)
@@ -135,7 +151,7 @@ func TestSCQFactorizedShape(t *testing.T) {
 func TestSanitize(t *testing.T) {
 	q := query.CQ{Name: "q", Head: []query.Term{query.Var("x")},
 		Atoms: []query.Atom{query.ConceptAtom("weird-name.x", query.Var("x"))}}
-	sql := CQ(q, Options{Layout: engine.LayoutSimple})
+	sql := cqSQL(q, Options{Layout: engine.LayoutSimple})
 	if !strings.Contains(sql, "c_weird_name_x") {
 		t.Errorf("identifier not sanitized:\n%s", sql)
 	}
@@ -143,8 +159,8 @@ func TestSanitize(t *testing.T) {
 
 func TestPrettyVsCompact(t *testing.T) {
 	q := query.MustParseCQ("q(x) <- A(x), R(x, y)")
-	pretty := CQ(q, Options{Layout: engine.LayoutSimple, Pretty: true})
-	compact := CQ(q, Options{Layout: engine.LayoutSimple})
+	pretty := cqSQL(q, Options{Layout: engine.LayoutSimple, Pretty: true})
+	compact := cqSQL(q, Options{Layout: engine.LayoutSimple})
 	if !strings.Contains(pretty, "\n") {
 		t.Error("pretty output should contain newlines")
 	}
@@ -168,5 +184,50 @@ func TestStatementLengthGrowsLinearly(t *testing.T) {
 	ratio := float64(l100) / float64(l10)
 	if ratio < 8 || ratio > 12 {
 		t.Errorf("length should scale ~10x: %d -> %d (%.1fx)", l10, l100, ratio)
+	}
+}
+
+// TestRenderRewrittenTree: the collapsed single-arm unions Rewrite
+// leaves render exactly as the unions they replace, for covers and
+// single fragments, factorized or not.
+func TestRenderRewrittenTree(t *testing.T) {
+	f1 := query.UCQ{Disjuncts: []query.CQ{query.MustParseCQ("f1(x) <- A(x), R(x, 'c')")}}
+	f2 := query.UCQ{Disjuncts: []query.CQ{
+		query.MustParseCQ("f2(x, y) <- R(x, y)"), query.MustParseCQ("f2(x, y) <- S(x, y)")}}
+	x := []query.Term{query.Var("x")}
+	for _, n := range []*plan.Node{
+		plan.FromJUCQ(query.JUCQ{Name: "q", Head: x, Subs: []query.UCQ{f1, f2}}),
+		plan.FromJUCQ(query.JUCQ{Name: "q", Head: x, Subs: []query.UCQ{f1}}),
+		plan.FromJUSCQ(query.JUSCQ{Name: "q", Head: x, Subs: []query.USCQ{query.FactorizeUCQ(f1), query.FactorizeUCQ(f2)}}),
+	} {
+		o := Options{Layout: engine.LayoutSimple}
+		want, err := Render(n, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Render(plan.Rewrite(n), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("rewritten tree renders\n%s\nwant\n%s", got, want)
+		}
+	}
+}
+
+// TestRenderRejectsMalformed: a tree that is neither a cover nor a
+// union of arm projections renders nothing.
+func TestRenderRejectsMalformed(t *testing.T) {
+	acc := &plan.Node{Op: plan.OpAccess, Atoms: []query.Atom{
+		query.ConceptAtom("A", query.Var("x")), query.ConceptAtom("B", query.Var("x"))}}
+	for name, n := range map[string]*plan.Node{
+		"bare join":       {Op: plan.OpJoin},
+		"non-project arm": {Op: plan.OpDistinct, Inputs: []*plan.Node{{Op: plan.OpUnion, Inputs: []*plan.Node{acc}}}},
+		"multi-atom non-factorized access": {Op: plan.OpDistinct, Inputs: []*plan.Node{
+			{Op: plan.OpProject, Head: []query.Term{query.Var("x")}, Inputs: []*plan.Node{acc}}}},
+	} {
+		if sql, err := Render(n, Options{}); err == nil {
+			t.Errorf("%s: rendered %q, want an error", name, sql)
+		}
 	}
 }
