@@ -13,7 +13,9 @@ type Layout int
 
 const (
 	// LayoutSimple stores a unary table per concept and a binary table
-	// per role, with all one- and two-attribute indexes.
+	// per role, with all one- and two-attribute indexes: a bitset per
+	// concept and forward and reverse CSR adjacency arrays per role,
+	// all indexed by dictionary id (dict.go).
 	LayoutSimple Layout = iota
 	// LayoutRDF stores assertions in DB2RDF-style entity-oriented
 	// hashed-column tables (DPH/RPH) [9].
@@ -54,24 +56,27 @@ func NewDB(layout Layout) *DB {
 	}
 }
 
-// AddConceptFact stores A(ind).
+// AddConceptFact stores A(ind). The fact is pending until the next
+// Finalize, which is where a write becomes visible to probes; Stats
+// finalizes lazily for callers that forget to.
 func (db *DB) AddConceptFact(concept, ind string) {
 	id := db.Dict.Encode(ind)
 	t := db.concepts[concept]
 	if t == nil {
-		t = newConceptTable()
+		t = new(ConceptTable)
 		db.concepts[concept] = t
 	}
 	t.add(id)
 	db.invalidate()
 }
 
-// AddRoleFact stores R(s, o).
+// AddRoleFact stores R(s, o). Like AddConceptFact, the fact becomes
+// visible to probes at the next Finalize (or lazy Stats).
 func (db *DB) AddRoleFact(role, s, o string) {
 	sid, oid := db.Dict.Encode(s), db.Dict.Encode(o)
 	t := db.roles[role]
 	if t == nil {
-		t = newRoleTable()
+		t = new(RoleTable)
 		db.roles[role] = t
 	}
 	t.add(sid, oid)
@@ -108,9 +113,13 @@ func (db *DB) LoadABox(ab *dllite.ABox) {
 	db.Finalize()
 }
 
-// Finalize sorts tables, derives the RDF layout when selected, and
-// computes statistics. It must be called after loading and before
-// querying; loaders in this repo call it for you.
+// Finalize merges pending writes into their tables and rebuilds those
+// tables' indexes, derives the RDF layout when selected, and computes
+// statistics. It is the point where writes become visible to probes:
+// call it after loading or writing and before querying (loaders in
+// this repo call it for you; Stats calls it lazily after any write).
+// Tables without pending writes keep their storage, so a write costs a
+// rebuild of the table it went to, not of the whole database.
 func (db *DB) Finalize() {
 	db.statsMu.Lock()
 	defer db.statsMu.Unlock()
@@ -130,17 +139,9 @@ func (db *DB) finalizeLocked() {
 	db.stats = computeStatistics(db)
 }
 
-// NumFacts returns the total number of stored assertions.
-func (db *DB) NumFacts() int {
-	n := 0
-	for _, t := range db.concepts {
-		n += t.Card()
-	}
-	for _, t := range db.roles {
-		n += t.Card()
-	}
-	return n
-}
+// NumFacts returns the total number of stored assertions, pending
+// writes included (it finalizes them).
+func (db *DB) NumFacts() int { return db.Stats().TotalFacts }
 
 // Concept returns the concept table (nil when absent: empty relation).
 func (db *DB) Concept(name string) *ConceptTable { return db.concepts[name] }

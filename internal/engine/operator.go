@@ -757,8 +757,7 @@ func (o *joinOp) Next(out *Batch) bool {
 			if out.Full() {
 				return o.yield(out)
 			}
-			o.emitMatch(out)
-			o.pendIdx++
+			o.emitRun(out)
 			continue
 		}
 		// Next alternative atom for the current row.
@@ -787,19 +786,27 @@ func (o *joinOp) Next(out *Batch) bool {
 	}
 }
 
-func (o *joinOp) emitMatch(out *Batch) {
+// emitRun appends as many pending expansions as out has room for, in
+// one tight loop per kind of run.
+func (o *joinOp) emitRun(out *Batch) {
 	m := &o.pend
+	end := min(m.count(), o.pendIdx+DefaultBatchSize-out.Len())
 	switch {
 	case m.pairs != nil:
-		r := out.Append(o.curRow)
-		r[m.wc1] = m.pairs[o.pendIdx][0]
-		r[m.wc2] = m.pairs[o.pendIdx][1]
+		for _, p := range m.pairs[o.pendIdx:end] {
+			r := out.Append(o.curRow)
+			r[m.wc1], r[m.wc2] = p[0], p[1]
+		}
 	case m.vals != nil:
-		r := out.Append(o.curRow)
-		r[m.wc1] = m.vals[o.pendIdx]
+		for _, v := range m.vals[o.pendIdx:end] {
+			out.Append(o.curRow)[m.wc1] = v
+		}
 	default:
-		out.Append(o.curRow)
+		for range end - o.pendIdx {
+			out.Append(o.curRow)
+		}
 	}
+	o.pendIdx = end
 }
 
 func (o *joinOp) Close() {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -391,4 +392,99 @@ func TestParallelCloseBeforeOpen(t *testing.T) {
 	}
 	op := NewUnionParallel(arms[0].Schema(), arms, 4)
 	op.Close() // must not panic or block
+}
+
+// TestJoinRunsCrossBatchBoundaries: the index join emits whole match
+// runs per output batch. One subject with 2,500 objects — more than
+// two batches — exercises the vals path (bound subject), the pairs
+// path (a mid-pipeline cross product) and a multi-alternative SCQ
+// block. Rows and their order equal the materialized executor's and
+// the join's counters show full batches only.
+func TestJoinRunsCrossBatchBoundaries(t *testing.T) {
+	const big = 2500
+	var sb strings.Builder
+	for i := 0; i < big; i++ {
+		sb.WriteString("R(s0, o" + itoa(i) + ")\n")
+	}
+	for i := 0; i < 7; i++ {
+		sb.WriteString("R(s1, o" + itoa(i) + ")\nT(s1, t" + itoa(i) + ")\n")
+	}
+	for i := 0; i < 1100; i++ {
+		sb.WriteString("T(s2, t" + itoa(i) + ")\n")
+	}
+	sb.WriteString("A(s0)\nA(s1)\nA(s2)\nB(s1)\n")
+	db := loadDB(t, LayoutSimple, sb.String())
+
+	checkJoin := func(name string, op Operator, want int) *Relation {
+		t.Helper()
+		got := Drain(op)
+		if len(got.Rows) != want {
+			t.Fatalf("%s: %d rows, want %d", name, len(got.Rows), want)
+		}
+		for _, st := range CollectStats(op) {
+			if !strings.HasPrefix(st.Op, "join(") {
+				continue
+			}
+			if st.Rows != int64(want) || st.Batches != int64((want+DefaultBatchSize-1)/DefaultBatchSize) {
+				t.Fatalf("%s: %s rows=%d batches=%d, want %d rows in full batches", name, st.Op, st.Rows, st.Batches, want)
+			}
+			return got
+		}
+		t.Fatalf("%s: no join operator in\n%s", name, ExplainPipeline(op))
+		return nil
+	}
+
+	for _, tc := range []struct {
+		name, q string
+		want    int
+	}{
+		{"vals", "q(x, y) <- A(x), R(x, y)", big + 7},
+		{"pairs", "q(x, y, z) <- A(x), R(y, z)", 3 * (big + 7)},
+	} {
+		q := query.MustParseCQ(tc.q)
+		got := checkJoin(tc.name, CompileCQ(PlanCQ(q, db, ProfilePostgres()), db, nil), tc.want)
+		mat := ExecCQMaterialized(q, db, ProfilePostgres())
+		if !slices.EqualFunc(got.Rows, mat.Rows, slices.Equal[[]int64]) {
+			t.Fatalf("%s: rows or their order differ from the materialized executor", tc.name)
+		}
+	}
+
+	// SCQ blocks {A | B} (both bound once A(x) binds x: the keep path)
+	// and {R | T}: per input row, each alternative's run in turn.
+	x, y := query.Var("x"), query.Var("y")
+	s := query.SCQ{
+		Name: "q",
+		Head: []query.Term{x, y},
+		Blocks: [][]query.Atom{
+			{query.ConceptAtom("A", x)},
+			{query.RoleAtom("R", x, y), query.RoleAtom("T", x, y)},
+			{query.ConceptAtom("A", x), query.ConceptAtom("B", x)},
+		},
+	}
+	p := PlanSCQ(s, db, ProfilePostgres())
+	if !slices.Equal(p.Order, []int{0, 2, 1}) {
+		t.Fatalf("scq: block order %v, want the keep block before the expansion", p.Order)
+	}
+	got := checkJoin("scq", CompileSCQ(p, db, nil), big+2*(7+7)+1100)
+	var want [][]int64
+	for _, xid := range db.ConceptMembers("A") {
+		for _, keep := range []string{"A", "B"} {
+			if !db.ConceptContains(keep, xid) {
+				continue
+			}
+			for _, role := range []string{"R", "T"} {
+				for _, yid := range db.RoleObjects(role, xid) {
+					want = append(want, []int64{xid, yid})
+				}
+			}
+		}
+	}
+	if !slices.EqualFunc(got.Rows, want, slices.Equal[[]int64]) {
+		t.Fatal("scq: rows or their order differ from per-row, per-alternative index order")
+	}
+	j := query.JUSCQ{Name: "q", Head: s.Head, Subs: []query.USCQ{{Name: "q", Disjuncts: []query.SCQ{s}}}}
+	got.Distinct()
+	if !sameSets(relToSet(got, db.Dict), relToSet(ExecJUSCQMaterialized(j, db, ProfilePostgres()), db.Dict)) {
+		t.Fatal("scq: answers differ from the materialized JUSCQ executor")
+	}
 }

@@ -119,3 +119,37 @@ func TestWarmRunAllocBound(t *testing.T) {
 		}
 	}
 }
+
+// TestTableProbesAllocFree: the simple layout's probes are array loads
+// and a sub-slice (a binary search for pairs); none allocates.
+func TestTableProbesAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds are measured without the race detector")
+	}
+	db := lubmDB()
+	rt, c := db.Role("takesCourse"), db.Concept("UndergraduateStudent")
+	s, o := rt.Pairs[0][0], rt.Pairs[0][1]
+	hits := 0
+	for name, probe := range map[string]func(){
+		"Objects":  func() { hits += len(rt.Objects(s)) },
+		"Subjects": func() { hits += len(rt.Subjects(o)) },
+		"Contains": func() {
+			if c.Contains(c.IDs[0]) {
+				hits++
+			}
+		},
+		"ContainsPair": func() {
+			if rt.ContainsPair(s, o) {
+				hits++
+			}
+		},
+	} {
+		hits = 0
+		if n := testing.AllocsPerRun(1000, probe); n != 0 {
+			t.Errorf("%s: %.1f allocations per probe", name, n)
+		}
+		if hits == 0 {
+			t.Errorf("%s: probe found nothing", name)
+		}
+	}
+}

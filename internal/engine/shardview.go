@@ -29,8 +29,8 @@ type Partitioning struct {
 }
 
 // Partition splits db into n shards. It requires the simple layout
-// (the RDF layout's entity-hashed tables are monolithic) and a
-// finalized base. n < 1 is an error; n == 1 degenerates to the base
+// (the RDF layout's entity-hashed tables are monolithic); pending
+// writes to the base are finalized first. n < 1 is an error; n == 1 degenerates to the base
 // itself, so a single-shard backend behaves exactly like the native
 // one plus the merge operator.
 func Partition(db *DB, n int) (*Partitioning, error) {
@@ -40,6 +40,7 @@ func Partition(db *DB, n int) (*Partitioning, error) {
 	if db.Layout != LayoutSimple {
 		return nil, fmt.Errorf("engine: partitioning requires the simple layout, have %s", db.Layout)
 	}
+	db.Stats() // finalizes pending writes, which the tables do not hold yet
 	p := &Partitioning{Base: db}
 	if n == 1 {
 		p.shards = []*DB{db}
@@ -57,7 +58,7 @@ func Partition(db *DB, n int) (*Partitioning, error) {
 	for name, t := range db.concepts {
 		parts := make([]*ConceptTable, n)
 		for i := range parts {
-			parts[i] = newConceptTable()
+			parts[i] = new(ConceptTable)
 		}
 		for _, id := range t.IDs {
 			parts[ShardOf(id, n)].add(id)
@@ -69,7 +70,7 @@ func Partition(db *DB, n int) (*Partitioning, error) {
 	for name, t := range db.roles {
 		parts := make([]*RoleTable, n)
 		for i := range parts {
-			parts[i] = newRoleTable()
+			parts[i] = new(RoleTable)
 		}
 		for _, pair := range t.Pairs {
 			parts[ShardOf(pair[0], n)].add(pair[0], pair[1])

@@ -21,8 +21,10 @@ type snapshot struct {
 
 const snapshotVersion = 1
 
-// Save writes the database to w in a binary (gob) format.
+// Save writes the database to w in a binary (gob) format, pending
+// writes included.
 func (db *DB) Save(w io.Writer) error {
+	db.Stats() // finalizes pending writes, which the tables do not hold yet
 	s := snapshot{
 		Version:  snapshotVersion,
 		Layout:   db.Layout,
@@ -59,14 +61,14 @@ func Load(r io.Reader, layout Layout) (*DB, error) {
 		db.Dict.Encode(str)
 	}
 	for name, ids := range s.Concepts {
-		t := newConceptTable()
+		t := new(ConceptTable)
 		for _, id := range ids {
 			t.add(id)
 		}
 		db.concepts[name] = t
 	}
 	for name, pairs := range s.Roles {
-		t := newRoleTable()
+		t := new(RoleTable)
 		for _, p := range pairs {
 			t.add(p[0], p[1])
 		}
