@@ -9,14 +9,17 @@ package engine
 // arithmetic; a cover — DISTINCT over the head projection of a join of
 // fragments — combines its fragments' with coverEstimate and joins them
 // through the streaming hash join. Every node's estimate is frozen at
-// Compile. Operator trees are single-use, so each run builds a fresh
-// one and records, as it goes, which operator answers for which IR
-// node: annotating EXPLAIN with the actual row counters is a loop over
-// that record.
+// Compile. Building an operator tree records, as it goes, which
+// operator answers for which IR node, so annotating EXPLAIN with the
+// actual row counters is a loop over that record. Operators reset
+// themselves in Open, so a tree outlives its run: Run keeps built trees
+// in a per-Compiled pool and re-opens one instead of building again,
+// as long as it was built for the same worker budget and data version.
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -42,6 +45,22 @@ type Compiled struct {
 	node  *plan.Node
 	root  physical
 	nbind int // bounds the EXPLAIN bindings one run records
+	// states holds the *runState of finished runs for Run to re-open. A
+	// sync.Pool, so idle states are freed by the garbage collector
+	// rather than held for as long as the plan is cached.
+	states sync.Pool
+}
+
+// runState is what a run leaves for the next: its operator tree, built
+// for one worker budget at one data version, the tree's EXPLAIN
+// bindings resolved to skeleton indexes, and, from the first reuse on,
+// the EXPLAIN template later runs copy.
+type runState struct {
+	workers int
+	version uint64
+	root    Operator
+	bound   []binding
+	tmpl    *plan.ExplainTemplate
 }
 
 // Compile validates the plan and compiles it into a reusable
@@ -117,31 +136,69 @@ func (c *Compiled) Estimate() plan.Estimate { return c.root.estimate() }
 // returning it with an annotation callback that — once the tree has
 // been drained — writes every IR node's frozen estimate and its
 // operator's actual row count onto an EXPLAIN skeleton of the plan.
-// Operator trees are single-use; call Tree again for another run.
+// The tree is the caller's: Run's pool never sees it.
 func (c *Compiled) Tree(workers int) (Operator, func(at map[*plan.Node]*plan.ExplainNode)) {
-	r := &run{db: c.b.DB, prof: c.b.Profile, bound: make([]binding, 0, c.nbind)}
+	r := c.newRun()
 	return c.root.build(r, workers), r.annotate
 }
 
-// Run builds a fresh operator tree, drains it, and annotates the
-// EXPLAIN skeleton with the frozen estimates and the actual row
-// counters the operators observed.
+func (c *Compiled) newRun() *run {
+	return &run{db: c.b.DB, prof: c.b.Profile, bound: make([]binding, 0, c.nbind)}
+}
+
+// Run drains an operator tree and annotates a fresh EXPLAIN skeleton
+// with the frozen estimates and the actual row counters the operators
+// observed. The tree comes from the pool when one there was built for
+// this worker budget at the current data version (Open resets every
+// operator, and the tree reads the tables afresh); otherwise Run builds
+// one. Either way the tree goes back to the pool afterwards. Safe for
+// concurrent use: each run owns the state it took.
 func (c *Compiled) Run(workers int) (*plan.RunResult, error) {
-	root, at := plan.Skeleton(c.node)
+	version := c.b.DB.Version()
+	var nodes []plan.ExplainNode
+	st, _ := c.states.Get().(*runState)
+	if st != nil && st.workers == workers && st.version == version {
+		if st.tmpl == nil {
+			st.tmpl = plan.NewExplainTemplate(c.node)
+		}
+		nodes = st.tmpl.New()
+	} else {
+		st, nodes = c.newState(workers, version)
+	}
+	rel := Drain(st.root)
+	for _, b := range st.bound {
+		e := &nodes[b.at]
+		e.EstRows, e.EstCost = b.rows, b.cost
+		e.ActualRows = b.op.Stats().Rows
+	}
+	c.states.Put(st)
 	est := c.Estimate()
-	ex := &plan.Explain{Backend: c.b.Name(), EstCost: est.Cost, EstCard: est.Card, Root: root}
-	op, annotate := c.Tree(workers)
-	rel := Drain(op)
-	annotate(at)
+	ex := &plan.Explain{Backend: c.b.Name(), EstCost: est.Cost, EstCard: est.Card, Root: &nodes[0]}
 	return &plan.RunResult{Tuples: rel.Decode(c.b.DB.Dict), Explain: ex}, nil
+}
+
+// newState builds the operator tree of a run state along with the
+// first run's EXPLAIN skeleton, which also places each binding's node.
+// No template is made here: a plan run once (every cold query) would
+// pay for one it never copies.
+func (c *Compiled) newState(workers int, version uint64) (*runState, []plan.ExplainNode) {
+	r := c.newRun()
+	st := &runState{workers: workers, version: version, root: c.root.build(r, workers)}
+	at := make(map[*plan.Node]int32, c.nbind)
+	nodes := plan.FlatSkeleton(c.node, func(i int, n *plan.Node) { at[n] = int32(i) })
+	for i := range r.bound {
+		r.bound[i].at = at[r.bound[i].n]
+	}
+	st.bound = r.bound
+	return st, nodes
 }
 
 // physical is a compiled Distinct-rooted subtree: a fragment or a
 // cover.
 type physical interface {
 	estimate() plan.Estimate
-	// build assembles a fresh operator tree for one run within the
-	// worker budget, recording its EXPLAIN bindings on r.
+	// build assembles a fresh operator tree within the worker budget,
+	// recording its EXPLAIN bindings on r.
 	build(r *run, workers int) Operator
 }
 
@@ -351,6 +408,7 @@ type run struct {
 
 type binding struct {
 	n          *plan.Node
+	at         int32 // n's skeleton index, set for a run state
 	rows, cost float64
 	op         Operator
 }
@@ -362,7 +420,8 @@ func (r *run) bind(n *plan.Node, rows, cost float64, op Operator) {
 }
 
 // annotate writes the run's record onto an EXPLAIN skeleton of the
-// plan; call it once the tree has been drained.
+// plan; call it once the tree has been drained. Run's pooled states
+// annotate by skeleton index instead.
 func (r *run) annotate(at map[*plan.Node]*plan.ExplainNode) {
 	for _, b := range r.bound {
 		if e := at[b.n]; e != nil {

@@ -31,15 +31,22 @@ func (r *Relation) Distinct() {
 	r.Rows = out
 }
 
-// Decode renders the relation as sorted string tuples via the dictionary.
+// Decode renders the relation as sorted string tuples via the
+// dictionary. The tuples share one backing array, each capped at its
+// own width.
 func (r *Relation) Decode(d *Dictionary) [][]string {
+	total := 0
+	for _, row := range r.Rows {
+		total += len(row)
+	}
 	out := make([][]string, len(r.Rows))
+	back := make([]string, 0, total)
 	for i, row := range r.Rows {
-		t := make([]string, len(row))
-		for j, id := range row {
-			t[j] = d.Decode(id)
+		start := len(back)
+		for _, id := range row {
+			back = append(back, d.Decode(id))
 		}
-		out[i] = t
+		out[i] = back[start:len(back):len(back)]
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -55,7 +55,7 @@ type buildTable struct {
 // opened and closed here, exactly once per execution.
 func (bt *buildTable) load() {
 	bt.arena = bt.arena[:0]
-	bt.index = hashIndex{}
+	bt.index.reset()
 	bt.child.Open()
 	defer bt.child.Close()
 	b := getBatch(bt.width)

@@ -23,6 +23,11 @@ package engine
 // sequential union opens one arm at a time, so a run of a UCQ's
 // hundreds of arms — and every later run of the same plan — reuses a
 // handful of buffers instead of growing fresh ones.
+//
+// Trees are reused too: Compiled.Run (backend.go) re-opens the tree a
+// previous run of the same plan left behind, so Open resets whatever a
+// run leaves in an operator and must not trust anything it cached from
+// the tables before.
 
 import (
 	"fmt"
@@ -169,9 +174,10 @@ type opBase struct {
 func (o *opBase) Schema() []string { return o.schema }
 
 // resetStats zeroes the emit counters and arms closeOnce; every
-// operator calls it from Open so a reused (compiled-once) tree reports
-// per-execution cardinalities, keeping Stats, ExplainPipeline, and the
-// feedback flushed at Close scoped to one execution.
+// operator calls it from Open so a reused tree (Compiled.Run re-opens
+// pooled ones) reports per-execution cardinalities, keeping Stats,
+// ExplainPipeline, and the feedback flushed at Close scoped to one
+// execution.
 func (o *opBase) resetStats() {
 	o.batches, o.rows = 0, 0
 	o.opened = true
@@ -294,6 +300,13 @@ func (x *hashIndex) add(h uint64) {
 	x.used++
 }
 
+// reset empties the index, keeping its storage for the next fill.
+func (x *hashIndex) reset() {
+	clear(x.slots)
+	x.next = x.next[:0]
+	x.used = 0
+}
+
 // grow doubles the slot table and re-places the occupied slots.
 func (x *hashIndex) grow() {
 	old := x.slots
@@ -336,6 +349,12 @@ func (s *rowSet) insert(row []int64) bool {
 	s.index.add(h)
 	s.arena = append(s.arena, row...)
 	return true
+}
+
+// reset empties the set, keeping its storage.
+func (s *rowSet) reset() {
+	s.index.reset()
+	s.arena = s.arena[:0]
 }
 
 // --- source operators ---
@@ -504,8 +523,8 @@ type atomJoin struct {
 	concept *ConceptTable
 	role    *RoleTable
 
-	// cached full role scan (built lazily, once per operator, for
-	// mid-pipeline cross products).
+	// cached full role scan (built lazily, once per Open of the
+	// operator, for mid-pipeline cross products).
 	scanPairs   [][2]int64
 	scanDiag    []int64
 	scansLoaded bool
@@ -632,6 +651,15 @@ func (j *atomJoin) matches(row []int64) matchSet {
 	}
 }
 
+// resetScan drops the cached full scan, so a re-opened operator reads
+// the table as it is now: Finalize publishes pending facts without
+// bumping the data version a pooled tree is checked against.
+func (j *atomJoin) resetScan() {
+	j.scansLoaded = false
+	j.scanPairs = nil
+	j.scanDiag = j.scanDiag[:0]
+}
+
 func (j *atomJoin) loadScan() {
 	if j.scansLoaded {
 		return
@@ -746,6 +774,9 @@ func (o *joinOp) Open() {
 	o.inPos, o.altIdx = 0, 0
 	o.curRow = nil
 	o.pend, o.pendIdx = matchSet{}, 0
+	for _, a := range o.alts {
+		a.resetScan()
+	}
 	o.child.Open()
 }
 
@@ -912,7 +943,11 @@ func newDistinct(child Operator) *distinctOp {
 func (o *distinctOp) Open() {
 	o.resetStats()
 	takeBatch(&o.in, len(o.child.Schema()))
-	o.set = newRowSet(len(o.child.Schema()))
+	if o.set == nil {
+		o.set = newRowSet(len(o.child.Schema()))
+	} else {
+		o.set.reset()
+	}
 	o.child.Open()
 }
 
@@ -938,7 +973,6 @@ func (o *distinctOp) Close() {
 	}
 	o.child.Close()
 	releaseBatch(&o.in)
-	o.set = nil
 }
 func (o *distinctOp) Children() []Operator { return []Operator{o.child} }
 
@@ -1001,16 +1035,25 @@ func (o *unionOp) Children() []Operator { return o.children }
 
 // Drain runs a compiled pipeline to completion and materializes its
 // output as a Relation — the bridge to the materialized-relation world
-// of HashJoin, views, and result decoding.
+// of HashJoin, views, and result decoding. The rows share one backing
+// array, each capped at its own width.
 func Drain(op Operator) *Relation {
 	op.Open()
 	defer op.Close()
-	rel := &Relation{Schema: op.Schema()}
-	b := getBatch(len(op.Schema()))
+	width := len(op.Schema())
+	b := getBatch(width)
 	defer putBatch(b)
+	var flat []int64
+	n := 0
 	for op.Next(b) {
-		for i := 0; i < b.Len(); i++ {
-			rel.Rows = append(rel.Rows, append([]int64(nil), b.Row(i)...))
+		flat = append(flat, b.data[:b.Len()*width]...)
+		n += b.Len()
+	}
+	rel := &Relation{Schema: op.Schema()}
+	if n > 0 {
+		rel.Rows = make([][]int64, n)
+		for i := range rel.Rows {
+			rel.Rows[i] = flat[i*width : (i+1)*width : (i+1)*width]
 		}
 	}
 	return rel

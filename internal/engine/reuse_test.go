@@ -1,0 +1,173 @@
+package engine_test
+
+// Run reuse: Compiled.Run re-opens the operator tree a previous run
+// left in its pool. A reused tree must answer, and explain, exactly as
+// a freshly built one; it must read the tables as they are now; and it
+// must never serve a worker budget or data version it was not built
+// for.
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/lubm"
+	"repro/internal/plan"
+	"repro/internal/query"
+)
+
+// cqPlan lowers one CQ to a plan tree.
+func cqPlan(cq string) *plan.Node {
+	q := query.MustParseCQ(cq)
+	return plan.FromUCQ(query.UCQ{Name: q.Name, Disjuncts: []query.CQ{q}})
+}
+
+// runRows runs c sequentially and returns its answer count.
+func runRows(t *testing.T, c *engine.Compiled) int {
+	t.Helper()
+	rr, err := c.Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(rr.Tuples)
+}
+
+// TestReusedTreeSeesFinalize: AddRoleFact bumps the data version but
+// Finalize, which publishes the fact, does not; a tree built between
+// the two is reused after Finalize and must not serve the role scan it
+// cached before.
+func TestReusedTreeSeesFinalize(t *testing.T) {
+	db := engine.NewDB(engine.LayoutSimple)
+	db.AddConceptFact("A", "a")
+	db.AddRoleFact("R", "b", "c")
+	db.Finalize()
+	c := compileNode(t, db, cqPlan("q(x, y) <- A(x), R(y, z)"))
+	if n := runRows(t, c); n != 1 {
+		t.Fatalf("before the write: %d rows, want 1", n)
+	}
+	db.AddRoleFact("R", "d", "e")
+	if n := runRows(t, c); n != 1 {
+		t.Fatalf("write pending: %d rows, want 1", n)
+	}
+	db.Finalize()
+	if n := runRows(t, c); n != 2 {
+		t.Fatalf("after Finalize: %d rows, want 2", n)
+	}
+}
+
+// TestRunRebuildsAfterWrite: a constant absent when the tree is first
+// built makes its atom dead; once a write adds it, the data version
+// moves and the next run must build a tree that sees it.
+func TestRunRebuildsAfterWrite(t *testing.T) {
+	db := engine.NewDB(engine.LayoutSimple)
+	db.AddConceptFact("A", "a")
+	db.Finalize()
+	c := compileNode(t, db, cqPlan("q(x) <- A(x), B('newcomer')"))
+	for i := 0; i < 2; i++ {
+		if n := runRows(t, c); n != 0 {
+			t.Fatalf("run %d before the write: %d rows, want 0", i, n)
+		}
+	}
+	db.AddConceptFact("B", "newcomer")
+	db.Finalize()
+	if n := runRows(t, c); n != 1 {
+		t.Fatalf("after the write: %d rows, want 1", n)
+	}
+}
+
+// TestRerunMatchesFreshCompile: for every LUBM query and strategy, three
+// runs of one Compiled answer and explain byte for byte as a fresh
+// compile of the same plan does, and a later run leaves an earlier
+// run's EXPLAIN untouched. EDL's exhaustive search takes seconds per
+// query, minutes under the race detector, and its covers are shaped
+// like GDL's, so race builds leave it out.
+func TestRerunMatchesFreshCompile(t *testing.T) {
+	db := lubmDB()
+	for qi := range lubm.Queries() {
+		for _, s := range core.Strategies() {
+			if raceEnabled && s == core.StrategyEDL {
+				continue
+			}
+			n := planLUBM(t, db, qi, s)
+			c := compileNode(t, db, n)
+			var first *plan.Explain
+			var firstText string
+			var firstRows []int64
+			for run := 0; run < 3; run++ {
+				got, err := c.Run(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := compileNode(t, db, n).Run(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Tuples, want.Tuples) {
+					t.Errorf("Q%d/%s run %d: %d tuples, fresh compile %d", qi+1, s, run, len(got.Tuples), len(want.Tuples))
+				}
+				if g, w := got.Explain.Text(), want.Explain.Text(); g != w {
+					t.Errorf("Q%d/%s run %d: EXPLAIN differs from a fresh compile:\n%s\nwant\n%s", qi+1, s, run, g, w)
+				}
+				if run == 0 {
+					first, firstText, firstRows = got.Explain, got.Explain.Text(), actualRows(got.Explain.Root, nil)
+					continue
+				}
+				if shared := sharedNodes(first.Root, got.Explain.Root); shared != 0 {
+					t.Errorf("Q%d/%s run %d shares %d EXPLAIN nodes with run 0", qi+1, s, run, shared)
+				}
+				if first.Text() != firstText || !slices.Equal(actualRows(first.Root, nil), firstRows) {
+					t.Errorf("Q%d/%s run %d changed run 0's EXPLAIN", qi+1, s, run)
+				}
+			}
+		}
+	}
+}
+
+// actualRows lists the tree's actual row counts in preorder.
+func actualRows(e *plan.ExplainNode, out []int64) []int64 {
+	out = append(out, e.ActualRows)
+	for _, c := range e.Children {
+		out = actualRows(c, out)
+	}
+	return out
+}
+
+// sharedNodes counts the nodes of b that are also nodes of a.
+func sharedNodes(a, b *plan.ExplainNode) int {
+	seen := map[*plan.ExplainNode]bool{}
+	var mark func(*plan.ExplainNode)
+	mark = func(e *plan.ExplainNode) {
+		seen[e] = true
+		for _, c := range e.Children {
+			mark(c)
+		}
+	}
+	mark(a)
+	shared := 0
+	var count func(*plan.ExplainNode)
+	count = func(e *plan.ExplainNode) {
+		if seen[e] {
+			shared++
+		}
+		for _, c := range e.Children {
+			count(c)
+		}
+	}
+	count(b)
+	return shared
+}
+
+// TestRunAcrossWorkerBudgets: a tree built for one worker budget is
+// never reused for another, and alternating budgets answer the same.
+func TestRunAcrossWorkerBudgets(t *testing.T) {
+	db := lubmDB()
+	c := compileLUBM(t, db, 2, core.StrategyUCQ) // Q3
+	want := answers(t, c, 1)
+	for _, workers := range []int{4, 1, 4} {
+		if got := answers(t, c, workers); !slices.Equal(got, want) {
+			t.Errorf("workers=%d: %d answers, want %d", workers, len(got), len(want))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -38,23 +39,93 @@ type Explain struct {
 // (every figure UnknownRows), returning the node map backends use to
 // attach estimates and actual row counters.
 func Skeleton(n *Node) (*ExplainNode, map[*Node]*ExplainNode) {
-	at := make(map[*Node]*ExplainNode)
-	var build func(*Node) *ExplainNode
-	build = func(m *Node) *ExplainNode {
-		e := &ExplainNode{
+	nodes := make([]ExplainNode, NodeCount(n))
+	at := make(map[*Node]*ExplainNode, len(nodes))
+	fill(n, nodes, nil, func(i int, m *Node) { at[m] = &nodes[i] })
+	return &nodes[0], at
+}
+
+// FlatSkeleton is Skeleton without the node map: it returns the nodes
+// in preorder, root first, and calls visit with every IR node and its
+// index, once per path to a shared node.
+func FlatSkeleton(n *Node, visit func(i int, m *Node)) []ExplainNode {
+	nodes := make([]ExplainNode, NodeCount(n))
+	fill(n, nodes, nil, visit)
+	return nodes
+}
+
+// fill lays n's skeleton out flat in nodes (sized NodeCount(n)), in
+// preorder. Every node's Children is a sub-slice of one shared pointer
+// slice, the parents' runs in preorder. kidIdx, when non-nil, receives
+// the index of the node behind each entry of that slice; visit, when
+// non-nil, sees every IR node with its index before its inputs.
+func fill(n *Node, nodes []ExplainNode, kidIdx []int32, visit func(int, *Node)) {
+	kids := make([]*ExplainNode, len(nodes)-1)
+	next, off := 0, 0
+	var walk func(m *Node) int
+	walk = func(m *Node) int {
+		i := next
+		next++
+		e := &nodes[i]
+		*e = ExplainNode{
 			Op:         m.Op.String(),
 			Detail:     m.Detail(),
 			EstRows:    UnknownRows,
 			EstCost:    UnknownRows,
 			ActualRows: UnknownRows,
 		}
-		at[m] = e
-		for _, in := range m.Inputs {
-			e.Children = append(e.Children, build(in))
+		if visit != nil {
+			visit(i, m)
 		}
-		return e
+		if k := len(m.Inputs); k > 0 {
+			base := off
+			off += k
+			e.Children = kids[base:off:off]
+			for c, in := range m.Inputs {
+				j := walk(in)
+				kids[base+c] = &nodes[j]
+				if kidIdx != nil {
+					kidIdx[base+c] = int32(j)
+				}
+			}
+		}
+		return i
 	}
-	return build(n), at
+	walk(n)
+}
+
+// ExplainTemplate is a plan's skeleton kept for copying: New hands out
+// a fresh FlatSkeleton without rendering any Detail again.
+type ExplainTemplate struct {
+	nodes []ExplainNode
+	kids  []int32 // the node index behind each shared Children entry
+}
+
+// NewExplainTemplate renders n's skeleton once.
+func NewExplainTemplate(n *Node) *ExplainTemplate {
+	t := &ExplainTemplate{nodes: make([]ExplainNode, NodeCount(n))}
+	t.kids = make([]int32, len(t.nodes)-1)
+	fill(n, t.nodes, t.kids, nil)
+	return t
+}
+
+// New returns a copy of the skeleton that shares nothing mutable with
+// the template or with earlier copies: the nodes in preorder, root
+// first, as FlatSkeleton lays them out.
+func (t *ExplainTemplate) New() []ExplainNode {
+	nodes := slices.Clone(t.nodes)
+	kids := make([]*ExplainNode, len(t.kids))
+	for j, k := range t.kids {
+		kids[j] = &nodes[k]
+	}
+	off := 0
+	for i := range nodes {
+		if k := len(nodes[i].Children); k > 0 {
+			nodes[i].Children = kids[off : off+k : off+k]
+			off += k
+		}
+	}
+	return nodes
 }
 
 // Text renders the explanation as an indented tree, EXPLAIN ANALYZE

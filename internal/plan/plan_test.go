@@ -257,3 +257,46 @@ func TestSkeletonCoversEveryNode(t *testing.T) {
 		t.Errorf("skeleton has %d nodes, IR has %d", got, count)
 	}
 }
+
+// TestExplainTemplateMatchesSkeleton: FlatSkeleton and a template's
+// copies are the skeleton, node for node, and a copy shares no node
+// with the template's other copies.
+func TestExplainTemplateMatchesSkeleton(t *testing.T) {
+	j := query.JUCQ{Name: "j", Head: []query.Term{query.Var("x")}, Subs: []query.UCQ{
+		{Name: "f1", Disjuncts: []query.CQ{mustCQ(t, "f1(x) <- A(x)"), mustCQ(t, "f1(x) <- R(x, y), B(y)")}},
+		{Name: "f2", Disjuncts: []query.CQ{mustCQ(t, "f2(x) <- B(x)")}},
+	}}
+	n := FromJUCQ(j)
+	root, at := Skeleton(n)
+	flat := FlatSkeleton(n, func(i int, m *Node) {
+		if at[m] == nil || at[m].Op != m.Op.String() {
+			t.Errorf("node %d (%s) has no matching skeleton node", i, m.Op)
+		}
+	})
+	if !reflect.DeepEqual(&flat[0], root) {
+		t.Errorf("FlatSkeleton differs from Skeleton")
+	}
+	tmpl := NewExplainTemplate(n)
+	a, b := tmpl.New(), tmpl.New()
+	if !reflect.DeepEqual(&a[0], root) || !reflect.DeepEqual(&b[0], root) {
+		t.Fatalf("template copy differs from Skeleton")
+	}
+	for i := range a {
+		a[i].ActualRows = int64(i)
+	}
+	a[len(a)-1].EstRows = 3
+	if !reflect.DeepEqual(&b[0], root) || !reflect.DeepEqual(&tmpl.New()[0], root) {
+		t.Errorf("annotating one copy changed another")
+	}
+	own := map[*ExplainNode]bool{}
+	for i := range a {
+		own[&a[i]] = true
+	}
+	for i := range a {
+		for _, c := range a[i].Children {
+			if !own[c] {
+				t.Fatalf("node %d (%s) has a child outside its copy", i, a[i].Op)
+			}
+		}
+	}
+}
