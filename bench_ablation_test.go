@@ -175,12 +175,10 @@ func compileUCQ(b *testing.B, env *exp.Env, u query.UCQ) plan.Executable {
 	return exec
 }
 
-// BenchmarkAblationExecPath compares the executors on UCQ
-// reformulations: the native backend's streaming operator pipeline
-// (cold = compile per execution, warm = compiled once and run again,
-// the serving mode) against the materialize-everything reference path.
-// Run with -benchmem to see the allocation gap the streaming model
-// exists for.
+// BenchmarkAblationExecPath times the native backend's streaming
+// operator pipeline on UCQ reformulations, cold (compile per execution)
+// against warm (compiled once and run again, the serving mode). Run
+// with -benchmem to see what compilation allocates.
 func BenchmarkAblationExecPath(b *testing.B) {
 	env, _, _ := benchEnvs()
 	ref := reformulate.New(env.TBox)
@@ -203,12 +201,6 @@ func BenchmarkAblationExecPath(b *testing.B) {
 				if _, err := exec.Run(1); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-		b.Run(q.Name+"/materialized", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				engine.ExecUCQMaterialized(u, env.DB, env.Profile)
 			}
 		})
 	}

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/dllite"
+	"repro/internal/naive"
 	"repro/internal/plan"
 	"repro/internal/query"
 )
@@ -37,8 +39,18 @@ func drainPlan(t *testing.T, db *DB, prof *Profile, n *plan.Node, workers int) *
 	return Drain(op)
 }
 
+// naiveTuples returns the reference evaluator's answers in the order a
+// run returns its tuples.
+func naiveTuples(rel *naive.Relation) [][]string {
+	out := make([][]string, 0, rel.Size())
+	for _, tu := range rel.Sorted() {
+		out = append(out, tu)
+	}
+	return out
+}
+
 // TestBackendMatchesPlannedExec: compiling a UCQ through the plan IR
-// returns the materialized executor's tuples, and the estimate of the
+// returns the reference evaluator's tuples, and the estimate of the
 // profile's union arithmetic over the planned arms.
 func TestBackendMatchesPlannedExec(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
@@ -54,7 +66,7 @@ func TestBackendMatchesPlannedExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ExecUCQMaterialized(u, db, prof).Decode(db.Dict); !reflect.DeepEqual(rr.Tuples, want) {
+	if want := naiveTuples(naive.EvalUCQ(u, dllite.MustParseABox(sampleABox))); !reflect.DeepEqual(rr.Tuples, want) {
 		t.Errorf("tuples = %v, want %v", rr.Tuples, want)
 	}
 	var cost, card float64
@@ -69,7 +81,7 @@ func TestBackendMatchesPlannedExec(t *testing.T) {
 }
 
 // TestBackendJUCQMatchesPlannedExec: the two-fragment cover shape runs
-// through the hash join, matches the materialized fold, and is costed
+// through the hash join, matches the reference evaluator, and is costed
 // as coverEstimate over its fragments' own estimates.
 func TestBackendJUCQMatchesPlannedExec(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
@@ -90,7 +102,7 @@ func TestBackendJUCQMatchesPlannedExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ExecJUCQMaterialized(j, db, prof).Decode(db.Dict); !reflect.DeepEqual(rr.Tuples, want) {
+	if want := naiveTuples(naive.EvalJUCQ(j, dllite.MustParseABox(sampleABox))); !reflect.DeepEqual(rr.Tuples, want) {
 		t.Errorf("tuples = %v, want %v", rr.Tuples, want)
 	}
 	frags := make([]plan.Estimate, len(j.Subs))
@@ -154,7 +166,7 @@ func TestBackendExplainActuals(t *testing.T) {
 }
 
 // TestBackendUSCQ: the factorized dialect compiles and matches the
-// materialized evaluation of its expansion.
+// reference evaluation of its expansion.
 func TestBackendUSCQ(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	prof := ProfilePostgres()
@@ -168,7 +180,7 @@ func TestBackendUSCQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ExecUCQMaterialized(u.Expand(), db, prof).Decode(db.Dict); !reflect.DeepEqual(rr.Tuples, want) {
+	if want := naiveTuples(naive.EvalUSCQ(u, dllite.MustParseABox(sampleABox))); !reflect.DeepEqual(rr.Tuples, want) {
 		t.Errorf("tuples = %v, want %v", rr.Tuples, want)
 	}
 }

@@ -2,9 +2,9 @@ package engine
 
 // Compilation of planned queries into streaming operator trees
 // (operator.go). The pipeline row layout of one CQ/SCQ is the set of
-// its variables in order of first use, exactly as the materializing
-// executor laid them out; each plan step becomes a scan (first unbound
-// atom), a filter (fully bound atom), or an index-nested-loop join.
+// its variables in order of first use along the plan; each plan step
+// becomes a scan (first unbound atom), a filter (fully bound atom), or
+// an index-nested-loop join.
 
 import (
 	"sort"

@@ -15,9 +15,9 @@
 // batches of int64 rows — scans, index-nested-loop joins, filters,
 // projection, streaming DISTINCT over a 64-bit hash set, sequential or
 // parallel union (the parallel union operator owns its worker pool),
-// and the cover hash join. The old materialize-everything executor
-// survives as Exec*Materialized for differential testing and
-// benchmarking.
+// and the cover hash join. Tests check answers against internal/naive
+// and a CQ's duplicates and row order against a test-only materializing
+// executor (materialize_test.go).
 // Per-operator row counters (OpStats, ExplainPipeline) can feed the
 // planner through Profile.Feedback for adaptive re-estimation.
 package engine

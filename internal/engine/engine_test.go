@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -265,6 +266,49 @@ exists supervisedBy <= PhDStudent
 	}
 }
 
+// TestHeadConstantMatchesNaive: PerfectRef's reduce step turns
+// q(x) <- R(x, y), R('c', y) into a UCQ with the disjunct
+// q('c') <- R('c', y). The engine and the reference evaluator give the
+// same answers, {c, e}, on that UCQ and on every cover's JUCQ.
+func TestHeadConstantMatchesNaive(t *testing.T) {
+	ab := dllite.MustParseABox("R(c, d)\nR(e, d)\nR(e, f)")
+	tb := dllite.MustParseTBox("")
+	q := query.MustParseCQ("q(x) <- R(x, y), R('c', y)")
+	ref := reformulate.New(tb)
+	u := ref.MustReformulate(q)
+	if !slices.ContainsFunc(u.Disjuncts, func(d query.CQ) bool { return d.Head[0].Const }) {
+		t.Fatalf("reformulation has no head-constant disjunct: %v", u)
+	}
+	want := map[string]bool{"c": true, "e": true}
+	if got := naiveToSet(naive.EvalUCQ(u, ab)); !sameSets(got, want) {
+		t.Errorf("naive UCQ = %v, want %v", got, want)
+	}
+	var covers []cover.Cover
+	cover.EnumerateGeneralizedCovers(q, tb, 0, func(c cover.Cover) bool {
+		covers = append(covers, c)
+		return true
+	})
+	for _, layout := range []Layout{LayoutSimple, LayoutRDF} {
+		db := NewDB(layout)
+		db.LoadABox(ab)
+		if got := tupleSet(EvaluateUCQ(u, db, ProfilePostgres()).Tuples); !sameSets(got, want) {
+			t.Errorf("%v: engine UCQ = %v, want %v", layout, got, want)
+		}
+		for _, c := range covers {
+			j, err := c.ReformulateJUCQ(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := naiveToSet(naive.EvalJUCQ(j, ab)); !sameSets(got, want) {
+				t.Errorf("cover %v: naive JUCQ = %v, want %v", c, got, want)
+			}
+			if got := tupleSet(EvaluateJUCQ(j, db, ProfilePostgres()).Tuples); !sameSets(got, want) {
+				t.Errorf("%v cover %v: engine JUCQ = %v, want %v", layout, c, got, want)
+			}
+		}
+	}
+}
+
 // TestPropSCQMatchesExpansion: factorized SCQ evaluation equals the
 // expanded UCQ evaluation.
 func TestPropSCQMatchesExpansion(t *testing.T) {
@@ -361,9 +405,8 @@ func TestPlanChoosesIndexAccess(t *testing.T) {
 	}
 	// Executing matches expectation.
 	rel := Drain(CompileCQ(p, db, nil))
-	rel.Distinct()
-	if len(rel.Rows) != 1 {
-		t.Fatalf("rows = %d", len(rel.Rows))
+	if got := relToSet(rel, db.Dict); len(got) != 1 {
+		t.Fatalf("distinct rows = %d", len(got))
 	}
 }
 
@@ -425,38 +468,6 @@ func TestStatisticsValues(t *testing.T) {
 	}
 	if st.TotalFacts != 6 {
 		t.Errorf("total facts = %d", st.TotalFacts)
-	}
-}
-
-func TestHashJoinNoCommonColumns(t *testing.T) {
-	l := &Relation{Schema: []string{"x"}, Rows: [][]int64{{1}, {2}}}
-	r := &Relation{Schema: []string{"y"}, Rows: [][]int64{{7}, {8}, {9}}}
-	j := HashJoin(l, r)
-	if len(j.Rows) != 6 {
-		t.Errorf("cartesian join = %d rows, want 6", len(j.Rows))
-	}
-	if len(j.Schema) != 2 {
-		t.Errorf("schema = %v", j.Schema)
-	}
-}
-
-func TestHashJoinSharedColumn(t *testing.T) {
-	l := &Relation{Schema: []string{"x", "y"}, Rows: [][]int64{{1, 10}, {2, 20}}}
-	r := &Relation{Schema: []string{"y", "z"}, Rows: [][]int64{{10, 100}, {10, 101}, {30, 300}}}
-	j := HashJoin(l, r)
-	if len(j.Rows) != 2 {
-		t.Errorf("join = %d rows, want 2", len(j.Rows))
-	}
-	if len(j.Schema) != 3 {
-		t.Errorf("schema = %v", j.Schema)
-	}
-}
-
-func TestRelationDistinct(t *testing.T) {
-	r := &Relation{Schema: []string{"x"}, Rows: [][]int64{{1}, {1}, {2}}}
-	r.Distinct()
-	if len(r.Rows) != 2 {
-		t.Errorf("distinct = %d rows", len(r.Rows))
 	}
 }
 

@@ -7,15 +7,13 @@ import (
 )
 
 // Streaming hash join for cover fragments. A JUCQ/JUSCQ plan evaluates
-// a cover as the join of its fragment reformulations (Section 3); until
-// now that join materialized every fragment as a Relation and folded
-// them through the pairwise HashJoin. hashJoinOp brings the join into
-// the operator model: the build-side fragments are whole streaming
-// pipelines drained into compact hash tables by parallel workers during
-// Open, and the driving (largest) fragment is then probed in one
-// streaming pass — no fragment Relation is ever materialized, and
-// probe work overlaps the tail of the build phase through the usual
-// batch flow.
+// a cover as the join of its fragment reformulations (Section 3).
+// hashJoinOp runs that join in the operator model: the build-side
+// fragments are whole streaming pipelines drained into compact hash
+// tables by parallel workers during Open, and the driving (largest)
+// fragment is then probed in one streaming pass — no fragment Relation
+// is ever materialized, and probe work overlaps the tail of the build
+// phase through the usual batch flow.
 
 // clampWorkers bounds a worker request to the machine and the number of
 // runnable tasks — the shared budget policy of unionParallelOp and

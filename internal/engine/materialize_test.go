@@ -1,21 +1,16 @@
 package engine
 
-// The original materialize-everything executor, kept as the reference
-// path: it builds every intermediate result as [][]int64. The streaming
-// operator pipeline (operator.go, compile.go, backend.go) is the
-// production path; this one serves as the differential-testing oracle
-// and as the baseline the benchmarks compare allocations against. It
-// takes the dialect queries themselves and shares only the join-order
-// planner with the production path.
+// The materialize-everything CQ executor, kept as the bag reference for
+// tests that check what a set-valued oracle cannot: duplicate counts and
+// row order. It builds every intermediate as [][]int64 along the
+// production join order (PlanCQ). Set-valued comparisons use
+// internal/naive instead.
 
-import (
-	"repro/internal/plan"
-	"repro/internal/query"
-)
+import "repro/internal/query"
 
 // ExecCQMaterialized plans q under the profile and evaluates it by
 // materializing every intermediate, returning rows projected on the CQ
-// head (duplicates preserved; callers apply Distinct).
+// head (duplicates preserved).
 func ExecCQMaterialized(q query.CQ, db *DB, prof *Profile) *Relation {
 	p := PlanCQ(q, db, prof)
 	// Column layout: variables in order of first use across the plan.
@@ -155,41 +150,4 @@ func execStep(a query.Atom, rows [][]int64, colOf map[string]int, bound []bool, 
 		}
 	}
 	return out
-}
-
-// ExecUCQMaterialized evaluates a UCQ with DISTINCT through the
-// materializing path.
-func ExecUCQMaterialized(u query.UCQ, db *DB, prof *Profile) *Relation {
-	out := &Relation{Schema: headSchema(u.Head())}
-	for _, q := range u.Disjuncts {
-		out.Rows = append(out.Rows, ExecCQMaterialized(q, db, prof).Rows...)
-	}
-	out.Distinct()
-	return out
-}
-
-// ExecJUCQMaterialized is the pre-streaming cover path: materialize
-// each fragment with DISTINCT (the WITH clauses of Section 3), join
-// smallest-first (the native estimates breaking ties), then project
-// the overall head with DISTINCT.
-func ExecJUCQMaterialized(j query.JUCQ, db *DB, prof *Profile) *Relation {
-	frags := make([]*Relation, len(j.Subs))
-	ests := make([]float64, len(j.Subs))
-	for i, sub := range j.Subs {
-		frags[i] = ExecUCQMaterialized(sub, db, prof)
-		ests[i] = NewBackend(db, prof).Estimate(plan.FromUCQ(sub)).Card
-	}
-	return JoinAndProjectEst(frags, ests, j.Head, db)
-}
-
-// ExecJUSCQMaterialized is ExecJUCQMaterialized for JUSCQs: each USCQ
-// fragment materializes as its expansion into a UCQ.
-func ExecJUSCQMaterialized(j query.JUSCQ, db *DB, prof *Profile) *Relation {
-	frags := make([]*Relation, len(j.Subs))
-	ests := make([]float64, len(j.Subs))
-	for i, sub := range j.Subs {
-		frags[i] = ExecUCQMaterialized(sub.Expand(), db, prof)
-		ests[i] = NewBackend(db, prof).Estimate(plan.FromUSCQ(sub)).Card
-	}
-	return JoinAndProjectEst(frags, ests, j.Head, db)
 }

@@ -48,6 +48,8 @@ func (r *Relation) Sorted() []Tuple {
 }
 
 // EvalCQ evaluates a CQ over the ABox by backtracking over assertions.
+// A head constant answers as itself; PerfectRef's reduce step creates
+// them (q(x) <- R(x, y), R('c', y) yields q('c') <- R('c', y)).
 func EvalCQ(q query.CQ, ab *dllite.ABox) *Relation {
 	schema := make([]string, len(q.Head))
 	for i, h := range q.Head {
@@ -60,7 +62,11 @@ func EvalCQ(q query.CQ, ab *dllite.ABox) *Relation {
 		if i == len(q.Atoms) {
 			t := make(Tuple, len(q.Head))
 			for j, h := range q.Head {
-				t[j] = bind[h.Name]
+				if h.Const {
+					t[j] = h.Name
+				} else {
+					t[j] = bind[h.Name]
+				}
 			}
 			rel.Add(t)
 			return

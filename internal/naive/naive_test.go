@@ -153,3 +153,28 @@ func TestRelationSortedStable(t *testing.T) {
 		t.Errorf("sorted = %v", s)
 	}
 }
+
+// TestEvalHeadConstant: a head constant answers as itself. PerfectRef's
+// reduce step creates such heads: over R(c, d) R(e, d) R(e, f),
+// q(x) <- R(x, y), R('c', y) reformulates to a UCQ with the disjunct
+// q('c') <- R('c', y), whose answer is c. In a JUCQ fragment the
+// constant fills the fragment's head column and joins on its value.
+func TestEvalHeadConstant(t *testing.T) {
+	ab := abox(t, "R(c, d)\nR(e, d)\nR(e, f)")
+	c, y := query.Cst("c"), query.Var("y")
+	constHead := query.CQ{Name: "f1", Head: []query.Term{c}, Atoms: []query.Atom{query.RoleAtom("R", c, y)}}
+	if rel := EvalCQ(constHead, ab); rel.Size() != 1 || rel.Sorted()[0][0] != "c" {
+		t.Fatalf("head constant = %q", rel.Sorted())
+	}
+	j := query.JUCQ{
+		Name: "q",
+		Head: []query.Term{query.Var("x")},
+		Subs: []query.UCQ{
+			{Disjuncts: []query.CQ{query.MustParseCQ("f1(x) <- R(x, 'f')"), constHead}},
+			{Disjuncts: []query.CQ{query.MustParseCQ("f2(x) <- R(x, 'd')")}},
+		},
+	}
+	if rel := EvalJUCQ(j, ab); rel.Size() != 2 || rel.Sorted()[0][0] != "c" || rel.Sorted()[1][0] != "e" {
+		t.Fatalf("join on a head constant = %q, want [[c] [e]]", rel.Sorted())
+	}
+}
