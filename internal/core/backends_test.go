@@ -169,6 +169,34 @@ func TestExplainEveryStrategy(t *testing.T) {
 	}
 }
 
+// TestQuotedConstantOnSQLBackend: a constant holding a quote ships as
+// an escaped literal, so the sql backend answers what the native one
+// does, and Result.SQLSize counts the escaped statement it shipped.
+func TestQuotedConstantOnSQLBackend(t *testing.T) {
+	db := engine.NewDB(engine.LayoutSimple)
+	db.AddRoleFact("worksFor", "ann", "O'Brien Lab")
+	db.AddRoleFact("worksFor", "bob", "Brien Lab")
+	db.Finalize()
+	q := query.MustParseCQ(`q(x) <- worksFor(x, "O'Brien Lab")`)
+	for _, s := range []Strategy{StrategyUCQ, StrategyUSCQ, StrategyGDLExt} {
+		native, err := New(lubm.TBox(), db, engine.ProfilePostgres()).Answer(q, s)
+		if err != nil {
+			t.Fatalf("native/%s: %v", s, err)
+		}
+		a := New(lubm.TBox(), db, engine.ProfilePostgres())
+		res, err := a.AnswerWith(q, s, sqlexec.NewBackend(db, a.Profile))
+		if err != nil {
+			t.Fatalf("sql/%s: %v", s, err)
+		}
+		if want := []string{"ann"}; !reflect.DeepEqual(sorted(native.Tuples), want) || !reflect.DeepEqual(sorted(res.Tuples), want) {
+			t.Errorf("%s: native %v, sql %v, want [[ann]]", s, native.Tuples, res.Tuples)
+		}
+		if res.SQLSize != len(res.Explain.SQL) {
+			t.Errorf("%s: SQLSize %d, shipped statement is %d bytes", s, res.SQLSize, len(res.Explain.SQL))
+		}
+	}
+}
+
 // TestSQLBackendExplainCarriesStatement: the SQL backend's EXPLAIN
 // reports the statement it shipped.
 func TestSQLBackendExplainCarriesStatement(t *testing.T) {

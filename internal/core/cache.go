@@ -2,8 +2,8 @@ package core
 
 // The query-answering cache: cmd/obdaserver traffic is dominated by a
 // small set of hot queries, yet every request used to re-run the cover
-// search (GDL/EDL), PerfectRef reformulation, SQL generation, and
-// planning before a single tuple was produced. AnswerCache memoizes
+// search (GDL/EDL), PerfectRef reformulation, planning, and statement
+// sizing before a single tuple was produced. AnswerCache memoizes
 // that whole front half of Answer, keyed on the query's canonical form
 // (isomorphic queries share an entry), the strategy, and the TBox/data
 // versions — a TBox or ABox mutation bumps a version, so stale entries
@@ -35,15 +35,16 @@ type cacheKey struct {
 }
 
 // cachedPlan is the reusable front half of one Answer call: the chosen
-// cover, the logical plan its reformulation lowered into, the SQL
-// rendered from that plan, and the backend executable compiled from it.
+// cover, the logical plan its reformulation lowered into, the byte size
+// of the SQL that plan renders to (not the text, which nothing off the
+// sql backend reads), and the backend executable compiled from it.
 // The IR and the executable are immutable/concurrency-safe; physical
 // state is rebuilt inside every Run.
 type cachedPlan struct {
 	cover        cover.Cover
 	numFragments int
 	numDisjuncts int
-	sql          string
+	sqlSize      int
 
 	searchTime time.Duration // the original search cost, reported once
 

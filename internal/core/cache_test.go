@@ -34,7 +34,7 @@ func TestCacheHitSkipsPlanning(t *testing.T) {
 		if len(second.Tuples) != len(first.Tuples) || second.Tuples[0][0] != first.Tuples[0][0] {
 			t.Errorf("%s: hit answers %v != miss answers %v", s, second.Tuples, first.Tuples)
 		}
-		if second.SQL != first.SQL || second.NumDisjuncts != first.NumDisjuncts {
+		if second.SQLSize != first.SQLSize || second.Plan != first.Plan || second.NumDisjuncts != first.NumDisjuncts {
 			t.Errorf("%s: cached artifacts differ", s)
 		}
 		hits, misses := a.Cache.Stats()

@@ -116,7 +116,7 @@ type Answerer struct {
 	Workers int
 
 	// Cache, when non-nil, memoizes the front half of Answer (cover
-	// search, reformulation, SQL generation, planning) per canonical
+	// search, reformulation, planning, statement sizing) per canonical
 	// query, strategy, and TBox/data version. New enables it with
 	// DefaultAnswerCacheSize; set to nil to re-run the full pipeline on
 	// every request. Note that cached plans freeze the cardinality
@@ -218,15 +218,18 @@ type Result struct {
 	// actual per-operator row counters of this execution.
 	Explain *plan.Explain
 
-	SQL     string
+	// SQLSize is the byte length of the statement shipped to the
+	// RDBMS, sqlgen.Render(Plan, …); the text itself is rendered only
+	// where it is read (the sql backend's Explain.SQL, cmd/obda -sql).
 	SQLSize int
 	EstCost float64
 
 	SearchTime time.Duration // cover search (zero for fixed strategies and cache hits)
 	EvalTime   time.Duration
 
-	// CacheHit reports that the cover, reformulation, SQL, and plan came
-	// from the answer cache — only evaluation ran for this request.
+	// CacheHit reports that the cover, reformulation, plan, and
+	// statement size came from the answer cache — only evaluation ran
+	// for this request.
 	CacheHit bool
 
 	// Search carries the raw GDL/EDL result when applicable (fresh
@@ -235,7 +238,8 @@ type Result struct {
 }
 
 // Answer runs the strategy end to end: choose a cover, reformulate,
-// translate to SQL, enforce the profile's statement limit, and evaluate.
+// plan, enforce the profile's statement limit on the size of the SQL
+// the plan renders to, and evaluate.
 // The front half (everything up to and including planning) is served
 // from the answer cache when possible; evaluation always runs against
 // the live data.
@@ -278,11 +282,11 @@ func (a *Answerer) AnswerWith(q query.CQ, s Strategy, backend plan.Backend) (*Re
 
 // rewritePlan is the IR simplification pass buildPlan applies; a
 // variable so tests can substitute a deliberately broken rewrite and
-// prove plan.Validate catches its output at plan time.
+// prove every backend's Compile rejects its output at plan time.
 var rewritePlan = plan.Rewrite
 
 // buildPlan is the cacheable front half of Answer: choose the cover,
-// reformulate it, generate the SQL, and plan the evaluation. It fills
+// reformulate it, plan the evaluation, and size its SQL. It fills
 // res's search fields (fresh searches only reach here).
 func (a *Answerer) buildPlan(q query.CQ, s Strategy, res *Result, backend plan.Backend) (*cachedPlan, error) {
 	var c cover.Cover
@@ -358,26 +362,24 @@ func (a *Answerer) buildPlan(q query.CQ, s Strategy, res *Result, backend plan.B
 	// the same rewritten tree the search estimators scored; on a tree
 	// the search hands over, already rewritten, it finds nothing to do.
 	// rewritePlan is a variable only so tests can stand in a broken
-	// rewrite and assert plan.Validate rejects its output.
+	// rewrite and assert the backend rejects its output.
 	cp.ir = rewritePlan(cp.ir)
-	// Machine-checked invariants on the rewritten tree: a bad lowering
-	// or a buggy rewrite rule fails here, before any backend compiles
-	// it — not as silently wrong rows.
-	if err := plan.Validate(cp.ir); err != nil {
-		return nil, err
-	}
-	// The statement shipped to the RDBMS, rendered from the same tree.
-	sql, err := sqlgen.Render(cp.ir, sqlgen.Options{Layout: a.DB.Layout})
-	if err != nil {
-		return nil, err
-	}
-	cp.sql = sql
-	cp.numDisjuncts = numArms(cp.ir)
+	// Compile validates the rewritten tree (plan.Backend's contract): a
+	// bad lowering or a buggy rewrite rule fails here, not as silently
+	// wrong rows.
 	exec, err := backend.Compile(cp.ir)
 	if err != nil {
 		return nil, err
 	}
 	cp.exec = exec
+	// The statement-size limit reads only the length of the statement
+	// the tree renders to, so count it instead of building it.
+	size, err := sqlgen.Size(cp.ir, sqlgen.Options{Layout: a.DB.Layout})
+	if err != nil {
+		return nil, err
+	}
+	cp.sqlSize = size
+	cp.numDisjuncts = numArms(cp.ir)
 	return cp, nil
 }
 
@@ -389,8 +391,7 @@ func (a *Answerer) execute(cp *cachedPlan, res *Result, backend plan.Backend) (*
 	res.NumFragments = cp.numFragments
 	res.NumDisjuncts = cp.numDisjuncts
 	res.Plan = cp.ir
-	res.SQL = cp.sql
-	res.SQLSize = len(cp.sql)
+	res.SQLSize = cp.sqlSize
 	if err := a.Profile.CheckStatementSize(res.SQLSize); err != nil {
 		return res, err
 	}
@@ -414,7 +415,7 @@ func (a *Answerer) execute(cp *cachedPlan, res *Result, backend plan.Backend) (*
 }
 
 // numArms counts the union arms across the plan's fragments. It runs on
-// trees sqlgen.Render has taken apart already, so plan.Arms cannot fail.
+// trees sqlgen.Size has taken apart already, so plan.Arms cannot fail.
 func numArms(n *plan.Node) int {
 	frags := plan.CoverFragments(n)
 	if frags == nil {

@@ -48,8 +48,8 @@ func TestAllStrategiesAgreeOnExample3(t *testing.T) {
 			if len(res.Tuples) != 1 || res.Tuples[0][0] != "Damian" {
 				t.Errorf("%v/%s: answer = %v, want [Damian]", layout, s, res.Tuples)
 			}
-			if res.SQLSize == 0 || res.SQL == "" {
-				t.Errorf("%v/%s: SQL not generated", layout, s)
+			if res.SQLSize <= 0 {
+				t.Errorf("%v/%s: SQL not sized", layout, s)
 			}
 			if res.NumFragments == 0 {
 				t.Errorf("%v/%s: fragments not reported", layout, s)

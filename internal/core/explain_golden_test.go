@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lubm"
 	"repro/internal/query"
+	"repro/internal/sqlgen"
 )
 
 // explainGoldenFile holds the native backend's EXPLAIN of every golden
@@ -135,11 +136,11 @@ const sqlGoldenFile = "testdata/sql_golden.jsonl.gz"
 // sqlGoldenCase is one line of sqlGoldenFile.
 type sqlGoldenCase struct {
 	Case string `json:"case"`
-	// SQL is the simple-layout Result.SQL; BackendSQL the sql backend's
-	// Explain.SQL for the same query and strategy.
+	// SQL is the simple-layout sqlgen.Render of Result.Plan; BackendSQL
+	// the sql backend's Explain.SQL for the same query and strategy.
 	SQL        string `json:"sql"`
 	BackendSQL string `json:"backend_sql"`
-	// RDFLen and RDFSHA256 fingerprint the RDF-layout Result.SQL.
+	// RDFLen and RDFSHA256 fingerprint the RDF-layout rendering.
 	RDFLen    int    `json:"rdf_len"`
 	RDFSHA256 string `json:"rdf_sha256"`
 	// EpsCost and EpsCard are the math.Float64bits of the ε estimate
@@ -174,7 +175,7 @@ func sqlGoldenCases(t *testing.T) []sqlGoldenCase {
 			a := New(tb, simple, engine.ProfilePostgres())
 			res, err := a.Answer(q, s)
 			fail("native", err)
-			c.SQL = res.SQL
+			c.SQL = renderSized(t, c.Case, res, engine.LayoutSimple)
 			est := a.Model.Estimate(res.Plan)
 			c.EpsCost, c.EpsCard = math.Float64bits(est.Cost), math.Float64bits(est.Card)
 
@@ -202,12 +203,28 @@ func sqlGoldenCases(t *testing.T) []sqlGoldenCase {
 
 			res, err = New(tb, rdf, engine.ProfilePostgres()).Answer(q, s)
 			fail("rdf", err)
-			sum := sha256.Sum256([]byte(res.SQL))
-			c.RDFLen, c.RDFSHA256 = len(res.SQL), hex.EncodeToString(sum[:])
+			sql := renderSized(t, c.Case, res, engine.LayoutRDF)
+			sum := sha256.Sum256([]byte(sql))
+			c.RDFLen, c.RDFSHA256 = len(sql), hex.EncodeToString(sum[:])
 			out = append(out, c)
 		}
 	}
 	return out
+}
+
+// renderSized renders res.Plan as the statement shipped on layout l
+// and checks that Result.SQLSize, which core counts without rendering,
+// is its exact length.
+func renderSized(t *testing.T, name string, res *Result, l engine.Layout) string {
+	t.Helper()
+	sql, err := sqlgen.Render(res.Plan, sqlgen.Options{Layout: l})
+	if err != nil {
+		t.Fatalf("%s: render: %v", name, err)
+	}
+	if res.SQLSize != len(sql) {
+		t.Errorf("%s (%v): SQLSize = %d, want len(Render) = %d", name, l, res.SQLSize, len(sql))
+	}
+	return sql
 }
 
 // TestSQLGolden: the SQL text of both layouts, the ε estimate and the

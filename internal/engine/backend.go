@@ -75,8 +75,8 @@ func (b *Backend) Compile(n *plan.Node) (plan.Executable, error) {
 
 // CompilePlan is Compile returning the concrete *Compiled, whose Tree
 // method hands composing backends a fresh operator pipeline per run.
-// Validation runs here — not only in core — so plans handed to the
-// backend directly are checked too.
+// Validation runs here, as plan.Backend's Compile contract requires:
+// core does not validate the trees it hands over.
 func (b *Backend) CompilePlan(n *plan.Node) (*Compiled, error) {
 	if err := plan.Validate(n); err != nil {
 		return nil, err

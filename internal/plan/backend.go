@@ -44,7 +44,9 @@ type Observer interface {
 type Backend interface {
 	// Name identifies the backend (it keys answer-cache entries).
 	Name() string
-	// Compile lowers the plan into an executable.
+	// Compile validates the plan (Validate) and lowers it into an
+	// executable. It is the one validation a tree gets: callers such
+	// as core.Answerer hand it unvalidated rewritten trees.
 	Compile(n *Node) (Executable, error)
 	// Estimate scores the plan without compiling physical state; a
 	// malformed plan costs +Inf rather than erroring (search code

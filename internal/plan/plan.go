@@ -382,9 +382,10 @@ func ArmLeaves(arm *Node) ([]*Node, error) {
 	return leaves, nil
 }
 
-// accessLeaves collects the OpAccess descendants of n, sorted by Pos.
+// accessLeaves collects the OpAccess descendants of n, sorted by Pos,
+// into one allocation sized by the node count.
 func accessLeaves(n *Node) []*Node {
-	out := appendAccess(nil, n)
+	out := appendAccess(make([]*Node, 0, NodeCount(n)), n)
 	slices.SortStableFunc(out, func(a, b *Node) int { return cmp.Compare(a.Pos, b.Pos) })
 	return out
 }

@@ -49,14 +49,27 @@ func lex(in string) ([]token, error) {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
 		case c == '\'':
-			j := i + 1
-			for j < len(in) && in[j] != '\'' {
-				j++
+			// A doubled quote inside the literal stands for one quote.
+			j, escaped := i+1, false
+			for ; j < len(in); j++ {
+				if in[j] != '\'' {
+					continue
+				}
+				if j+1 < len(in) && in[j+1] == '\'' {
+					escaped = true
+					j++
+					continue
+				}
+				break
 			}
-			if j == len(in) {
+			if j >= len(in) {
 				return nil, fmt.Errorf("sqlexec: unterminated string at %d", i)
 			}
-			out = append(out, token{kind: tokString, text: in[i+1 : j], pos: i})
+			text := in[i+1 : j]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			out = append(out, token{kind: tokString, text: text, pos: i})
 			i = j + 1
 		case c == '(' || c == ')' || c == ',' || c == '=' || c == '.':
 			out = append(out, token{kind: tokSymbol, text: string(c), pos: i})

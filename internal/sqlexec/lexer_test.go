@@ -29,6 +29,30 @@ func TestLexBasics(t *testing.T) {
 	}
 }
 
+// TestLexEscapedQuote: a doubled quote inside a literal is one quote
+// of its text, and does not end the literal.
+func TestLexEscapedQuote(t *testing.T) {
+	for in, want := range map[string]string{
+		`'O''Brien Lab'`: `O'Brien Lab`,
+		`''''`:           `'`,
+		`'a'''`:          `a'`,
+		`''`:             ``,
+	} {
+		toks, err := lex(in + " x")
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if len(toks) != 3 || toks[0].kind != tokString || toks[0].text != want || toks[1].text != "x" {
+			t.Errorf("%s: tokens %v, want the literal %q then x", in, toks, want)
+		}
+	}
+	for _, in := range []string{`'O''Brien`, `'a''`} {
+		if _, err := lex(in); err == nil {
+			t.Errorf("%s: unterminated literal lexed", in)
+		}
+	}
+}
+
 func TestLexKeywordCaseInsensitive(t *testing.T) {
 	toks, err := lex("select distinct from")
 	if err != nil {

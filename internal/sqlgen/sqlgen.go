@@ -10,7 +10,7 @@
 package sqlgen
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/engine"
@@ -43,58 +43,67 @@ func (o Options) sep() string {
 	return " "
 }
 
-// sanitize maps predicate names to SQL identifiers.
-func sanitize(name string) string {
-	var b strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-// Render renders a validated plan tree — a cover, or a single fragment
-// — as one statement:
+// Render renders a plan tree — a cover, or a single fragment — as one
+// statement:
 //
 //	WITH f1 AS (...), ..., fn AS (...)
 //	SELECT DISTINCT x̄ FROM f1, ..., fn WHERE cond(1..n)
 //
 // A single fragment is f1 alone, selected under its own head. A tree of
-// any other shape is an error.
+// any other shape is an error. Render serves the sql backend and
+// diagnostics; Size measures the same statement without building it.
 func Render(n *plan.Node, o Options) (string, error) {
+	var b strings.Builder
+	if err := writeStatement(&writer{b: &b}, n, o); err != nil {
+		return "", err
+	}
+	return b.String(), nil
+}
+
+// Size returns len(Render(n, o)) without building the text: the same
+// writers run into a byte counter. It serves the statement-size limit
+// (engine.Profile.CheckStatementSize), the one thing off the sql
+// backend that reads the statement.
+func Size(n *plan.Node, o Options) (int, error) {
+	var w writer
+	if err := writeStatement(&w, n, o); err != nil {
+		return 0, err
+	}
+	return w.n, nil
+}
+
+// writeStatement writes Render's statement.
+func writeStatement(w *writer, n *plan.Node, o Options) error {
 	frags := plan.CoverFragments(n)
 	cover := frags != nil
 	if !cover {
 		frags = []*plan.Node{n}
 	}
-	var b strings.Builder
 	sep := o.sep()
-	b.WriteString("WITH ")
+	w.str("WITH ")
 	fragHeads := make([][]query.Term, len(frags))
 	for i, f := range frags {
 		if i > 0 {
-			b.WriteString(", ")
-			b.WriteString(sep)
+			w.str(", ")
+			w.str(sep)
 		}
-		fmt.Fprintf(&b, "f%d AS (", i+1)
-		h, err := writeUnion(&b, f, o)
+		w.byte('f')
+		w.int(i + 1)
+		w.str(" AS (")
+		h, err := writeUnion(w, f, o)
 		if err != nil {
-			return "", err
+			return err
 		}
 		fragHeads[i] = h
-		b.WriteString(")")
+		w.byte(')')
 	}
 	head := fragHeads[0]
 	if cover {
 		head = n.Inputs[0].Head
 	}
-	b.WriteString(sep)
-	writeJoinTail(&b, head, fragHeads, o)
-	return b.String(), nil
+	w.str(sep)
+	writeJoinTail(w, head, fragHeads, o)
+	return nil
 }
 
 // UCQ renders a union of CQs: the body of one WITH clause. UCQ, JUCQ
@@ -102,7 +111,7 @@ func Render(n *plan.Node, o Options) (string, error) {
 // rejects (a disjunct without atoms) renders as the empty string.
 func UCQ(u query.UCQ, o Options) string {
 	var b strings.Builder
-	if _, err := writeUnion(&b, plan.FromUCQ(u), o); err != nil {
+	if _, err := writeUnion(&writer{b: &b}, plan.FromUCQ(u), o); err != nil {
 		return ""
 	}
 	return b.String()
@@ -120,20 +129,146 @@ func JUSCQ(j query.JUSCQ, o Options) string {
 	return s
 }
 
+// writer is the one output path of every renderer. It appends to b
+// when b is set (Render) and otherwise only counts (Size); n is the
+// byte count either way.
+type writer struct {
+	b *strings.Builder
+	n int
+}
+
+func (w *writer) str(s string) {
+	w.n += len(s)
+	if w.b != nil {
+		w.b.WriteString(s)
+	}
+}
+
+func (w *writer) byte(c byte) {
+	w.n++
+	if w.b != nil {
+		w.b.WriteByte(c)
+	}
+}
+
+func (w *writer) int(i int) { w.str(strconv.Itoa(i)) }
+
+// lit writes s as a string literal.
+func (w *writer) lit(s string) {
+	w.byte('\'')
+	w.litBody(s)
+	w.byte('\'')
+}
+
+// litBody writes the inside of a string literal: s with every single
+// quote doubled, as SQL escapes it.
+func (w *writer) litBody(s string) {
+	for {
+		i := strings.IndexByte(s, '\'')
+		if i < 0 {
+			w.str(s)
+			return
+		}
+		w.str(s[:i+1])
+		w.byte('\'')
+		s = s[i+1:]
+	}
+}
+
+// ident writes a predicate name as an SQL identifier: every rune other
+// than an ASCII letter, digit or underscore becomes one '_'.
+func (w *writer) ident(name string) {
+	clean := true
+	for i := 0; i < len(name) && clean; i++ {
+		clean = identByte(name[i])
+	}
+	if clean {
+		w.str(name)
+		return
+	}
+	for _, r := range name {
+		if r < 0x80 && identByte(byte(r)) {
+			w.byte(byte(r))
+		} else {
+			w.byte('_')
+		}
+	}
+}
+
+func identByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_'
+}
+
+// colRef is one column of one FROM source: t3.o or b0.id in an arm
+// (source src of alias t or b, column col), f2.h1 in the join tail
+// (fragment src, column col "h" numbered by head).
+type colRef struct {
+	alias byte
+	src   int
+	col   string
+	head  int
+}
+
+func (w *writer) ref(c colRef) {
+	w.byte(c.alias)
+	w.int(c.src)
+	w.byte('.')
+	w.str(c.col)
+	if c.alias == 'f' {
+		w.int(c.head)
+	}
+}
+
+// cond opens the next WHERE condition, counting them in *k: the clause
+// before the first, " AND " before every later one.
+func (w *writer) cond(k *int, sep string) {
+	if *k == 0 {
+		w.str(sep)
+		w.str("WHERE ")
+	} else {
+		w.str(" AND ")
+	}
+	*k++
+}
+
+// binding names the column of a variable's first occurrence.
+type binding struct {
+	name string
+	col  colRef
+}
+
+// bindings maps variables to columns by linear search: an arm or a
+// cover binds a handful of variables, and callers keep the slice in a
+// stack buffer.
+type bindings []binding
+
+func (bs bindings) lookup(name string) (colRef, bool) {
+	for _, b := range bs {
+		if b.name == name {
+			return b.col, true
+		}
+	}
+	return colRef{}, false
+}
+
+// maxStackBindings sizes the stack buffers of bindings; a larger arm
+// spills to the heap.
+const maxStackBindings = 16
+
 // writeUnion writes one fragment — its arms as SELECTs separated by
 // UNION — and returns the fragment's head, its first arm's.
-func writeUnion(b *strings.Builder, frag *plan.Node, o Options) ([]query.Term, error) {
+func writeUnion(w *writer, frag *plan.Node, o Options) ([]query.Term, error) {
 	arms, err := plan.Arms(frag)
 	if err != nil {
 		return nil, err
 	}
 	for i, arm := range arms {
 		if i > 0 {
-			b.WriteString(o.sep())
-			b.WriteString("UNION")
-			b.WriteString(o.sep())
+			w.str(o.sep())
+			w.str("UNION")
+			w.str(o.sep())
 		}
-		if err := writeArm(b, arm, o); err != nil {
+		if err := writeArm(w, arm, o); err != nil {
 			return nil, err
 		}
 	}
@@ -149,83 +284,92 @@ func writeUnion(b *strings.Builder, frag *plan.Node, o Options) ([]query.Term, e
 // alternatives as bᵢ. The first binding of each variable names its
 // column; every later binding and every constant becomes a WHERE
 // condition.
-func writeArm(b *strings.Builder, arm *plan.Node, o Options) error {
+func writeArm(w *writer, arm *plan.Node, o Options) error {
 	leaves, err := plan.ArmLeaves(arm)
 	if err != nil {
 		return err
 	}
-	alias := "t"
+	alias := byte('t')
 	if arm.Factorized {
-		alias = "b"
+		alias = 'b'
 	}
-	varCol := map[string]string{}
-	var conds []string
+	var buf [maxStackBindings]binding
+	vars := bindings(buf[:0])
 	for i, acc := range leaves {
 		a := acc.Atoms[0] // a block's alternatives bind the same arguments
-		src := fmt.Sprintf("%s%d", alias, i)
 		for j, t := range a.Args {
-			col := src + "." + colName(a, j)
-			if t.Const {
-				conds = append(conds, col+" = '"+t.Name+"'")
-				continue
-			}
-			if prev, ok := varCol[t.Name]; ok {
-				if prev != col {
-					conds = append(conds, prev+" = "+col)
-				}
-			} else {
-				varCol[t.Name] = col
+			if _, ok := vars.lookup(t.Name); !t.Const && !ok {
+				vars = append(vars, binding{t.Name, colRef{alias: alias, src: i, col: colName(a, j)}})
 			}
 		}
 	}
 	sep := o.sep()
-	b.WriteString("SELECT DISTINCT ")
+	w.str("SELECT DISTINCT ")
 	if len(arm.Head) == 0 {
-		b.WriteString("1")
+		w.byte('1')
 	}
 	for i, h := range arm.Head {
 		if i > 0 {
-			b.WriteString(", ")
+			w.str(", ")
 		}
 		if h.Const {
-			b.WriteString("'" + h.Name + "'")
-		} else {
-			b.WriteString(varCol[h.Name])
+			w.lit(h.Name)
+		} else if c, ok := vars.lookup(h.Name); ok {
+			w.ref(c)
 		}
-		fmt.Fprintf(b, " AS h%d", i)
+		w.str(" AS h")
+		w.int(i)
 	}
-	b.WriteString(sep)
-	b.WriteString("FROM ")
+	w.str(sep)
+	w.str("FROM ")
 	for i, acc := range leaves {
 		if i > 0 {
-			b.WriteString(", ")
+			w.str(", ")
 		}
 		if !arm.Factorized {
-			writeAtomSource(b, acc.Atoms[0], o)
+			writeAtomSource(w, acc.Atoms[0], o)
 		} else {
-			b.WriteString("(")
+			w.byte('(')
 			for k, a := range acc.Atoms {
 				if k > 0 {
-					b.WriteString(" UNION ")
+					w.str(" UNION ")
 				}
-				b.WriteString("SELECT ")
+				w.str("SELECT ")
 				for j := range a.Args {
 					if j > 0 {
-						b.WriteString(", ")
+						w.str(", ")
 					}
-					b.WriteString(colName(a, j))
+					w.str(colName(a, j))
 				}
-				b.WriteString(" FROM ")
-				writeAtomSource(b, a, o)
+				w.str(" FROM ")
+				writeAtomSource(w, a, o)
 			}
-			b.WriteString(")")
+			w.byte(')')
 		}
-		fmt.Fprintf(b, " %s%d", alias, i)
+		w.byte(' ')
+		w.byte(alias)
+		w.int(i)
 	}
-	if len(conds) > 0 {
-		b.WriteString(sep)
-		b.WriteString("WHERE ")
-		b.WriteString(strings.Join(conds, " AND "))
+	conds := 0
+	for i, acc := range leaves {
+		a := acc.Atoms[0]
+		for j, t := range a.Args {
+			c := colRef{alias: alias, src: i, col: colName(a, j)}
+			first, _ := vars.lookup(t.Name)
+			if !t.Const && first == c {
+				continue
+			}
+			w.cond(&conds, sep)
+			if t.Const {
+				w.ref(c)
+				w.str(" = ")
+				w.lit(t.Name)
+			} else {
+				w.ref(first)
+				w.str(" = ")
+				w.ref(c)
+			}
+		}
 	}
 	return nil
 }
@@ -242,93 +386,106 @@ func colName(a query.Atom, j int) string {
 
 // writeAtomSource renders the table (simple layout) or the hashed-column
 // subselect (RDF layout) backing one atom.
-func writeAtomSource(b *strings.Builder, a query.Atom, o Options) {
-	name := sanitize(a.Pred)
+func writeAtomSource(w *writer, a query.Atom, o Options) {
 	if o.Layout == engine.LayoutSimple {
 		if a.Arity() == 1 {
-			b.WriteString("c_" + name)
+			w.str("c_")
 		} else {
-			b.WriteString("r_" + name)
+			w.str("r_")
 		}
+		w.ident(a.Pred)
 		return
 	}
 	// RDF layout: the DB2RDF access expands the predicate over every
 	// hashed column of the DPH table (cf. [9]); concepts go through the
 	// reserved rdf:type predicate.
 	k := o.slots()
-	b.WriteString("(SELECT entry AS ")
+	w.str("(SELECT entry AS ")
 	if a.Arity() == 1 {
-		b.WriteString("id FROM dph WHERE ")
+		w.str("id FROM dph WHERE ")
 		for i := 0; i < k; i++ {
 			if i > 0 {
-				b.WriteString(" OR ")
+				w.str(" OR ")
 			}
-			fmt.Fprintf(b, "(pred%d = 'rdf:type' AND val%d = 'class:%s')", i, i, a.Pred)
+			w.str("(pred")
+			w.int(i)
+			w.str(" = 'rdf:type' AND val")
+			w.int(i)
+			w.str(" = 'class:")
+			w.litBody(a.Pred)
+			w.str("')")
 		}
-		b.WriteString(")")
+		w.byte(')')
 		return
 	}
-	b.WriteString("s, CASE ")
+	w.str("s, CASE ")
 	for i := 0; i < k; i++ {
-		fmt.Fprintf(b, "WHEN pred%d = '%s' THEN val%d ", i, a.Pred, i)
+		w.str("WHEN pred")
+		w.int(i)
+		w.str(" = ")
+		w.lit(a.Pred)
+		w.str(" THEN val")
+		w.int(i)
+		w.byte(' ')
 	}
-	b.WriteString("END AS o FROM dph WHERE ")
+	w.str("END AS o FROM dph WHERE ")
 	for i := 0; i < k; i++ {
 		if i > 0 {
-			b.WriteString(" OR ")
+			w.str(" OR ")
 		}
-		fmt.Fprintf(b, "pred%d = '%s'", i, a.Pred)
+		w.str("pred")
+		w.int(i)
+		w.str(" = ")
+		w.lit(a.Pred)
 	}
-	b.WriteString(")")
+	w.byte(')')
 }
 
 // writeJoinTail writes the final SELECT over the materialized fragments.
-func writeJoinTail(b *strings.Builder, head []query.Term, fragHeads [][]query.Term, o Options) {
-	sep := o.sep()
-	// Map each variable to its first fragment column.
-	varCol := map[string]string{}
+// Each variable is read from its first fragment column; every later
+// column of the same name becomes a join condition.
+func writeJoinTail(w *writer, head []query.Term, fragHeads [][]query.Term, o Options) {
+	var buf [maxStackBindings]binding
+	vars := bindings(buf[:0])
 	for i, fh := range fragHeads {
 		for j, t := range fh {
-			if _, ok := varCol[t.Name]; !ok {
-				varCol[t.Name] = fmt.Sprintf("f%d.h%d", i+1, j)
+			if _, ok := vars.lookup(t.Name); !ok {
+				vars = append(vars, binding{t.Name, colRef{alias: 'f', src: i + 1, col: "h", head: j}})
 			}
 		}
 	}
-	b.WriteString("SELECT DISTINCT ")
+	sep := o.sep()
+	w.str("SELECT DISTINCT ")
 	if len(head) == 0 {
-		b.WriteString("1")
+		w.byte('1')
 	}
 	for i, h := range head {
 		if i > 0 {
-			b.WriteString(", ")
+			w.str(", ")
 		}
-		b.WriteString(varCol[h.Name])
+		if c, ok := vars.lookup(h.Name); ok {
+			w.ref(c)
+		}
 	}
-	b.WriteString(sep)
-	b.WriteString("FROM ")
+	w.str(sep)
+	w.str("FROM ")
 	for i := range fragHeads {
 		if i > 0 {
-			b.WriteString(", ")
+			w.str(", ")
 		}
-		fmt.Fprintf(b, "f%d", i+1)
+		w.byte('f')
+		w.int(i + 1)
 	}
-	var conds []string
-	seen := map[string]string{}
+	conds := 0
 	for i, fh := range fragHeads {
 		for j, t := range fh {
-			col := fmt.Sprintf("f%d.h%d", i+1, j)
-			if prev, ok := seen[t.Name]; ok {
-				if prev != col {
-					conds = append(conds, prev+" = "+col)
-				}
-			} else {
-				seen[t.Name] = col
+			c := colRef{alias: 'f', src: i + 1, col: "h", head: j}
+			if first, _ := vars.lookup(t.Name); first != c {
+				w.cond(&conds, sep)
+				w.ref(first)
+				w.str(" = ")
+				w.ref(c)
 			}
 		}
-	}
-	if len(conds) > 0 {
-		b.WriteString(sep)
-		b.WriteString("WHERE ")
-		b.WriteString(strings.Join(conds, " AND "))
 	}
 }

@@ -1,12 +1,15 @@
 package sqlgen
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/lubm"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/reformulate"
 )
 
 // cqSQL renders one CQ as the single SELECT of its one-arm union.
@@ -18,7 +21,7 @@ func cqSQL(q query.CQ, o Options) string {
 func scqSQL(t *testing.T, s query.SCQ, o Options) string {
 	t.Helper()
 	var b strings.Builder
-	if _, err := writeUnion(&b, plan.FromUSCQ(query.USCQ{Disjuncts: []query.SCQ{s}}), o); err != nil {
+	if _, err := writeUnion(&writer{b: &b}, plan.FromUSCQ(query.USCQ{Disjuncts: []query.SCQ{s}}), o); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()
@@ -229,5 +232,103 @@ func TestRenderRejectsMalformed(t *testing.T) {
 		if sql, err := Render(n, Options{}); err == nil {
 			t.Errorf("%s: rendered %q, want an error", name, sql)
 		}
+	}
+}
+
+// TestLiteralQuotesEscaped: a quote inside a constant or a predicate
+// name is doubled in every literal, so the statement stays well formed.
+func TestLiteralQuotesEscaped(t *testing.T) {
+	q := query.CQ{Name: "q", Head: []query.Term{query.Var("x"), query.Cst("it's")},
+		Atoms: []query.Atom{query.RoleAtom("worksFor", query.Var("x"), query.Cst("O'Brien Lab"))}}
+	simple := cqSQL(q, Options{Layout: engine.LayoutSimple})
+	for _, want := range []string{"'it''s' AS h1", "t0.o = 'O''Brien Lab'"} {
+		if !strings.Contains(simple, want) {
+			t.Errorf("missing %q in:\n%s", want, simple)
+		}
+	}
+	c := query.CQ{Name: "q", Head: []query.Term{query.Var("x")},
+		Atoms: []query.Atom{query.ConceptAtom("A'B", query.Var("x")), query.RoleAtom("r'", query.Var("x"), query.Var("y"))}}
+	rdf := cqSQL(c, Options{Layout: engine.LayoutRDF})
+	for _, want := range []string{"val0 = 'class:A''B'", "WHEN pred0 = 'r''' THEN val0", "OR pred1 = 'r'''"} {
+		if !strings.Contains(rdf, want) {
+			t.Errorf("missing %q in:\n%s", want, rdf)
+		}
+	}
+}
+
+// TestSizeMatchesRender: Size counts exactly the bytes Render writes,
+// whatever the layout, formatting or arm shape.
+func TestSizeMatchesRender(t *testing.T) {
+	x, y := query.Var("x"), query.Var("y")
+	f1 := query.UCQ{Disjuncts: []query.CQ{
+		query.MustParseCQ("f1(x) <- A(x), R(x, 'c')"),
+		query.MustParseCQ("f1(x) <- B(x), S(x, x)"),
+	}}
+	f2 := query.UCQ{Disjuncts: []query.CQ{
+		query.MustParseCQ("f2(x, y) <- R(x, y)"), query.MustParseCQ("f2(x, y) <- weird-name(x, y)")}}
+	quoted := query.UCQ{Disjuncts: []query.CQ{{Name: "q", Head: []query.Term{x, query.Cst("it's")},
+		Atoms: []query.Atom{query.RoleAtom("worksFor", x, query.Cst("O'Brien Lab")), query.ConceptAtom("A'B", x)}}}}
+	boolean := query.UCQ{Disjuncts: []query.CQ{{Name: "b", Atoms: []query.Atom{query.RoleAtom("R", x, y)}}}}
+	trees := map[string]*plan.Node{
+		"cover":           plan.FromJUCQ(query.JUCQ{Name: "q", Head: []query.Term{x}, Subs: []query.UCQ{f1, f2}}),
+		"fragment":        plan.FromUCQ(f1),
+		"rewritten":       plan.Rewrite(plan.FromJUCQ(query.JUCQ{Name: "q", Head: []query.Term{x}, Subs: []query.UCQ{f1}})),
+		"factorized":      plan.FromJUSCQ(query.JUSCQ{Name: "q", Head: []query.Term{x}, Subs: []query.USCQ{query.FactorizeUCQ(f1), query.FactorizeUCQ(f2)}}),
+		"head constant":   plan.FromUCQ(quoted),
+		"empty head":      plan.FromUCQ(boolean),
+		"empty head join": plan.FromJUCQ(query.JUCQ{Name: "b", Subs: []query.UCQ{f1, f2}}),
+	}
+	for name, n := range trees {
+		for _, o := range []Options{
+			{Layout: engine.LayoutSimple}, {Layout: engine.LayoutSimple, Pretty: true},
+			{Layout: engine.LayoutRDF}, {Layout: engine.LayoutRDF, Pretty: true, Slots: 3},
+		} {
+			sql, err := Render(n, o)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, o, err)
+			}
+			size, err := Size(n, o)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, o, err)
+			}
+			if size != len(sql) {
+				t.Errorf("%s %+v: Size = %d, len(Render) = %d", name, o, size, len(sql))
+			}
+		}
+	}
+	if _, err := Size(&plan.Node{Op: plan.OpJoin}, Options{}); err == nil {
+		t.Error("Size of a malformed tree: want Render's error")
+	}
+}
+
+// TestSizeAllocBound guards the statement-size count core runs on
+// every cold plan: it builds no text, so LUBM Q9/ucq (115,783 bytes of
+// SQL, 300 arms) costs about one allocation per arm. Measured on
+// go1.24/amd64 it allocates about 29 KiB; rendering the same statement
+// allocated 1,010 KiB before the writers were made allocation-lean.
+func TestSizeAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds are measured without the race detector")
+	}
+	u, err := reformulate.New(lubm.TBox()).Reformulate(lubm.Queries()[8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := plan.Rewrite(plan.FromUCQ(u))
+	o := Options{Layout: engine.LayoutSimple}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Size(n, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("Q9/ucq: %d bytes per Size", perRun)
+	const bound = 128 << 10
+	if perRun > bound {
+		t.Errorf("Q9/ucq: Size allocates %d bytes, bound %d", perRun, bound)
 	}
 }
