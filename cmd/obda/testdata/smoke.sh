@@ -2,8 +2,9 @@
 # End-to-end smoke test of the obda command on the knowledge base in this
 # directory (the paper's running example): every strategy runs with
 # -sql -explain on the native and on the sql backend. The printed
-# statement must carry its WITH clause, and both backends must print the
-# same, non-empty set of answers.
+# statement must carry its WITH clause, both backends must print the
+# same, non-empty set of answers, and the same EXPLAIN estimate header
+# (estCost=… estCard=…): they estimate a plan with one estimator.
 #
 # Usage: cmd/obda/testdata/smoke.sh path/to/obda
 set -euo pipefail
@@ -29,9 +30,19 @@ for s in ucq ucq-min uscq croot gdl-rdbms gdl-ext edl; do
 			exit 1
 		fi
 		tail -n "$n" "$tmp/out" | sort >"$tmp/$b"
+		grep '^backend=.* estCost=' "$tmp/out" | sed 's/^backend=[^ ]* //' >"$tmp/$b.est"
+		if [ ! -s "$tmp/$b.est" ]; then
+			echo "$s/$b: no EXPLAIN estimate header:" >&2
+			cat "$tmp/out" >&2
+			exit 1
+		fi
 	done
 	if ! diff -u "$tmp/native" "$tmp/sql"; then
 		echo "$s: native and sql answers differ" >&2
+		exit 1
+	fi
+	if ! diff -u "$tmp/native.est" "$tmp/sql.est"; then
+		echo "$s: native and sql estimates differ" >&2
 		exit 1
 	fi
 	echo "$s: $(wc -l <"$tmp/native") answer(s) on both backends"

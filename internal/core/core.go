@@ -87,9 +87,9 @@ func (s Strategy) Description() string {
 }
 
 // Answerer answers conjunctive queries over a KB through the engine.
-// Answer is safe for concurrent use: the reformulator, the caches, the
-// profile's feedback sink, and the engine's statistics are all
-// mutex-guarded, and the database is read-only during evaluation.
+// Answer is safe for concurrent use: the reformulator, the caches, and
+// the engine's statistics are all mutex-guarded, the profile is never
+// mutated, and the database is read-only during evaluation.
 type Answerer struct {
 	TBox    *dllite.TBox
 	DB      *engine.DB
@@ -119,9 +119,9 @@ type Answerer struct {
 	// search, reformulation, planning, statement sizing) per canonical
 	// query, strategy, and TBox/data version. New enables it with
 	// DefaultAnswerCacheSize; set to nil to re-run the full pipeline on
-	// every request. Note that cached plans freeze the cardinality
-	// estimates of the moment they were planned; Profile.Feedback
-	// refinements apply to new entries only.
+	// every request. Cached plans freeze the cardinality estimates of
+	// the moment they were planned; a data change moves the version
+	// and so re-plans.
 	Cache *AnswerCache
 
 	// tboxVer counts TBox swaps (InvalidateTBox); it versions cache keys.
@@ -267,7 +267,7 @@ func (a *Answerer) AnswerWith(q query.CQ, s Strategy, backend plan.Backend) (*Re
 		}
 		if cp, ok := a.Cache.get(key); ok {
 			res.CacheHit = true
-			return a.execute(cp, res, backend)
+			return a.execute(cp, res)
 		}
 	}
 	cp, err := a.buildPlan(q, s, res, backend)
@@ -277,7 +277,7 @@ func (a *Answerer) AnswerWith(q query.CQ, s Strategy, backend plan.Backend) (*Re
 	if a.Cache != nil {
 		a.Cache.put(key, cp)
 	}
-	return a.execute(cp, res, backend)
+	return a.execute(cp, res)
 }
 
 // rewritePlan is the IR simplification pass buildPlan applies; a
@@ -386,7 +386,7 @@ func (a *Answerer) buildPlan(q query.CQ, s Strategy, res *Result, backend plan.B
 // execute runs a (possibly cached) plan: enforce the profile's
 // statement limit, run the compiled executable on the configured
 // backend, and fill in the result (tuples, estimate, EXPLAIN).
-func (a *Answerer) execute(cp *cachedPlan, res *Result, backend plan.Backend) (*Result, error) {
+func (a *Answerer) execute(cp *cachedPlan, res *Result) (*Result, error) {
 	res.Cover = cp.cover
 	res.NumFragments = cp.numFragments
 	res.NumDisjuncts = cp.numDisjuncts
@@ -405,12 +405,6 @@ func (a *Answerer) execute(cp *cachedPlan, res *Result, backend plan.Backend) (*
 	res.Tuples = rr.Tuples
 	res.EstCost = est.Cost
 	res.Explain = rr.Explain
-	// Per-backend statistics feedback: hand the run's actuals back to
-	// the backend that compiled the plan, so each backend's Estimate
-	// self-corrects from its own executions.
-	if ob, ok := backend.(plan.Observer); ok {
-		ob.Observe(cp.ir, rr.Explain)
-	}
 	return res, nil
 }
 

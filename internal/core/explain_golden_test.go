@@ -27,9 +27,8 @@ const explainGoldenFile = "testdata/explain_golden.jsonl.gz"
 
 // explainGoldenCases runs the LUBM workload (Q1–Q13 and A3–A5) under
 // ucq, uscq, croot, gdl-ext and gdl-rdbms on a one-university database
-// with the given worker budget, each case on a fresh Answerer and
-// profile so no execution feedback carries over, and returns the
-// EXPLAIN JSON of each, in case order.
+// with the given worker budget, each case on a fresh Answerer, and
+// returns the EXPLAIN JSON of each, in case order.
 func explainGoldenCases(t *testing.T, workers int) (names []string, explains [][]byte) {
 	t.Helper()
 	tb, db := lubm.TBox(), goldenDB(engine.LayoutSimple)

@@ -101,3 +101,28 @@ func TestPrettySQLAnswersEveryStrategy(t *testing.T) {
 		}
 	}
 }
+
+// TestSQLExplainEstimateIsNotLastActual: the sql backend's EXPLAIN
+// estimate is the native estimator's, on every run — an earlier run's
+// actual row count never replaces it, so estimated and actual rows stay
+// comparable.
+func TestSQLExplainEstimateIsNotLastActual(t *testing.T) {
+	tb, db, prof := lubm.TBox(), goldenDB(engine.LayoutSimple), engine.ProfilePostgres()
+	a := New(tb, db, prof)
+	a.Cache = nil
+	a.Backend = sqlexec.NewBackend(db, prof)
+	for _, q := range goldenQueries() {
+		var res *Result
+		for range 2 {
+			var err error
+			if res, err = a.Answer(q, StrategyUCQ); err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+		}
+		want := engine.NewBackend(db, prof).Estimate(res.Plan).Card
+		if got := res.Explain.EstCard; got != want {
+			t.Errorf("%s: second run's EXPLAIN estCard = %v, want the native estimate %v (actual rows %d)",
+				q.Name, got, want, res.Explain.Root.ActualRows)
+		}
+	}
+}

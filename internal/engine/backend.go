@@ -3,7 +3,7 @@ package engine
 // The native implementation of plan.Backend: one recursive compiler
 // over the plan IR. A union arm — a Project over its access leaves —
 // is planned under the profile by PlanCQ (or PlanSCQ, when factorized)
-// and built by CompileCQ (CompileSCQ); a fragment — DISTINCT over the
+// and built by compileCQ (compileSCQ); a fragment — DISTINCT over the
 // union of its arms, or over its single arm where Rewrite collapsed the
 // union — combines its arms' estimates with the profile's union
 // arithmetic; a cover — DISTINCT over the head projection of a join of
@@ -102,8 +102,7 @@ func (b *Backend) Estimate(n *plan.Node) plan.Estimate {
 // fragments from one candidate cover of a search to the next: which
 // fragment subtrees validated, and each one's compiled plan. Subtrees
 // are remembered by identity, so the memo keeps them alive and freezes
-// their estimates at first sight (statistics, execution feedback): it
-// belongs to one search and dies with it. The zero value is ready to
+// their estimates at first sight: it belongs to one search and dies with it. The zero value is ready to
 // use; not safe for concurrent use.
 type EstimateMemo struct {
 	checked plan.Checker
@@ -143,7 +142,7 @@ func (c *Compiled) Tree(workers int) (Operator, func(at map[*plan.Node]*plan.Exp
 }
 
 func (c *Compiled) newRun() *run {
-	return &run{db: c.b.DB, prof: c.b.Profile, bound: make([]binding, 0, c.nbind)}
+	return &run{db: c.b.DB, bound: make([]binding, 0, c.nbind)}
 }
 
 // Run drains an operator tree and annotates a fresh EXPLAIN skeleton
@@ -384,10 +383,10 @@ func (a *armPlan) build(r *run) Operator {
 	var proj, body Operator
 	bodyRows := float64(plan.UnknownRows)
 	if a.cq != nil {
-		proj, body = compileCQ(a.cq, r.db, r.prof, r, a.leaves)
+		proj, body = compileCQ(a.cq, r.db, r, a.leaves)
 		bodyRows = a.cq.Steps[len(a.cq.Steps)-1].EstOut
 	} else {
-		proj, body = compileSCQ(a.scq, r.db, r.prof, r, a.leaves)
+		proj, body = compileSCQ(a.scq, r.db, r, a.leaves)
 	}
 	if top := a.n.Inputs[0]; top.Op == plan.OpJoin || top.Op == plan.OpSemiJoin {
 		r.bind(top, bodyRows, plan.UnknownRows, body)
@@ -397,12 +396,11 @@ func (a *armPlan) build(r *run) Operator {
 	return proj
 }
 
-// run is one execution's build state: the database, the profile, and
-// the EXPLAIN record — which operator answers for which IR node, beside
-// the node's frozen estimate.
+// run is one execution's build state: the database and the EXPLAIN
+// record — which operator answers for which IR node, beside the node's
+// frozen estimate.
 type run struct {
 	db    *DB
-	prof  *Profile
 	bound []binding
 }
 
@@ -442,8 +440,7 @@ func evaluate(n *plan.Node, db *DB, prof *Profile) Answer {
 	return Answer{Tuples: Drain(op).Decode(db.Dict), EstCost: c.Estimate().Cost}
 }
 
-// EvaluateCQ answers a CQ (with DISTINCT) on the native backend;
-// observed cardinalities flow into prof.Feedback when enabled.
+// EvaluateCQ answers a CQ (with DISTINCT) on the native backend.
 func EvaluateCQ(q query.CQ, db *DB, prof *Profile) Answer {
 	return EvaluateUCQ(query.UCQ{Name: q.Name, Disjuncts: []query.CQ{q}}, db, prof)
 }

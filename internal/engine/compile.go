@@ -36,8 +36,8 @@ func pipelineLayout(atomSeq [][]query.Term) (map[string]int, []string) {
 // dictionary makes the atom dead (it can match nothing). On the simple
 // layout the atom's table is resolved once too, so probes skip the
 // DB's per-call table lookup.
-func newAtomJoin(a query.Atom, access StepAccess, colOf map[string]int, bound []bool, db *DB) *atomJoin {
-	j := &atomJoin{db: db, pred: a.Pred, arity: a.Arity(), access: access}
+func newAtomJoin(a query.Atom, colOf map[string]int, bound []bool, db *DB) *atomJoin {
+	j := &atomJoin{db: db, pred: a.Pred, arity: a.Arity()}
 	if db.Layout != LayoutRDF {
 		if j.arity == 1 {
 			j.concept = db.Concept(a.Pred)
@@ -64,30 +64,6 @@ func newAtomJoin(a query.Atom, access StepAccess, colOf map[string]int, bound []
 	return j
 }
 
-// accessOf derives the physical access path of an atom from which of
-// its arguments are bound — the same dispatch estimateStep performs.
-func accessOf(a query.Atom, colOf map[string]int, bound []bool) StepAccess {
-	isBound := func(t query.Term) bool { return t.Const || bound[colOf[t.Name]] }
-	if a.Arity() == 1 {
-		if isBound(a.Args[0]) {
-			return AccessConceptProbe
-		}
-		return AccessConceptScan
-	}
-	sB, oB := isBound(a.Args[0]), isBound(a.Args[1])
-	sameVar := a.Args[0].IsVar() && a.Args[1].IsVar() && a.Args[0].Name == a.Args[1].Name
-	switch {
-	case sB && (oB || sameVar):
-		return AccessRoleProbe
-	case sB:
-		return AccessRoleFwd
-	case oB:
-		return AccessRoleRev
-	default:
-		return AccessRoleScan
-	}
-}
-
 // markBound records an atom's variables as bound after its step runs.
 func markBound(a query.Atom, colOf map[string]int, bound []bool) {
 	for _, t := range a.Args {
@@ -100,17 +76,17 @@ func markBound(a query.Atom, colOf map[string]int, bound []bool) {
 // compileStep appends one plan step to the pipeline: the first wholly
 // unbound atom becomes a source scan; fully bound atoms become
 // filters; everything else an index-nested-loop join.
-func compileStep(cur Operator, cols []string, alts []*atomJoin, prof *Profile) Operator {
+func compileStep(cur Operator, cols []string, alts []*atomJoin) Operator {
 	if cur == nil {
 		if len(alts) == 1 && alts[0].unbound() {
-			return newScan(cols, alts[0], alts[0].db, prof)
+			return newScan(cols, alts[0], alts[0].db)
 		}
 		cur = newSingleton(cols)
 	}
 	if len(alts) == 1 && alts[0].fullyBound() {
-		return newFilter(cur, alts[0], prof)
+		return newFilter(cur, alts[0])
 	}
-	return newJoin(cur, alts, prof)
+	return newJoin(cur, alts)
 }
 
 // compileProject closes a pipeline with head projection.
@@ -138,19 +114,12 @@ func compileProject(cur Operator, head []query.Term, colOf map[string]int, db *D
 	return newProject(cur, headSchema(head), srcCols, consts, dead)
 }
 
-// CompileCQ builds the streaming operator tree of a planned CQ:
-// source → (filter|join)* → project. Duplicates are preserved (callers
-// apply Distinct). prof (optional, may be nil) receives per-operator
-// cardinality feedback through prof.Feedback when executions close.
-func CompileCQ(p CQPlan, db *DB, prof *Profile) Operator {
-	proj, _ := compileCQ(&p, db, prof, nil, nil)
-	return proj
-}
-
-// compileCQ is CompileCQ that also returns the body pipeline under the
-// projection and records on r (when non-nil) each plan step's operator
-// against the access leaf it reads — leaves indexed like p.Q.Atoms.
-func compileCQ(p *CQPlan, db *DB, prof *Profile, r *run, leaves []*plan.Node) (proj, body Operator) {
+// compileCQ builds the streaming operator tree of a planned CQ —
+// source → (filter|join)* → project, duplicates preserved — and returns
+// the body pipeline under the projection too. It records on r (when
+// non-nil) each plan step's operator against the access leaf it reads,
+// leaves indexed like p.Q.Atoms.
+func compileCQ(p *CQPlan, db *DB, r *run, leaves []*plan.Node) (proj, body Operator) {
 	q := p.Q
 	seq := make([][]query.Term, len(p.Steps))
 	for i, s := range p.Steps {
@@ -161,8 +130,8 @@ func compileCQ(p *CQPlan, db *DB, prof *Profile, r *run, leaves []*plan.Node) (p
 	var cur Operator
 	for _, s := range p.Steps {
 		a := q.Atoms[s.Atom]
-		j := newAtomJoin(a, s.Access, colOf, bound, db)
-		cur = compileStep(cur, cols, []*atomJoin{j}, prof)
+		j := newAtomJoin(a, colOf, bound, db)
+		cur = compileStep(cur, cols, []*atomJoin{j})
 		markBound(a, colOf, bound)
 		if r != nil {
 			r.bind(leaves[s.Atom], s.EstOut, s.EstCost, cur)
@@ -174,19 +143,12 @@ func compileCQ(p *CQPlan, db *DB, prof *Profile, r *run, leaves []*plan.Node) (p
 	return compileProject(cur, q.Head, colOf, db), cur
 }
 
-// CompileSCQ builds the streaming tree of a planned semi-conjunctive
-// query: each block becomes one join whose alternatives are the block's
-// atoms (their matches are unioned per input row — the factorized
-// evaluation). Duplicates are preserved, like CompileCQ.
-func CompileSCQ(p SCQPlan, db *DB, prof *Profile) Operator {
-	proj, _ := compileSCQ(&p, db, prof, nil, nil)
-	return proj
-}
-
-// compileSCQ is compileCQ for SCQ plans; leaves are indexed like the
-// blocks, and their estimates are unknown — the planner costs whole
+// compileSCQ is compileCQ for SCQ plans: each block becomes one join
+// whose alternatives are the block's atoms (their matches are unioned
+// per input row — the factorized evaluation). Leaves are indexed like
+// the blocks, and their estimates are unknown — the planner costs whole
 // block orders, not steps.
-func compileSCQ(p *SCQPlan, db *DB, prof *Profile, r *run, leaves []*plan.Node) (proj, body Operator) {
+func compileSCQ(p *SCQPlan, db *DB, r *run, leaves []*plan.Node) (proj, body Operator) {
 	s := p.S
 	var seq [][]query.Term
 	for _, block := range s.Blocks {
@@ -201,9 +163,9 @@ func compileSCQ(p *SCQPlan, db *DB, prof *Profile, r *run, leaves []*plan.Node) 
 		block := s.Blocks[bi]
 		alts := make([]*atomJoin, len(block))
 		for i, a := range block {
-			alts[i] = newAtomJoin(a, accessOf(a, colOf, bound), colOf, bound, db)
+			alts[i] = newAtomJoin(a, colOf, bound, db)
 		}
-		cur = compileStep(cur, cols, alts, prof)
+		cur = compileStep(cur, cols, alts)
 		for _, a := range block {
 			markBound(a, colOf, bound)
 		}

@@ -18,8 +18,6 @@
 // and the cover hash join. Tests check answers against internal/naive
 // and a CQ's duplicates and row order against a test-only materializing
 // executor (materialize_test.go).
-// Per-operator row counters (OpStats, ExplainPipeline) can feed the
-// planner through Profile.Feedback for adaptive re-estimation.
 package engine
 
 import (

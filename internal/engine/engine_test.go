@@ -404,7 +404,8 @@ func TestPlanChoosesIndexAccess(t *testing.T) {
 		t.Errorf("second step should be index-fwd, got %v", p.Steps[1].Access)
 	}
 	// Executing matches expectation.
-	rel := Drain(CompileCQ(p, db, nil))
+	op, _ := compileCQ(&p, db, nil, nil)
+	rel := Drain(op)
 	if got := relToSet(rel, db.Dict); len(got) != 1 {
 		t.Fatalf("distinct rows = %d", len(got))
 	}

@@ -255,7 +255,7 @@ func (o *hashJoinOp) expand(level int) {
 // pipelines were already drained and closed by load() during Open, so
 // their Close here is a no-op through the closeOnce guard — it exists
 // so the operator honors the contract (Close closes everything
-// Children reports) without double-counting cardinality feedback.
+// Children reports).
 func (o *hashJoinOp) Close() {
 	if !o.closeOnce() {
 		return

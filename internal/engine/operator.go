@@ -6,7 +6,7 @@ package engine
 //
 //	Open()          prepare state (recursively opens children)
 //	Next(*Batch)    fill the caller's batch; false when exhausted
-//	Close()         release state, flush cardinality feedback
+//	Close()         release state
 //
 // The operators are the classic relational set specialized to the
 // dictionary-encoded storage: source scans (scanOp, singletonOp), an
@@ -14,9 +14,8 @@ package engine
 // a fully-bound filter (filterOp), head projection (projectOp),
 // streaming DISTINCT over a 64-bit hash set (distinctOp), and
 // sequential / parallel union (unionOp, parallel.go's unionParallelOp).
-// Every operator counts the batches and rows it emits; per-operator
-// cardinalities feed the planner's cost model through
-// Profile.Feedback (profile.go).
+// Every operator counts the batches and rows it emits, for Stats and
+// EXPLAIN's actual row counts.
 //
 // Batch storage is pooled engine-wide (getBatch/putBatch): an operator
 // takes its input batch in Open and returns it in Close, and the
@@ -175,9 +174,8 @@ func (o *opBase) Schema() []string { return o.schema }
 
 // resetStats zeroes the emit counters and arms closeOnce; every
 // operator calls it from Open so a reused tree (Compiled.Run re-opens
-// pooled ones) reports per-execution cardinalities, keeping Stats,
-// ExplainPipeline, and the feedback flushed at Close scoped to one
-// execution.
+// pooled ones) reports per-execution cardinalities, keeping Stats and
+// ExplainPipeline scoped to one execution.
 func (o *opBase) resetStats() {
 	o.batches, o.rows = 0, 0
 	o.opened = true
@@ -185,7 +183,7 @@ func (o *opBase) resetStats() {
 
 // closeOnce reports whether this Close call balances a prior Open,
 // flipping the operator to closed. Every non-trivial Close guards its
-// side effects (child closes, feedback flushes) with it, making double
+// side effects (child closes, batch releases) with it, making double
 // Close and Close-without-Open safe no-ops — the idempotency half of
 // the Operator contract, machine-checked by internal/lint's opcontract
 // analyzer. Operators are single-consumer, so no locking is needed;
@@ -399,7 +397,6 @@ type scanOp struct {
 	opBase
 	db   *DB
 	join *atomJoin // unbound atom describing what to scan
-	prof *Profile
 
 	zero    []int64
 	members []int64    // concept scan / diagonal
@@ -407,12 +404,11 @@ type scanOp struct {
 	pos     int
 }
 
-func newScan(schema []string, j *atomJoin, db *DB, prof *Profile) *scanOp {
+func newScan(schema []string, j *atomJoin, db *DB) *scanOp {
 	return &scanOp{
 		opBase: opBase{name: "scan(" + j.pred + ")", schema: schema},
 		db:     db,
 		join:   j,
-		prof:   prof,
 		zero:   make([]int64, len(schema)),
 	}
 }
@@ -458,14 +454,7 @@ func (o *scanOp) Next(out *Batch) bool {
 	return o.yield(out)
 }
 
-func (o *scanOp) Close() {
-	if !o.closeOnce() {
-		return
-	}
-	// A source scan has one conceptual input row; the observed ratio is
-	// therefore the scanned cardinality itself.
-	o.prof.observeStep(o.join.pred, o.join.access, 1, o.rows)
-}
+func (o *scanOp) Close() {}
 
 func (o *scanOp) Children() []Operator { return nil }
 
@@ -511,7 +500,6 @@ type atomJoin struct {
 	db      *DB
 	pred    string
 	arity   int
-	access  StepAccess
 	s, o    termRef
 	sameVar bool
 	// dead marks an atom with a constant absent from the dictionary: it
@@ -682,25 +670,21 @@ func (j *atomJoin) loadScan() {
 // filterOp keeps the rows satisfying a fully bound atom (probe access).
 type filterOp struct {
 	opBase
-	child  Operator
-	join   *atomJoin
-	prof   *Profile
-	rowsIn int64
-	in     *Batch
+	child Operator
+	join  *atomJoin
+	in    *Batch
 }
 
-func newFilter(child Operator, j *atomJoin, prof *Profile) *filterOp {
+func newFilter(child Operator, j *atomJoin) *filterOp {
 	return &filterOp{
 		opBase: opBase{name: "filter(" + j.pred + ")", schema: child.Schema()},
 		child:  child,
 		join:   j,
-		prof:   prof,
 	}
 }
 
 func (o *filterOp) Open() {
 	o.resetStats()
-	o.rowsIn = 0
 	takeBatch(&o.in, len(o.child.Schema()))
 	o.child.Open()
 }
@@ -711,7 +695,6 @@ func (o *filterOp) Next(out *Batch) bool {
 		if !o.child.Next(o.in) {
 			return false
 		}
-		o.rowsIn += int64(o.in.Len())
 		for i := 0; i < o.in.Len(); i++ {
 			row := o.in.Row(i)
 			if o.join.keep(row) {
@@ -728,7 +711,6 @@ func (o *filterOp) Close() {
 	}
 	o.child.Close()
 	releaseBatch(&o.in)
-	o.prof.observeStep(o.join.pred, o.join.access, o.rowsIn, o.rows)
 }
 
 func (o *filterOp) Children() []Operator { return []Operator{o.child} }
@@ -740,10 +722,8 @@ func (o *filterOp) Children() []Operator { return []Operator{o.child} }
 // forward/reverse indexes for bound arguments and scanning otherwise.
 type joinOp struct {
 	opBase
-	child  Operator
-	alts   []*atomJoin
-	prof   *Profile
-	rowsIn int64
+	child Operator
+	alts  []*atomJoin
 
 	in     *Batch
 	inPos  int
@@ -754,7 +734,7 @@ type joinOp struct {
 	pendIdx int
 }
 
-func newJoin(child Operator, alts []*atomJoin, prof *Profile) *joinOp {
+func newJoin(child Operator, alts []*atomJoin) *joinOp {
 	preds := make([]string, len(alts))
 	for i, a := range alts {
 		preds[i] = a.pred
@@ -763,13 +743,11 @@ func newJoin(child Operator, alts []*atomJoin, prof *Profile) *joinOp {
 		opBase: opBase{name: "join(" + strings.Join(preds, "|") + ")", schema: child.Schema()},
 		child:  child,
 		alts:   alts,
-		prof:   prof,
 	}
 }
 
 func (o *joinOp) Open() {
 	o.resetStats()
-	o.rowsIn = 0
 	takeBatch(&o.in, len(o.child.Schema()))
 	o.inPos, o.altIdx = 0, 0
 	o.curRow = nil
@@ -812,7 +790,6 @@ func (o *joinOp) Next(out *Batch) bool {
 		if !o.child.Next(o.in) {
 			return o.yield(out)
 		}
-		o.rowsIn += int64(o.in.Len())
 		o.inPos = 0
 	}
 }
@@ -847,9 +824,6 @@ func (o *joinOp) Close() {
 	o.child.Close()
 	releaseBatch(&o.in)
 	o.curRow = nil // a row of the released batch
-	if len(o.alts) == 1 {
-		o.prof.observeStep(o.alts[0].pred, o.alts[0].access, o.rowsIn, o.rows)
-	}
 }
 
 func (o *joinOp) Children() []Operator { return []Operator{o.child} }

@@ -60,6 +60,14 @@ func TestRowSetExactness(t *testing.T) {
 	}
 }
 
+// cqTree plans q under the Postgres profile and compiles its streaming
+// tree; duplicates are preserved.
+func cqTree(q query.CQ, db *DB) Operator {
+	p := PlanCQ(q, db, ProfilePostgres())
+	op, _ := compileCQ(&p, db, nil, nil)
+	return op
+}
+
 // TestPropPipelineMatchesMaterializedCQ: the streaming pipeline and the
 // materializing reference executor agree on random CQs, data, layouts,
 // and profiles — duplicates included.
@@ -71,7 +79,7 @@ func TestPropPipelineMatchesMaterializedCQ(t *testing.T) {
 		for _, layout := range []Layout{LayoutSimple, LayoutRDF} {
 			db := NewDB(layout)
 			db.LoadABox(ab)
-			stream := Drain(CompileCQ(PlanCQ(q, db, ProfilePostgres()), db, nil))
+			stream := Drain(cqTree(q, db))
 			mat := ExecCQMaterialized(q, db, ProfilePostgres())
 			if len(stream.Rows) != len(mat.Rows) {
 				t.Logf("seed=%d layout=%v: %d vs %d rows (duplicates must match too)",
@@ -131,7 +139,7 @@ func TestPipelineCrossesBatchBoundaries(t *testing.T) {
 	for _, layout := range []Layout{LayoutSimple, LayoutRDF} {
 		db := loadDB(t, layout, sb.String())
 		q := query.MustParseCQ("q(x, z) <- R(x, y), S(y, z)")
-		stream := Drain(CompileCQ(PlanCQ(q, db, ProfilePostgres()), db, nil))
+		stream := Drain(cqTree(q, db))
 		mat := ExecCQMaterialized(q, db, ProfilePostgres())
 		if len(stream.Rows) != n || len(mat.Rows) != n {
 			t.Fatalf("%v: stream=%d mat=%d want %d", layout, len(stream.Rows), len(mat.Rows), n)
@@ -146,7 +154,7 @@ func TestPipelineStatsAndExplain(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	q := query.MustParseCQ("q(x) <- PhDStudent(x), supervisedBy(x, y), Researcher(y)")
 	p := PlanCQ(q, db, ProfilePostgres())
-	op := CompileCQ(p, db, nil)
+	op, _ := compileCQ(&p, db, nil, nil)
 	rel := Drain(op)
 	if len(rel.Rows) != 2 { // Damian × two supervisors
 		t.Fatalf("rows = %d", len(rel.Rows))
@@ -163,45 +171,6 @@ func TestPipelineStatsAndExplain(t *testing.T) {
 		if !strings.Contains(expl, want) {
 			t.Errorf("explain missing %q:\n%s", want, expl)
 		}
-	}
-}
-
-// TestFeedbackAdaptsEstimates: executing with Profile.Feedback enabled
-// replaces the statistics-derived fanout with the observed one on the
-// next planning round.
-func TestFeedbackAdaptsEstimates(t *testing.T) {
-	// Skewed role: statistics assume uniform fanout card/distinct(S),
-	// but the member of A ("hub") holds almost every edge.
-	var sb strings.Builder
-	for i := 0; i < 99; i++ {
-		sb.WriteString("R(hub, o" + itoa(i) + ")\n")
-	}
-	sb.WriteString("R(solo, o0)\nA(hub)\n")
-	db := loadDB(t, LayoutSimple, sb.String())
-	prof := ProfilePostgres()
-	prof.Feedback = NewCardFeedback()
-	q := query.MustParseCQ("q(y) <- A(x), R(x, y)")
-
-	before := PlanCQ(q, db, prof)
-	ans := EvaluateCQ(q, db, prof)
-	if len(ans.Tuples) != 99 {
-		t.Fatalf("answers = %d", len(ans.Tuples))
-	}
-	if _, ok := prof.Feedback.Fanout("R", AccessRoleFwd); !ok {
-		t.Fatal("execution did not record feedback for the fwd probe")
-	}
-	after := PlanCQ(q, db, prof)
-	errBefore := before.EstCard - 99
-	errAfter := after.EstCard - 99
-	abs := func(x float64) float64 {
-		if x < 0 {
-			return -x
-		}
-		return x
-	}
-	if abs(errAfter) >= abs(errBefore) {
-		t.Errorf("feedback did not improve the estimate: before=%.1f after=%.1f (actual 99)",
-			before.EstCard, after.EstCard)
 	}
 }
 
@@ -298,7 +267,9 @@ func TestPropPipelineSCQMatchesNaiveExpansion(t *testing.T) {
 		}
 		db := NewDB(LayoutSimple)
 		db.LoadABox(ab)
-		got := Drain(CompileSCQ(PlanSCQ(s, db, ProfilePostgres()), db, nil))
+		p := PlanSCQ(s, db, ProfilePostgres())
+		op, _ := compileSCQ(&p, db, nil, nil)
+		got := Drain(op)
 		return sameSets(relToSet(got, db.Dict), naiveToSet(naive.EvalSCQ(s, ab)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -334,31 +305,22 @@ func TestPipelineReuse(t *testing.T) {
 	}
 }
 
-// TestReuseResetsStatsAndFeedback: re-executing a compiled tree resets
-// the per-operator counters each Open, so ExplainPipeline reports one
-// execution and cardinality feedback does not inflate across reuses.
-func TestReuseResetsStatsAndFeedback(t *testing.T) {
+// TestReuseResetsStats: re-executing a compiled tree resets the
+// per-operator counters each Open, so ExplainPipeline reports one
+// execution.
+func TestReuseResetsStats(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	prof := ProfilePostgres()
-	prof.Feedback = NewCardFeedback()
 	u := query.UCQ{Disjuncts: []query.CQ{query.MustParseCQ("q(x, y) <- supervisedBy(x, y)")}}
 	op, _ := compilePlan(t, db, prof, plan.FromUCQ(u)).Tree(1)
 	Drain(op)
 	first := CollectStats(op)
-	r1, ok := prof.Feedback.Fanout("supervisedBy", AccessRoleScan)
-	if !ok {
-		t.Fatal("no feedback after first execution")
-	}
 	Drain(op)
 	second := CollectStats(op)
 	for i := range first {
 		if first[i].Rows != second[i].Rows || first[i].Batches != second[i].Batches {
 			t.Fatalf("stats drifted across reuse: %+v vs %+v", first[i], second[i])
 		}
-	}
-	r2, _ := prof.Feedback.Fanout("supervisedBy", AccessRoleScan)
-	if r1 != r2 {
-		t.Errorf("feedback inflated across reuse: %.2f -> %.2f", r1, r2)
 	}
 
 	// Same invariant through the parallel union operator.
@@ -387,8 +349,8 @@ func TestParallelCloseBeforeOpen(t *testing.T) {
 		query.MustParseCQ("q(x) <- Researcher(x)"),
 	}}
 	arms := []Operator{
-		CompileCQ(PlanCQ(u.Disjuncts[0], db, ProfilePostgres()), db, nil),
-		CompileCQ(PlanCQ(u.Disjuncts[1], db, ProfilePostgres()), db, nil),
+		cqTree(u.Disjuncts[0], db),
+		cqTree(u.Disjuncts[1], db),
 	}
 	op := NewUnionParallel(arms[0].Schema(), arms, 4)
 	op.Close() // must not panic or block
@@ -445,7 +407,7 @@ func TestJoinRunsCrossBatchBoundaries(t *testing.T) {
 		{"pairs", "q(x, y, z) <- A(x), R(y, z)", 3 * (big + 7)},
 	} {
 		q := query.MustParseCQ(tc.q)
-		got := checkJoin(tc.name, CompileCQ(PlanCQ(q, db, ProfilePostgres()), db, nil), tc.want)
+		got := checkJoin(tc.name, cqTree(q, db), tc.want)
 		mat := ExecCQMaterialized(q, db, ProfilePostgres())
 		if !slices.EqualFunc(got.Rows, mat.Rows, slices.Equal[[]int64]) {
 			t.Fatalf("%s: rows or their order differ from the materialized executor", tc.name)
@@ -468,7 +430,8 @@ func TestJoinRunsCrossBatchBoundaries(t *testing.T) {
 	if !slices.Equal(p.Order, []int{0, 2, 1}) {
 		t.Fatalf("scq: block order %v, want the keep block before the expansion", p.Order)
 	}
-	got := checkJoin("scq", CompileSCQ(p, db, nil), big+2*(7+7)+1100)
+	op, _ := compileSCQ(&p, db, nil, nil)
+	got := checkJoin("scq", op, big+2*(7+7)+1100)
 	var want [][]int64
 	for _, xid := range db.ConceptMembers("A") {
 		for _, keep := range []string{"A", "B"} {

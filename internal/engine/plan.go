@@ -117,27 +117,8 @@ func PlanCQ(q query.CQ, db *DB, prof *Profile) CQPlan {
 
 // estimateStep estimates joining the current intermediate result (est.
 // cardinality in) with one atom, choosing the access path from which
-// arguments are bound. When the profile carries execution feedback
-// (Profile.Feedback), the statistics-derived fanout is replaced by the
-// observed per-operator ratio from earlier executions.
+// arguments are bound.
 func estimateStep(a query.Atom, bound map[string]bool, in float64, st *Statistics, prof *Profile, layout Layout) PlanStep {
-	step := estimateStepStatic(a, bound, in, st, prof, layout)
-	if prof.Feedback != nil {
-		if ratio, ok := prof.Feedback.Fanout(a.Pred, step.Access); ok {
-			out := in * ratio
-			// Rescale the emit-proportional share of the cost.
-			step.EstCost += (out - step.EstOut) * prof.CEmit
-			if step.EstCost < 0 {
-				step.EstCost = 0
-			}
-			step.EstOut = out
-		}
-	}
-	return step
-}
-
-// estimateStepStatic is the purely statistics-driven estimate.
-func estimateStepStatic(a query.Atom, bound map[string]bool, in float64, st *Statistics, prof *Profile, layout Layout) PlanStep {
 	isBound := func(t query.Term) bool { return t.Const || bound[t.Name] }
 	layoutF := 1.0
 	if layout == LayoutRDF {

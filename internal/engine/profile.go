@@ -1,18 +1,11 @@
 package engine
 
-import "sync"
-
 // Profile models an RDBMS's optimizer/runtime personality — the aspects
 // of Postgres and DB2 the paper's experiments expose (Sections 6.1–6.3).
+// It is a set of constants nothing mutates: the planner estimates from
+// the database's statistics alone, like the paper's engines.
 type Profile struct {
 	Name string
-
-	// Feedback, when non-nil, accumulates the per-operator cardinalities
-	// the streaming executor observes (rows in/out of every join and
-	// filter) and feeds them back into estimateStep — the engine's
-	// "learning optimizer" loop. Nil (the default) keeps the planner
-	// purely statistics-driven, matching the paper's engines.
-	Feedback *CardFeedback
 
 	// MaxStatementBytes is the maximum accepted SQL statement length; 0
 	// means unlimited. DB2 rejects reformulated queries past ~2.1 MB
@@ -113,64 +106,4 @@ func (p *Profile) CheckStatementSize(size int) error {
 		return &StatementTooLongError{Size: size, Limit: p.MaxStatementBytes}
 	}
 	return nil
-}
-
-// CardFeedback accumulates observed per-operator cardinalities keyed by
-// (predicate, access path): the executor's joins and filters report how
-// many output rows each input row actually produced, and the planner
-// corrects its fanout estimates with the observed ratio. Safe for
-// concurrent use (parallel union workers flush on Close).
-type CardFeedback struct {
-	mu  sync.Mutex
-	fan map[feedbackKey]float64
-}
-
-type feedbackKey struct {
-	pred   string
-	access StepAccess
-}
-
-// NewCardFeedback returns an empty feedback accumulator; assign it to
-// Profile.Feedback to enable adaptive estimation.
-func NewCardFeedback() *CardFeedback {
-	return &CardFeedback{fan: make(map[feedbackKey]float64)}
-}
-
-// Observe records that in input rows produced out output rows through
-// the given access path. Observations blend by exponential moving
-// average so drifting data ages out stale ratios.
-func (f *CardFeedback) Observe(pred string, access StepAccess, in, out int64) {
-	if f == nil || in <= 0 {
-		return
-	}
-	ratio := float64(out) / float64(in)
-	k := feedbackKey{pred, access}
-	f.mu.Lock()
-	if prev, ok := f.fan[k]; ok {
-		f.fan[k] = 0.5*prev + 0.5*ratio
-	} else {
-		f.fan[k] = ratio
-	}
-	f.mu.Unlock()
-}
-
-// Fanout returns the observed output-per-input ratio for an access
-// path, if any execution has reported one.
-func (f *CardFeedback) Fanout(pred string, access StepAccess) (float64, bool) {
-	if f == nil {
-		return 0, false
-	}
-	f.mu.Lock()
-	r, ok := f.fan[feedbackKey{pred, access}]
-	f.mu.Unlock()
-	return r, ok
-}
-
-// observeStep is the executor-side hook: nil-safe on both the profile
-// and its feedback sink.
-func (p *Profile) observeStep(pred string, access StepAccess, in, out int64) {
-	if p == nil || p.Feedback == nil {
-		return
-	}
-	p.Feedback.Observe(pred, access, in, out)
 }

@@ -27,16 +27,6 @@ type Executable interface {
 	Run(workers int) (*RunResult, error)
 }
 
-// Observer is an optional Backend extension: a backend that learns
-// from its own executions implements it, and core.Answerer routes
-// every run's Explain (estimates plus actual row counters) back to
-// the backend that compiled the plan. Each backend keeps its own
-// observations — the SQL path no longer borrows the native engine's
-// Profile.Feedback statistics.
-type Observer interface {
-	Observe(n *Node, ex *Explain)
-}
-
 // Backend turns logical plans into executables — the physical half of
 // the logical/physical split. The engine's native streaming-operator
 // pipeline and the sqlexec SQL-text path both implement it; selecting

@@ -211,10 +211,10 @@ func TestConcurrentQueries(t *testing.T) {
 
 // TestConcurrentAnswerMixedStrategies drives concurrent Answerer.Answer
 // calls through the HTTP server across every strategy, with parallel
-// evaluation workers, cardinality feedback, and the plan cache all
-// active — the shared state the race detector must find clean: the
-// Reformulator's memo, the search memo, the answer cache, the DB's lazy
-// statistics, the TBox dependency index, and the feedback sink.
+// evaluation workers and the plan cache both active — the shared state
+// the race detector must find clean: the Reformulator's memo, the
+// search memo, the answer cache, the DB's lazy statistics, and the TBox
+// dependency index.
 func TestConcurrentAnswerMixedStrategies(t *testing.T) {
 	tb := dllite.MustParseTBox(`
 PhDStudent <= Researcher
@@ -230,7 +230,6 @@ supervisedBy(Damian, Ioana)
 supervisedBy(Eva, Francois)
 `))
 	prof := engine.ProfilePostgres()
-	prof.Feedback = engine.NewCardFeedback()
 	a := core.New(tb, db, prof)
 	a.Workers = 4
 	srv := httptest.NewServer(New(a))

@@ -71,21 +71,15 @@ type Backend struct {
 }
 
 // New partitions db into n first-column hash shards and returns the
-// backend. Per-shard compilation uses a copy of prof with adaptive
-// feedback detached: shard-local scans see 1/n of every aligned
-// relation, and folding those fanouts into the shared feedback map
-// would corrupt the native backend's statistics (each backend keeps
-// its own — see the per-backend feedback work).
+// backend, which plans and estimates under prof.
 func New(db *engine.DB, prof *engine.Profile, n int) (*Backend, error) {
 	part, err := engine.Partition(db, n)
 	if err != nil {
 		return nil, err
 	}
-	p := *prof
-	p.Feedback = nil
 	return &Backend{
 		part:    part,
-		prof:    &p,
+		prof:    prof,
 		model:   cost.NewModel(db),
 		views:   make(map[string][]*engine.DB),
 		plans:   cache.New[planKey, plan.Executable](DefaultPlanCacheSize),

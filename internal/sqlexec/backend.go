@@ -10,7 +10,6 @@ package sqlexec
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/plan"
@@ -21,38 +20,11 @@ import (
 type Backend struct {
 	DB      *engine.DB
 	Profile *engine.Profile
-
-	// observed is the backend's own cardinality feedback: actual
-	// whole-statement output counts per plan, keyed by the plan tree's
-	// canonical rendering and versioned by the data (stale observations
-	// die with the version). core.Answerer feeds it through Observe.
-	mu       sync.Mutex
-	observed map[obsKey]float64
-}
-
-type obsKey struct {
-	plan    string
-	dataVer uint64
 }
 
 // NewBackend wires the SQL backend over a database and profile.
 func NewBackend(db *engine.DB, prof *engine.Profile) *Backend {
-	return &Backend{DB: db, Profile: prof, observed: make(map[obsKey]float64)}
-}
-
-// Observe records one execution's actual output cardinality — the only
-// counter the SQL surface reports (a real RDBMS exposes no per-operator
-// actuals without instrumentation). It implements plan.Observer.
-func (b *Backend) Observe(n *plan.Node, ex *plan.Explain) {
-	if n == nil || ex == nil || ex.Root == nil || ex.Root.ActualRows < 0 {
-		return
-	}
-	// Version() takes the DB's stats lock; read it before taking b.mu
-	// so the two locks are never held together (lockorder analyzer).
-	ver := b.DB.Version()
-	b.mu.Lock()
-	b.observed[obsKey{n.String(), ver}] = float64(ex.Root.ActualRows)
-	b.mu.Unlock()
+	return &Backend{DB: db, Profile: prof}
 }
 
 // Name identifies the backend in cache keys and EXPLAIN output.
@@ -75,21 +47,11 @@ func (b *Backend) Compile(n *plan.Node) (plan.Executable, error) {
 	return &sqlExecutable{b: b, node: n, sql: sql, est: b.Estimate(n)}, nil
 }
 
-// Estimate starts from the native engine's plan costing (the SQL path
-// executes the same logical plan and has no optimizer of its own) and
-// then overrides the cardinality with the backend's own observation of
-// this exact plan on the current data, when one exists — the SQL
-// path's feedback loop, independent of the native Profile.Feedback.
+// Estimate is the native engine's plan costing: the SQL path executes
+// the same logical plan and has no optimizer of its own, so both
+// backends estimate a plan with one estimator.
 func (b *Backend) Estimate(n *plan.Node) plan.Estimate {
-	est := engine.NewBackend(b.DB, b.Profile).Estimate(n)
-	ver := b.DB.Version()
-	b.mu.Lock()
-	card, ok := b.observed[obsKey{n.String(), ver}]
-	b.mu.Unlock()
-	if ok {
-		est.Card = card
-	}
-	return est
+	return engine.NewBackend(b.DB, b.Profile).Estimate(n)
 }
 
 // sqlExecutable is one compiled statement.
@@ -108,7 +70,7 @@ func (e *sqlExecutable) SQL() string { return e.sql }
 
 // Run parses and evaluates the statement. The SQL surface reports no
 // per-operator counters, so only the statement's total output is
-// observed; workers is ignored (a real RDBMS owns its parallelism).
+// counted; workers is ignored (a real RDBMS owns its parallelism).
 func (e *sqlExecutable) Run(workers int) (*plan.RunResult, error) {
 	rel, err := Exec(e.sql, e.b.DB)
 	if err != nil {

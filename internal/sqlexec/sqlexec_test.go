@@ -284,42 +284,3 @@ func TestRoundTripUSCQ(t *testing.T) {
 		t.Fatalf("USCQ SQL path differs: %d vs %d tuples", len(rel.Rows), len(native.Tuples))
 	}
 }
-
-func TestObservedCardinalityFeedback(t *testing.T) {
-	db := testDB(t)
-	db.Finalize()
-	b := NewBackend(db, engine.ProfilePostgres())
-	u := query.UCQ{Name: "q", Disjuncts: []query.CQ{
-		query.MustParseCQ("q(x) <- Researcher(x)"),
-		query.MustParseCQ("q(x) <- PhDStudent(x)"),
-	}}
-	n := plan.FromUCQ(u)
-	before := b.Estimate(n)
-	ex, err := b.Compile(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ex.Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Observe(n, res.Explain)
-	after := b.Estimate(n)
-	if after.Card != float64(len(res.Tuples)) {
-		t.Fatalf("observed card = %v, want %d", after.Card, len(res.Tuples))
-	}
-	if after.Cost != before.Cost {
-		t.Fatalf("observation must not change cost: %v vs %v", after.Cost, before.Cost)
-	}
-	// Observations are versioned by the data: a mutation invalidates.
-	db.AddConceptFact("Researcher", "Zo")
-	db.Finalize()
-	if got := b.Estimate(n); got.Card == after.Card && got.Card != b.baseCard(n) {
-		t.Fatalf("stale observation served after data change: %v", got.Card)
-	}
-}
-
-// baseCard is the unobserved estimate's cardinality (test helper).
-func (b *Backend) baseCard(n *plan.Node) float64 {
-	return engine.NewBackend(b.DB, b.Profile).Estimate(n).Card
-}
