@@ -112,7 +112,7 @@ func main() {
 		}
 	}
 	if *showSQL {
-		sql, err := sqlgen.Render(res.Plan, sqlgen.Options{Layout: layout, Pretty: true})
+		sql, err := sqlgen.Render(res.Plan, sqlgen.Options{Layout: layout, Pretty: true, Args: res.Args})
 		fatal(err)
 		fmt.Println(sql)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -171,28 +172,44 @@ func TestExplainEveryStrategy(t *testing.T) {
 
 // TestQuotedConstantOnSQLBackend: a constant holding a quote ships as
 // an escaped literal, so the sql backend answers what the native one
-// does, and Result.SQLSize counts the escaped statement it shipped.
+// does, and Result.SQLSize counts the escaped statement it shipped —
+// also where the plan was cached for another constant of the template,
+// whose literal has another length.
 func TestQuotedConstantOnSQLBackend(t *testing.T) {
 	db := engine.NewDB(engine.LayoutSimple)
 	db.AddRoleFact("worksFor", "ann", "O'Brien Lab")
 	db.AddRoleFact("worksFor", "bob", "Brien Lab")
+	db.AddRoleFact("worksFor", "ann", "it's")
 	db.Finalize()
-	q := query.MustParseCQ(`q(x) <- worksFor(x, "O'Brien Lab")`)
 	for _, s := range []Strategy{StrategyUCQ, StrategyUSCQ, StrategyGDLExt} {
-		native, err := New(lubm.TBox(), db, engine.ProfilePostgres()).Answer(q, s)
-		if err != nil {
-			t.Fatalf("native/%s: %v", s, err)
-		}
+		native := New(lubm.TBox(), db, engine.ProfilePostgres())
 		a := New(lubm.TBox(), db, engine.ProfilePostgres())
-		res, err := a.AnswerWith(q, s, sqlexec.NewBackend(db, a.Profile))
-		if err != nil {
-			t.Fatalf("sql/%s: %v", s, err)
-		}
-		if want := []string{"ann"}; !reflect.DeepEqual(sorted(native.Tuples), want) || !reflect.DeepEqual(sorted(res.Tuples), want) {
-			t.Errorf("%s: native %v, sql %v, want [[ann]]", s, native.Tuples, res.Tuples)
-		}
-		if res.SQLSize != len(res.Explain.SQL) {
-			t.Errorf("%s: SQLSize %d, shipped statement is %d bytes", s, res.SQLSize, len(res.Explain.SQL))
+		for _, tc := range []struct {
+			q    string
+			want []string
+		}{
+			{`q(x) <- worksFor(x, "O'Brien Lab")`, []string{"ann"}},
+			{`q(x) <- worksFor(x, 'Brien Lab')`, []string{"bob"}},
+			{`q(x) <- worksFor(x, "it's")`, []string{"ann"}},
+			{`q(x) <- worksFor(x, "O'Brien Lab"), worksFor(x, "it's")`, []string{"ann"}},
+			{`q(x) <- worksFor(x, 'Brien Lab'), worksFor(x, "it's")`, nil},
+			{`q(x) <- worksFor(x, "it's"), worksFor(x, "it's")`, []string{"ann"}},
+		} {
+			q := query.MustParseCQ(tc.q)
+			nres, err := native.Answer(q, s)
+			if err != nil {
+				t.Fatalf("native/%s: %v", s, err)
+			}
+			res, err := a.AnswerWith(q, s, sqlexec.NewBackend(db, a.Profile))
+			if err != nil {
+				t.Fatalf("sql/%s: %v", s, err)
+			}
+			if !slices.Equal(sorted(nres.Tuples), tc.want) || !slices.Equal(sorted(res.Tuples), tc.want) {
+				t.Errorf("%s %s: native %v, sql %v, want %v", tc.q, s, nres.Tuples, res.Tuples, tc.want)
+			}
+			if res.SQLSize != len(res.Explain.SQL) || nres.SQLSize != res.SQLSize {
+				t.Errorf("%s %s: SQLSize %d (native %d), shipped statement is %d bytes", tc.q, s, res.SQLSize, nres.SQLSize, len(res.Explain.SQL))
+			}
 		}
 	}
 }

@@ -1,17 +1,19 @@
 package core
 
 // The query-answering cache: cmd/obdaserver traffic is dominated by a
-// small set of hot queries, yet every request used to re-run the cover
-// search (GDL/EDL), PerfectRef reformulation, planning, and statement
-// sizing before a single tuple was produced. AnswerCache memoizes
-// that whole front half of Answer, keyed on the query's canonical form
-// (isomorphic queries share an entry), the strategy, and the TBox/data
-// versions — a TBox or ABox mutation bumps a version, so stale entries
-// become unreachable and age out of the LRU. Execution itself always
-// runs: the cached artifact is the plan, not the answer tuples, so
-// updates to the data are reflected immediately after the version
-// bump while unchanged deployments skip straight to the operator
-// pipeline.
+// small set of hot query templates, yet every request used to re-run
+// the cover search (GDL/EDL), PerfectRef reformulation, planning,
+// compiling, and statement sizing before a single tuple was produced.
+// AnswerCache memoizes that whole front half of Answer, keyed on the
+// canonical form of the query's template (query.Parameterize: its
+// constants become parameters, so queries differing only in constants
+// share an entry, as do isomorphic ones), the strategy, and the
+// TBox/data versions — a TBox or ABox mutation bumps a version, so
+// stale entries become unreachable and age out of the LRU. Execution
+// itself always runs, binding the request's constants: the cached
+// artifact is the plan, not the answer tuples, so updates to the data
+// are reflected immediately after the version bump while unchanged
+// deployments skip straight to the operator pipeline.
 
 import (
 	"time"
@@ -19,32 +21,36 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cover"
 	"repro/internal/plan"
+	"repro/internal/sqlgen"
 )
 
 // DefaultAnswerCacheSize is the LRU capacity New wires into an
 // Answerer.
 const DefaultAnswerCacheSize = 256
 
-// cacheKey identifies one cached reformulation+plan.
+// cacheKey identifies one cached reformulation+plan: of a query
+// template, never of one instance's constants.
 type cacheKey struct {
-	canon    string
+	canon    string // query.CanonicalKey of the template
 	strategy Strategy
 	tboxVer  uint64
 	dataVer  uint64
 	backend  string // executables are backend-specific
 }
 
-// cachedPlan is the reusable front half of one Answer call: the chosen
-// cover, the logical plan its reformulation lowered into, the byte size
-// of the SQL that plan renders to (not the text, which nothing off the
-// sql backend reads), and the backend executable compiled from it.
-// The IR and the executable are immutable/concurrency-safe; physical
-// state is rebuilt inside every Run.
+// cachedPlan is the reusable front half of one Answer call, for every
+// instance of a template: the chosen cover, the logical plan its
+// reformulation lowered into, the byte size of the SQL that plan
+// renders to as a function of the constants (not the text, which
+// nothing off the sql backend reads), and the backend executable
+// compiled from it. The IR and the executable are
+// immutable/concurrency-safe; physical state is rebuilt, or re-opened
+// and rebound to the run's constants, inside every run.
 type cachedPlan struct {
-	cover        cover.Cover
+	cover        cover.Cover // over the template
 	numFragments int
 	numDisjuncts int
-	sqlSize      int
+	sqlSize      sqlgen.StatementSize
 
 	searchTime time.Duration // the original search cost, reported once
 
@@ -52,7 +58,8 @@ type cachedPlan struct {
 	exec plan.Executable // compiled for the backend in the cache key
 }
 
-// AnswerCache is a concurrency-safe LRU of cachedPlans, built on the
+// AnswerCache is a concurrency-safe LRU of cachedPlans, one per query
+// template, strategy, backend and TBox/data version, built on the
 // shared internal/cache LRU (the same implementation backing the shard
 // backend's per-shard plan/result caches).
 type AnswerCache struct {

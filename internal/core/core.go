@@ -116,12 +116,13 @@ type Answerer struct {
 	Workers int
 
 	// Cache, when non-nil, memoizes the front half of Answer (cover
-	// search, reformulation, planning, statement sizing) per canonical
-	// query, strategy, and TBox/data version. New enables it with
-	// DefaultAnswerCacheSize; set to nil to re-run the full pipeline on
-	// every request. Cached plans freeze the cardinality estimates of
-	// the moment they were planned; a data change moves the version
-	// and so re-plans.
+	// search, reformulation, planning, compiling, statement sizing) per
+	// query template, strategy, and TBox/data version: queries that
+	// differ only in their constants share one entry, and each run
+	// binds its own. New enables it with DefaultAnswerCacheSize; set to
+	// nil to re-run the full pipeline on every request. Cached plans
+	// freeze the cardinality estimates of the moment they were planned;
+	// a data change moves the version and so re-plans.
 	Cache *AnswerCache
 
 	// tboxVer counts TBox swaps (InvalidateTBox); it versions cache keys.
@@ -203,33 +204,39 @@ func (a *Answerer) currentMemo() *search.Memo {
 type Result struct {
 	Strategy Strategy
 	Query    query.CQ
+	// Args are the query's constants, bound to the parameters of Plan
+	// (query.Parameterize); nil for a query without constants.
+	Args []string
 
 	Tuples [][]string
 
-	Cover        cover.Cover
-	NumDisjuncts int // total CQs (SCQs for uscq) across fragments
+	Cover        cover.Cover // over the template, bound to Args
+	NumDisjuncts int         // total CQs (SCQs for uscq) across fragments
 	NumFragments int
 
-	// Plan is the logical plan the strategy lowered into — the tree
-	// the backend compiled and executed (shared with the cache; do
-	// not mutate).
+	// Plan is the logical plan the strategy lowered the query's
+	// template into — the tree the backend compiled and ran with Args
+	// (shared with the cache; do not mutate).
 	Plan *plan.Node
-	// Explain annotates Plan with the backend's estimates and the
-	// actual per-operator row counters of this execution.
+	// Explain annotates the instance of Plan with the backend's
+	// estimates and the actual per-operator row counters of this
+	// execution.
 	Explain *plan.Explain
 
 	// SQLSize is the byte length of the statement shipped to the
-	// RDBMS, sqlgen.Render(Plan, …); the text itself is rendered only
-	// where it is read (the sql backend's Explain.SQL, cmd/obda -sql).
+	// RDBMS, sqlgen.Render(Plan, …) with Args; the text itself is
+	// rendered only where it is read (the sql backend's Explain.SQL,
+	// cmd/obda -sql).
 	SQLSize int
 	EstCost float64
 
 	SearchTime time.Duration // cover search (zero for fixed strategies and cache hits)
 	EvalTime   time.Duration
 
-	// CacheHit reports that the cover, reformulation, plan, and
-	// statement size came from the answer cache — only evaluation ran
-	// for this request.
+	// CacheHit reports that the front half — cover, reformulation,
+	// plan, compiled executable and statement size — was reused from
+	// the answer cache, possibly planned for other constants of the
+	// same template: only evaluation ran for this request.
 	CacheHit bool
 
 	// Search carries the raw GDL/EDL result when applicable (fresh
@@ -251,15 +258,22 @@ func (a *Answerer) Answer(q query.CQ, s Strategy) (*Result, error) {
 // (nil selects the Answerer's configured backend). The cache keys by
 // backend name, so one Answerer serves requests across backends
 // without ever handing a plan compiled by one to another.
+//
+// The query is parameterized first (query.Parameterize): the front
+// half runs on its template, which the TBox — naming no individuals —
+// treats exactly as it would any instance, and only the run binds the
+// constants. So every query of one template shares one search, one
+// compiled plan and its pooled run states.
 func (a *Answerer) AnswerWith(q query.CQ, s Strategy, backend plan.Backend) (*Result, error) {
 	if backend == nil {
 		backend = a.backend()
 	}
-	res := &Result{Strategy: s, Query: q}
+	tmpl, args := query.Parameterize(q)
+	res := &Result{Strategy: s, Query: q, Args: args}
 	var key cacheKey
 	if a.Cache != nil {
 		key = cacheKey{
-			canon:    query.CanonicalKey(q),
+			canon:    query.CanonicalKey(tmpl),
 			strategy: s,
 			tboxVer:  a.tboxVer.Load(),
 			dataVer:  a.DB.Version(),
@@ -270,7 +284,7 @@ func (a *Answerer) AnswerWith(q query.CQ, s Strategy, backend plan.Backend) (*Re
 			return a.execute(cp, res)
 		}
 	}
-	cp, err := a.buildPlan(q, s, res, backend)
+	cp, err := a.buildPlan(tmpl, s, res, backend)
 	if err != nil {
 		return nil, err
 	}
@@ -286,8 +300,9 @@ func (a *Answerer) AnswerWith(q query.CQ, s Strategy, backend plan.Backend) (*Re
 var rewritePlan = plan.Rewrite
 
 // buildPlan is the cacheable front half of Answer: choose the cover,
-// reformulate it, plan the evaluation, and size its SQL. It fills
-// res's search fields (fresh searches only reach here).
+// reformulate it, plan the evaluation, compile it, and size its SQL,
+// all for the template q. It fills res's search fields (fresh searches
+// only reach here).
 func (a *Answerer) buildPlan(q query.CQ, s Strategy, res *Result, backend plan.Backend) (*cachedPlan, error) {
 	var c cover.Cover
 	var sr *search.Result
@@ -373,8 +388,9 @@ func (a *Answerer) buildPlan(q query.CQ, s Strategy, res *Result, backend plan.B
 	}
 	cp.exec = exec
 	// The statement-size limit reads only the length of the statement
-	// the tree renders to, so count it instead of building it.
-	size, err := sqlgen.Size(cp.ir, sqlgen.Options{Layout: a.DB.Layout})
+	// the tree renders to, so count it instead of building it: once
+	// for the template, leaving each instance's literals to execute.
+	size, err := sqlgen.Measure(cp.ir, sqlgen.Options{Layout: a.DB.Layout})
 	if err != nil {
 		return nil, err
 	}
@@ -383,21 +399,27 @@ func (a *Answerer) buildPlan(q query.CQ, s Strategy, res *Result, backend plan.B
 	return cp, nil
 }
 
-// execute runs a (possibly cached) plan: enforce the profile's
-// statement limit, run the compiled executable on the configured
-// backend, and fill in the result (tuples, estimate, EXPLAIN).
+// execute runs a (possibly cached) plan with the query's constants
+// bound: enforce the profile's statement limit on the instance's
+// statement, run the compiled executable on the configured backend,
+// and fill in the result (tuples, estimate, EXPLAIN).
 func (a *Answerer) execute(cp *cachedPlan, res *Result) (*Result, error) {
 	res.Cover = cp.cover
+	if res.Args != nil {
+		// The cover of the instance: the cached template bound to this
+		// request's constants.
+		res.Cover.Q = cp.cover.Q.Bind(res.Args)
+	}
 	res.NumFragments = cp.numFragments
 	res.NumDisjuncts = cp.numDisjuncts
 	res.Plan = cp.ir
-	res.SQLSize = cp.sqlSize
+	res.SQLSize = cp.sqlSize.Len(res.Args)
 	if err := a.Profile.CheckStatementSize(res.SQLSize); err != nil {
 		return res, err
 	}
 	est := cp.exec.Estimate()
 	start := time.Now()
-	rr, err := cp.exec.Run(a.Workers)
+	rr, err := cp.exec.RunArgs(a.Workers, res.Args)
 	if err != nil {
 		return res, err
 	}
@@ -409,7 +431,8 @@ func (a *Answerer) execute(cp *cachedPlan, res *Result) (*Result, error) {
 }
 
 // numArms counts the union arms across the plan's fragments. It runs on
-// trees sqlgen.Size has taken apart already, so plan.Arms cannot fail.
+// trees sqlgen.Measure has taken apart already, so plan.Arms cannot
+// fail.
 func numArms(n *plan.Node) int {
 	frags := plan.CoverFragments(n)
 	if frags == nil {

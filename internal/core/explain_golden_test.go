@@ -216,7 +216,7 @@ func sqlGoldenCases(t *testing.T) []sqlGoldenCase {
 // is its exact length.
 func renderSized(t *testing.T, name string, res *Result, l engine.Layout) string {
 	t.Helper()
-	sql, err := sqlgen.Render(res.Plan, sqlgen.Options{Layout: l})
+	sql, err := sqlgen.Render(res.Plan, sqlgen.Options{Layout: l, Args: res.Args})
 	if err != nil {
 		t.Fatalf("%s: render: %v", name, err)
 	}

@@ -86,7 +86,7 @@ func TestPrettySQLAnswersEveryStrategy(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", q.Name, s, err)
 				}
-				sql, err := sqlgen.Render(res.Plan, sqlgen.Options{Layout: a.DB.Layout, Pretty: true})
+				sql, err := sqlgen.Render(res.Plan, sqlgen.Options{Layout: a.DB.Layout, Pretty: true, Args: res.Args})
 				if err != nil {
 					t.Fatalf("%s/%s: %v", q.Name, s, err)
 				}

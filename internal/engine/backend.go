@@ -15,6 +15,10 @@ package engine
 // themselves in Open, so a tree outlives its run: Run keeps built trees
 // in a per-Compiled pool and re-opens one instead of building again,
 // as long as it was built for the same worker budget and data version.
+// A parameterized plan (query.Parameterize) compiles once for all its
+// instances: the operators hold parameter references, a run resolves
+// its arguments to dictionary ids once, and Open rebinds a pooled tree
+// to them.
 
 import (
 	"fmt"
@@ -41,10 +45,11 @@ func (b *Backend) Name() string { return "native" }
 // plan.Executable; composing backends (internal/shard) reach the
 // per-run operator tree through Tree instead of the opaque Run.
 type Compiled struct {
-	b     *Backend
-	node  *plan.Node
-	root  physical
-	nbind int // bounds the EXPLAIN bindings one run records
+	b       *Backend
+	node    *plan.Node
+	root    physical
+	nbind   int // bounds the EXPLAIN bindings one run records
+	nparams int // the arguments a run needs
 	// states holds the *runState of finished runs for Run to re-open. A
 	// sync.Pool, so idle states are freed by the garbage collector
 	// rather than held for as long as the plan is cached.
@@ -52,19 +57,21 @@ type Compiled struct {
 }
 
 // runState is what a run leaves for the next: its operator tree, built
-// for one worker budget at one data version, the tree's EXPLAIN
-// bindings resolved to skeleton indexes, and, from the first reuse on,
-// the EXPLAIN template later runs copy.
+// for one worker budget at one data version, the arguments its
+// operators read, the tree's EXPLAIN bindings resolved to skeleton
+// indexes, and, from the first reuse on, the EXPLAIN template later
+// runs copy.
 type runState struct {
 	workers int
 	version uint64
 	root    Operator
+	args    *boundArgs
 	bound   []binding
 	tmpl    *plan.ExplainTemplate
 }
 
 // Compile validates the plan and compiles it into a reusable
-// executable.
+// executable; a parameterized plan runs through RunArgs.
 func (b *Backend) Compile(n *plan.Node) (plan.Executable, error) {
 	c, err := b.CompilePlan(n)
 	if err != nil {
@@ -85,7 +92,7 @@ func (b *Backend) CompilePlan(n *plan.Node) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{b: b, node: n, root: root, nbind: plan.NodeCount(n)}, nil
+	return &Compiled{b: b, node: n, root: root, nbind: plan.NodeCount(n), nparams: plan.NumParams(n)}, nil
 }
 
 // NewDistinctOperator wraps any operator in the streaming distinct —
@@ -131,28 +138,52 @@ func (b *Backend) EstimateShared(n *plan.Node, m *EstimateMemo) plan.Estimate {
 // Estimate returns the compile-time estimate.
 func (c *Compiled) Estimate() plan.Estimate { return c.root.estimate() }
 
-// Tree builds a fresh streaming operator pipeline for one run,
-// returning it with an annotation callback that — once the tree has
-// been drained — writes every IR node's frozen estimate and its
-// operator's actual row count onto an EXPLAIN skeleton of the plan.
-// The tree is the caller's: Run's pool never sees it.
-func (c *Compiled) Tree(workers int) (Operator, func(at map[*plan.Node]*plan.ExplainNode)) {
+// Tree builds a fresh streaming operator pipeline for one run with
+// the plan's parameters bound to args, returning it with an annotation
+// callback that — once the tree has been drained — writes every IR
+// node's frozen estimate and its operator's actual row count onto an
+// EXPLAIN skeleton of the plan. The tree is the caller's: Run's pool
+// never sees it. args must pass CheckArgs.
+func (c *Compiled) Tree(workers int, args []string) (Operator, func(at map[*plan.Node]*plan.ExplainNode)) {
 	r := c.newRun()
+	if r.args != nil {
+		r.args.resolve(c.b.DB.Dict, args)
+	}
 	return c.root.build(r, workers), r.annotate
 }
 
-func (c *Compiled) newRun() *run {
-	return &run{db: c.b.DB, bound: make([]binding, 0, c.nbind)}
+// CheckArgs rejects a run with fewer arguments than the plan has
+// parameters.
+func (c *Compiled) CheckArgs(args []string) error {
+	if len(args) < c.nparams {
+		return fmt.Errorf("engine: the plan has %d parameter(s), the run binds %d", c.nparams, len(args))
+	}
+	return nil
 }
 
-// Run drains an operator tree and annotates a fresh EXPLAIN skeleton
-// with the frozen estimates and the actual row counters the operators
-// observed. The tree comes from the pool when one there was built for
-// this worker budget at the current data version (Open resets every
-// operator, and the tree reads the tables afresh); otherwise Run builds
-// one. Either way the tree goes back to the pool afterwards. Safe for
+func (c *Compiled) newRun() *run {
+	r := &run{db: c.b.DB, bound: make([]binding, 0, c.nbind)}
+	if c.nparams > 0 {
+		r.args = &boundArgs{ids: make([]int64, c.nparams), found: make([]bool, c.nparams)}
+	}
+	return r
+}
+
+// Run is RunArgs for a plan without parameters.
+func (c *Compiled) Run(workers int) (*plan.RunResult, error) { return c.RunArgs(workers, nil) }
+
+// RunArgs drains an operator tree, its parameters bound to args, and
+// annotates a fresh EXPLAIN skeleton with the frozen estimates and the
+// actual row counters the operators observed. The tree comes from the
+// pool when one there was built for this worker budget at the current
+// data version (Open resets every operator and rebinds its parameters,
+// and the tree reads the tables afresh); otherwise RunArgs builds one.
+// Either way the tree goes back to the pool afterwards. Safe for
 // concurrent use: each run owns the state it took.
-func (c *Compiled) Run(workers int) (*plan.RunResult, error) {
+func (c *Compiled) RunArgs(workers int, args []string) (*plan.RunResult, error) {
+	if err := c.CheckArgs(args); err != nil {
+		return nil, err
+	}
 	version := c.b.DB.Version()
 	var nodes []plan.ExplainNode
 	st, _ := c.states.Get().(*runState)
@@ -160,9 +191,12 @@ func (c *Compiled) Run(workers int) (*plan.RunResult, error) {
 		if st.tmpl == nil {
 			st.tmpl = plan.NewExplainTemplate(c.node)
 		}
-		nodes = st.tmpl.New()
+		nodes = st.tmpl.New(args)
 	} else {
-		st, nodes = c.newState(workers, version)
+		st, nodes = c.newState(workers, version, args)
+	}
+	if st.args != nil {
+		st.args.resolve(c.b.DB.Dict, args)
 	}
 	rel := Drain(st.root)
 	for _, b := range st.bound {
@@ -180,11 +214,11 @@ func (c *Compiled) Run(workers int) (*plan.RunResult, error) {
 // first run's EXPLAIN skeleton, which also places each binding's node.
 // No template is made here: a plan run once (every cold query) would
 // pay for one it never copies.
-func (c *Compiled) newState(workers int, version uint64) (*runState, []plan.ExplainNode) {
+func (c *Compiled) newState(workers int, version uint64, args []string) (*runState, []plan.ExplainNode) {
 	r := c.newRun()
-	st := &runState{workers: workers, version: version, root: c.root.build(r, workers)}
+	st := &runState{workers: workers, version: version, root: c.root.build(r, workers), args: r.args}
 	at := make(map[*plan.Node]int32, c.nbind)
-	nodes := plan.FlatSkeleton(c.node, func(i int, n *plan.Node) { at[n] = int32(i) })
+	nodes := plan.FlatSkeleton(c.node, args, func(i int, n *plan.Node) { at[n] = int32(i) })
 	for i := range r.bound {
 		r.bound[i].at = at[r.bound[i].n]
 	}
@@ -265,7 +299,7 @@ func (p *coverPlan) build(r *run, workers int) Operator {
 		ops[i] = f.build(r, per)
 	}
 	join := NewHashJoin(ops, p.probe, p.builds, workers)
-	proj := compileProjectNamed(join, p.project.Head, r.db)
+	proj := compileProjectNamed(join, p.project.Head, r.db, r.args)
 	root := newDistinct(proj)
 	r.bind(p.join, plan.UnknownRows, plan.UnknownRows, join)
 	r.bind(p.project, p.est.Card, plan.UnknownRows, proj)
@@ -396,12 +430,55 @@ func (a *armPlan) build(r *run) Operator {
 	return proj
 }
 
-// run is one execution's build state: the database and the EXPLAIN
-// record — which operator answers for which IR node, beside the node's
-// frozen estimate.
+// run is one execution's build state: the database, the arguments
+// the tree's parameters read (nil for a plan without any), and the
+// EXPLAIN record — which operator answers for which IR node, beside the
+// node's frozen estimate.
 type run struct {
 	db    *DB
+	args  *boundArgs
 	bound []binding
+}
+
+// argRefs returns the arguments operators built on r read; r may be
+// nil (a bare compileCQ), which binds none.
+func (r *run) argRefs() *boundArgs {
+	if r == nil {
+		return nil
+	}
+	return r.args
+}
+
+// boundArgs is one run's arguments resolved to dictionary ids, shared
+// by every operator of its tree that reads a parameter. A run state
+// keeps it, so a pooled tree is rebound, not rebuilt.
+type boundArgs struct {
+	ids   []int64
+	found []bool // false: the argument is not in the dictionary
+}
+
+// resolve looks each argument up once.
+func (a *boundArgs) resolve(d *Dictionary, args []string) {
+	for i := range a.ids {
+		a.ids[i], a.found[i] = d.Lookup(args[i])
+	}
+}
+
+// lookup returns parameter p's id and whether the dictionary has it;
+// unbound arguments (nil a) match nothing.
+func (a *boundArgs) lookup(p int) (int64, bool) {
+	if a == nil || p >= len(a.ids) {
+		return 0, false
+	}
+	return a.ids[p], a.found[p]
+}
+
+// bind sets a parameter reference to its argument's id.
+func (a *boundArgs) bind(t *termRef) {
+	if t.isParam {
+		id, ok := a.lookup(int(t.param))
+		t.constID, t.absent = id, !ok
+	}
 }
 
 type binding struct {
@@ -436,7 +513,7 @@ func evaluate(n *plan.Node, db *DB, prof *Profile) Answer {
 	if err != nil {
 		return Answer{}
 	}
-	op, _ := c.Tree(1)
+	op, _ := c.Tree(1, nil)
 	return Answer{Tuples: Drain(op).Decode(db.Dict), EstCost: c.Estimate().Cost}
 }
 

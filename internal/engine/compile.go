@@ -33,10 +33,11 @@ func pipelineLayout(atomSeq [][]query.Term) (map[string]int, []string) {
 
 // newAtomJoin compiles one atom against the current layout and bound
 // mask. Constants are resolved once; a constant absent from the
-// dictionary makes the atom dead (it can match nothing). On the simple
-// layout the atom's table is resolved once too, so probes skip the
-// DB's per-call table lookup.
-func newAtomJoin(a query.Atom, colOf map[string]int, bound []bool, db *DB) *atomJoin {
+// dictionary makes the atom dead (it can match nothing). Parameters
+// resolve from args at every Open instead. On the simple layout the
+// atom's table is resolved once too, so probes skip the DB's per-call
+// table lookup.
+func newAtomJoin(a query.Atom, colOf map[string]int, bound []bool, db *DB, args *boundArgs) *atomJoin {
 	j := &atomJoin{db: db, pred: a.Pred, arity: a.Arity()}
 	if db.Layout != LayoutRDF {
 		if j.arity == 1 {
@@ -46,12 +47,16 @@ func newAtomJoin(a query.Atom, colOf map[string]int, bound []bool, db *DB) *atom
 		}
 	}
 	ref := func(t query.Term) termRef {
+		if t.Param {
+			j.args = args
+			return termRef{isConst: true, isParam: true, param: int32(t.ParamIndex())}
+		}
 		if t.Const {
 			id, ok := db.Dict.Lookup(t.Name)
 			if !ok {
 				j.dead = true
 			}
-			return termRef{isConst: true, constID: id}
+			return termRef{isConst: true, constID: id, absent: !ok}
 		}
 		c := colOf[t.Name]
 		return termRef{col: c, bound: bound[c]}
@@ -89,13 +94,25 @@ func compileStep(cur Operator, cols []string, alts []*atomJoin) Operator {
 	return newJoin(cur, alts)
 }
 
-// compileProject closes a pipeline with head projection.
-func compileProject(cur Operator, head []query.Term, colOf map[string]int, db *DB) Operator {
+// compileProject closes a pipeline with head projection; head
+// parameters read args.
+func compileProject(cur Operator, head []query.Term, colOf map[string]int, db *DB, args *boundArgs) Operator {
 	srcCols := make([]int, len(head))
 	consts := make([]int64, len(head))
+	var params []int
 	dead := false
 	for i, h := range head {
 		srcCols[i] = -1
+		if h.Param {
+			if params == nil {
+				params = make([]int, len(head))
+				for k := range params {
+					params[k] = -1
+				}
+			}
+			params[i] = h.ParamIndex()
+			continue
+		}
 		if h.Const {
 			id, ok := db.Dict.Lookup(h.Name)
 			if !ok {
@@ -111,7 +128,11 @@ func compileProject(cur Operator, head []query.Term, colOf map[string]int, db *D
 			dead = true
 		}
 	}
-	return newProject(cur, headSchema(head), srcCols, consts, dead)
+	p := newProject(cur, headSchema(head), srcCols, consts, dead)
+	if params != nil {
+		p.params = &headParams{index: params, deadConst: dead, args: args}
+	}
+	return p
 }
 
 // compileCQ builds the streaming operator tree of a planned CQ —
@@ -130,7 +151,7 @@ func compileCQ(p *CQPlan, db *DB, r *run, leaves []*plan.Node) (proj, body Opera
 	var cur Operator
 	for _, s := range p.Steps {
 		a := q.Atoms[s.Atom]
-		j := newAtomJoin(a, colOf, bound, db)
+		j := newAtomJoin(a, colOf, bound, db, r.argRefs())
 		cur = compileStep(cur, cols, []*atomJoin{j})
 		markBound(a, colOf, bound)
 		if r != nil {
@@ -140,7 +161,7 @@ func compileCQ(p *CQPlan, db *DB, r *run, leaves []*plan.Node) (proj, body Opera
 	if cur == nil {
 		cur = newSingleton(cols)
 	}
-	return compileProject(cur, q.Head, colOf, db), cur
+	return compileProject(cur, q.Head, colOf, db, r.argRefs()), cur
 }
 
 // compileSCQ is compileCQ for SCQ plans: each block becomes one join
@@ -163,7 +184,7 @@ func compileSCQ(p *SCQPlan, db *DB, r *run, leaves []*plan.Node) (proj, body Ope
 		block := s.Blocks[bi]
 		alts := make([]*atomJoin, len(block))
 		for i, a := range block {
-			alts[i] = newAtomJoin(a, colOf, bound, db)
+			alts[i] = newAtomJoin(a, colOf, bound, db, r.argRefs())
 		}
 		cur = compileStep(cur, cols, alts)
 		for _, a := range block {
@@ -176,26 +197,27 @@ func compileSCQ(p *SCQPlan, db *DB, r *run, leaves []*plan.Node) (proj, body Ope
 	if cur == nil {
 		cur = newSingleton(cols)
 	}
-	return compileProject(cur, s.Head, colOf, db), cur
+	return compileProject(cur, s.Head, colOf, db, r.argRefs()), cur
 }
 
 // compileProjectNamed projects a pipeline whose schema already names
 // its columns (a fragment join) onto the overall query head.
-func compileProjectNamed(cur Operator, head []query.Term, db *DB) Operator {
+func compileProjectNamed(cur Operator, head []query.Term, db *DB, args *boundArgs) Operator {
 	colOf := map[string]int{}
 	for i, v := range cur.Schema() {
 		if _, ok := colOf[v]; !ok {
 			colOf[v] = i
 		}
 	}
-	return compileProject(cur, head, colOf, db)
+	return compileProject(cur, head, colOf, db, args)
 }
 
 // NewProjectNamed is the exported form of compileProjectNamed for
 // composing backends (internal/shard) that assemble their own fragment
-// joins and need the head projection above them.
+// joins and need the head projection above them. The head carries no
+// parameters: bind them first (query.Term.Bind).
 func NewProjectNamed(cur Operator, head []query.Term, db *DB) Operator {
-	return compileProjectNamed(cur, head, db)
+	return compileProjectNamed(cur, head, db, nil)
 }
 
 // CoverJoinOrder is the exported form of coverJoinOrder for composing

@@ -477,11 +477,15 @@ func rolePairsAll(db *DB, pred string) [][2]int64 {
 
 // termRef is a compiled atom argument: a dictionary constant or a
 // column of the pipeline's row layout, with the bound-ness the planner
-// established for this step.
+// established for this step. A parameter is a constant whose id (and
+// absence) every run sets anew from its arguments (atomJoin.bindArgs).
 type termRef struct {
-	isConst bool
 	constID int64
 	col     int
+	param   int32 // the parameter's index, when isParam
+	isConst bool
+	isParam bool
+	absent  bool // the constant is not in the dictionary
 	bound   bool
 }
 
@@ -505,6 +509,8 @@ type atomJoin struct {
 	// dead marks an atom with a constant absent from the dictionary: it
 	// can match nothing.
 	dead bool
+	// args is the run's bound arguments when the atom has a parameter.
+	args *boundArgs
 	// The atom's table on the simple layout, resolved once per build;
 	// nil for an absent predicate, which the tables' nil-receiver guards
 	// read as empty. Unused on the RDF layout.
@@ -516,6 +522,18 @@ type atomJoin struct {
 	scanPairs   [][2]int64
 	scanDiag    []int64
 	scansLoaded bool
+}
+
+// bindArgs resolves the atom's parameters from the run's arguments,
+// each Open: a parameter absent from the dictionary kills the atom for
+// the run.
+func (j *atomJoin) bindArgs() {
+	if j.args == nil {
+		return
+	}
+	j.args.bind(&j.s)
+	j.args.bind(&j.o)
+	j.dead = j.s.absent || j.arity > 1 && j.o.absent
 }
 
 // fullyBound reports whether the atom only checks already-bound values,
@@ -685,6 +703,7 @@ func newFilter(child Operator, j *atomJoin) *filterOp {
 
 func (o *filterOp) Open() {
 	o.resetStats()
+	o.join.bindArgs()
 	takeBatch(&o.in, len(o.child.Schema()))
 	o.child.Open()
 }
@@ -754,6 +773,7 @@ func (o *joinOp) Open() {
 	o.pend, o.pendIdx = matchSet{}, 0
 	for _, a := range o.alts {
 		a.resetScan()
+		a.bindArgs()
 	}
 	o.child.Open()
 }
@@ -833,7 +853,8 @@ func (o *joinOp) Children() []Operator { return []Operator{o.child} }
 // projectOp maps pipeline rows onto the query head: source columns for
 // head variables, dictionary ids for head constants. A head constant
 // absent from the dictionary (dead) matches nothing; a head variable
-// absent from the pipeline's schema drops the row.
+// absent from the pipeline's schema drops the row. Head parameters
+// take their ids from the run's arguments at each Open.
 type projectOp struct {
 	opBase
 	child Operator
@@ -842,8 +863,19 @@ type projectOp struct {
 	consts  []int64
 	dead    bool
 
+	params *headParams // nil when the head has none
+
 	in      *Batch
 	scratch []int64
+}
+
+// headParams binds a projection's head parameters each Open: index[i]
+// is head term i's parameter index, -1 for any other term, and
+// deadConst is the projection's deadness before them.
+type headParams struct {
+	index     []int
+	deadConst bool
+	args      *boundArgs
 }
 
 func newProject(child Operator, schema []string, srcCols []int, consts []int64, dead bool) *projectOp {
@@ -859,6 +891,16 @@ func newProject(child Operator, schema []string, srcCols []int, consts []int64, 
 
 func (o *projectOp) Open() {
 	o.resetStats()
+	if p := o.params; p != nil {
+		o.dead = p.deadConst
+		for c, i := range p.index {
+			if i >= 0 {
+				id, ok := p.args.lookup(i)
+				o.consts[c] = id
+				o.dead = o.dead || !ok
+			}
+		}
+	}
 	takeBatch(&o.in, len(o.child.Schema()))
 	o.child.Open()
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lubm"
 	"repro/internal/plan"
+	"repro/internal/query"
 )
 
 // planLUBM plans LUBM query qi (0-based) under strategy s on db.
@@ -189,6 +190,66 @@ func TestRerunAllocBound(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundRerunAllocBound guards a rerun of a parameterized plan with
+// fresh arguments every time — an answer-cache hit for another constant
+// of a template: the pooled tree is rebound, not rebuilt, so it stays
+// within TestRerunAllocBound's Q3 bound plus a small allowance per
+// parameter (resolving it, and re-rendering the EXPLAIN details that
+// show it). Measured on go1.24/amd64 a T3-shaped template under ucq
+// (237 arms) allocates about 0.12 MB per rerun, 0.02 MB more than its
+// instance's own plan does.
+func TestBoundRerunAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds are measured without the race detector")
+	}
+	db := lubmDB()
+	q := query.MustParseCQ("T3(y) <- Person('m'), memberOf('m', y)")
+	res, err := core.New(lubm.TBox(), db, engine.ProfilePostgres()).Answer(q, core.StrategyUCQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Args) != 1 {
+		t.Fatalf("args %q, want one parameter", res.Args)
+	}
+	c := compileNode(t, db, res.Plan)
+	var members [][]string
+	for _, p := range db.Role("memberOf").Pairs {
+		if len(members) == 64 {
+			break
+		}
+		if m := db.Dict.Decode(p[0]); len(members) == 0 || members[len(members)-1][0] != m {
+			members = append(members, []string{m})
+		}
+	}
+	found := 0
+	for _, args := range members[:3] { // fill both pools
+		rr, err := c.RunArgs(1, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found += len(rr.Tuples)
+	}
+	if found == 0 {
+		t.Fatal("no member answers")
+	}
+	const runs = 50
+	perRun := allocDuring(t, func() {
+		for i := 0; i < runs; i++ {
+			if _, err := c.RunArgs(1, members[i%len(members)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / runs
+	const bound = 200<<10 + 1*boundPerParam
+	t.Logf("T3/ucq: %d bytes per rerun with fresh arguments", perRun)
+	if perRun > bound {
+		t.Errorf("T3/ucq: %d bytes per rerun, bound %d", perRun, bound)
+	}
+}
+
+// boundPerParam is TestBoundRerunAllocBound's allowance per parameter.
+const boundPerParam = 32 << 10
 
 // allocDuring returns the bytes f allocates.
 func allocDuring(t *testing.T, f func()) uint64 {

@@ -18,13 +18,24 @@ type RunResult struct {
 
 // Executable is a compiled plan, ready to run any number of times
 // against the backend's live data. Implementations must be safe for
-// concurrent Run calls — physical state is rebuilt per run.
+// concurrent runs — physical state is rebuilt, or re-opened, per run.
+//
+// A plan compiled from a parameterized tree (query.Parameterize) serves
+// every instance of its template: each run binds parameter i to
+// args[i], and what it returns — tuples, EXPLAIN details, SQL text — is
+// the instance's, exactly what compiling and running the instance's own
+// tree would return. The estimate does not depend on the arguments: no
+// estimator reads a constant's value.
 type Executable interface {
 	// Estimate returns the whole-plan estimate frozen at compile time.
 	Estimate() Estimate
-	// Run executes the plan with the given worker budget (<= 1 is
-	// fully sequential; backends may ignore the budget).
+	// Run executes a plan without parameters with the given worker
+	// budget (<= 1 is fully sequential; backends may ignore the
+	// budget). It is RunArgs with no arguments.
 	Run(workers int) (*RunResult, error)
+	// RunArgs executes the plan with its parameters bound to args; a
+	// run with fewer arguments than the plan has parameters fails.
+	RunArgs(workers int, args []string) (*RunResult, error)
 }
 
 // Backend turns logical plans into executables — the physical half of
@@ -36,7 +47,8 @@ type Backend interface {
 	Name() string
 	// Compile validates the plan (Validate) and lowers it into an
 	// executable. It is the one validation a tree gets: callers such
-	// as core.Answerer hand it unvalidated rewritten trees.
+	// as core.Answerer hand it unvalidated rewritten trees, and
+	// parameterized ones.
 	Compile(n *Node) (Executable, error)
 	// Estimate scores the plan without compiling physical state; a
 	// malformed plan costs +Inf rather than erroring (search code

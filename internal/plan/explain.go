@@ -37,20 +37,22 @@ type Explain struct {
 
 // Skeleton mirrors the plan tree into an unannotated ExplainNode tree
 // (every figure UnknownRows), returning the node map backends use to
-// attach estimates and actual row counters.
-func Skeleton(n *Node) (*ExplainNode, map[*Node]*ExplainNode) {
+// attach estimates and actual row counters. Details show the plan's
+// parameters bound to args (DetailArgs): a run's EXPLAIN shows the
+// instance it executed.
+func Skeleton(n *Node, args []string) (*ExplainNode, map[*Node]*ExplainNode) {
 	nodes := make([]ExplainNode, NodeCount(n))
 	at := make(map[*Node]*ExplainNode, len(nodes))
-	fill(n, nodes, nil, func(i int, m *Node) { at[m] = &nodes[i] })
+	fill(n, nodes, nil, args, func(i int, m *Node) { at[m] = &nodes[i] })
 	return &nodes[0], at
 }
 
 // FlatSkeleton is Skeleton without the node map: it returns the nodes
 // in preorder, root first, and calls visit with every IR node and its
 // index, once per path to a shared node.
-func FlatSkeleton(n *Node, visit func(i int, m *Node)) []ExplainNode {
+func FlatSkeleton(n *Node, args []string, visit func(i int, m *Node)) []ExplainNode {
 	nodes := make([]ExplainNode, NodeCount(n))
-	fill(n, nodes, nil, visit)
+	fill(n, nodes, nil, args, visit)
 	return nodes
 }
 
@@ -58,8 +60,9 @@ func FlatSkeleton(n *Node, visit func(i int, m *Node)) []ExplainNode {
 // preorder. Every node's Children is a sub-slice of one shared pointer
 // slice, the parents' runs in preorder. kidIdx, when non-nil, receives
 // the index of the node behind each entry of that slice; visit, when
-// non-nil, sees every IR node with its index before its inputs.
-func fill(n *Node, nodes []ExplainNode, kidIdx []int32, visit func(int, *Node)) {
+// non-nil, sees every IR node with its index before its inputs. Details
+// bind parameters through args.
+func fill(n *Node, nodes []ExplainNode, kidIdx []int32, args []string, visit func(int, *Node)) {
 	kids := make([]*ExplainNode, len(nodes)-1)
 	next, off := 0, 0
 	var walk func(m *Node) int
@@ -69,7 +72,7 @@ func fill(n *Node, nodes []ExplainNode, kidIdx []int32, visit func(int, *Node)) 
 		e := &nodes[i]
 		*e = ExplainNode{
 			Op:         m.Op.String(),
-			Detail:     m.Detail(),
+			Detail:     m.DetailArgs(args),
 			EstRows:    UnknownRows,
 			EstCost:    UnknownRows,
 			ActualRows: UnknownRows,
@@ -95,25 +98,43 @@ func fill(n *Node, nodes []ExplainNode, kidIdx []int32, visit func(int, *Node)) 
 }
 
 // ExplainTemplate is a plan's skeleton kept for copying: New hands out
-// a fresh FlatSkeleton without rendering any Detail again.
+// a fresh FlatSkeleton without rendering any Detail again, except the
+// few that show a parameter.
 type ExplainTemplate struct {
 	nodes []ExplainNode
 	kids  []int32 // the node index behind each shared Children entry
+	// params lists the skeleton nodes whose Detail shows a parameter.
+	params []paramDetail
+}
+
+// paramDetail is a skeleton node index and the IR node it renders.
+type paramDetail struct {
+	at int32
+	n  *Node
 }
 
 // NewExplainTemplate renders n's skeleton once.
 func NewExplainTemplate(n *Node) *ExplainTemplate {
 	t := &ExplainTemplate{nodes: make([]ExplainNode, NodeCount(n))}
 	t.kids = make([]int32, len(t.nodes)-1)
-	fill(n, t.nodes, t.kids, nil)
+	fill(n, t.nodes, t.kids, nil, func(i int, m *Node) {
+		if mentionsParam(m) {
+			t.params = append(t.params, paramDetail{int32(i), m})
+		}
+	})
 	return t
 }
 
 // New returns a copy of the skeleton that shares nothing mutable with
 // the template or with earlier copies: the nodes in preorder, root
-// first, as FlatSkeleton lays them out.
-func (t *ExplainTemplate) New() []ExplainNode {
+// first, as FlatSkeleton lays them out, with parameters bound to args.
+func (t *ExplainTemplate) New(args []string) []ExplainNode {
 	nodes := slices.Clone(t.nodes)
+	if args != nil {
+		for _, p := range t.params {
+			nodes[p.at].Detail = p.n.DetailArgs(args)
+		}
+	}
 	kids := make([]*ExplainNode, len(t.kids))
 	for j, k := range t.kids {
 		kids[j] = &nodes[k]

@@ -425,25 +425,32 @@ func (n *Node) render(b *strings.Builder) {
 }
 
 // Detail is the operator-specific annotation shown in String and
-// EXPLAIN output.
-func (n *Node) Detail() string {
+// EXPLAIN output. Parameters read ?i (DetailArgs binds them).
+func (n *Node) Detail() string { return n.DetailArgs(nil) }
+
+// DetailArgs is Detail with every parameter bound to its argument in
+// args: the annotation of the instance a run with args executes.
+func (n *Node) DetailArgs(args []string) string {
 	switch n.Op {
 	case OpAccess:
-		parts := make([]string, len(n.Atoms))
+		var b strings.Builder
 		for i, a := range n.Atoms {
-			parts[i] = a.String()
+			if i > 0 {
+				b.WriteString(" ∨ ")
+			}
+			b.WriteString(a.Pred)
+			b.WriteByte('(')
+			writeTerms(&b, a.Args, args)
+			b.WriteByte(')')
 		}
-		return strings.Join(parts, " ∨ ")
+		return b.String()
 	case OpProject:
-		parts := make([]string, len(n.Head))
-		for i, h := range n.Head {
-			parts[i] = h.String()
-		}
-		d := "(" + strings.Join(parts, ", ") + ")"
-		if n.Name != "" {
-			d = n.Name + d
-		}
-		return d
+		var b strings.Builder
+		b.WriteString(n.Name)
+		b.WriteByte('(')
+		writeTerms(&b, n.Head, args)
+		b.WriteByte(')')
+		return b.String()
 	case OpUnion:
 		return fmt.Sprintf("%d arms", len(n.Inputs))
 	case OpSemiJoin:
@@ -452,4 +459,63 @@ func (n *Node) Detail() string {
 		return "on " + n.Key
 	}
 	return ""
+}
+
+// writeTerms writes terms comma-separated as Term.String renders
+// them, each bound through args.
+func writeTerms(b *strings.Builder, terms []query.Term, args []string) {
+	for i, t := range terms {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		if t = t.Bind(args); t.Const && !t.Param {
+			b.WriteByte('\'')
+			b.WriteString(t.Name)
+			b.WriteByte('\'')
+		} else {
+			b.WriteString(t.Name)
+		}
+	}
+}
+
+// mentionsParam reports whether n's own annotation shows a parameter.
+func mentionsParam(n *Node) bool {
+	for _, a := range n.Atoms {
+		for _, t := range a.Args {
+			if t.Param {
+				return true
+			}
+		}
+	}
+	for _, t := range n.Head {
+		if t.Param {
+			return true
+		}
+	}
+	return false
+}
+
+// NumParams returns how many arguments a run of n needs: one more than
+// the highest parameter index the tree mentions, zero when it mentions
+// none (query.Parameterize numbers parameters densely).
+func NumParams(n *Node) int {
+	max := -1
+	for _, a := range n.Atoms {
+		for _, t := range a.Args {
+			if i := t.ParamIndex(); i > max {
+				max = i
+			}
+		}
+	}
+	for _, t := range n.Head {
+		if i := t.ParamIndex(); i > max {
+			max = i
+		}
+	}
+	for _, in := range n.Inputs {
+		if k := NumParams(in) - 1; k > max {
+			max = k
+		}
+	}
+	return max + 1
 }

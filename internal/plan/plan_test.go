@@ -196,7 +196,7 @@ func TestExtractRejectsMalformed(t *testing.T) {
 // serves exactly this structure).
 func TestExplainJSONRoundTrip(t *testing.T) {
 	u := query.UCQ{Name: "u", Disjuncts: []query.CQ{mustCQ(t, "q(x) <- A(x), R(x, y)")}}
-	root, at := Skeleton(FromUCQ(u))
+	root, at := Skeleton(FromUCQ(u), nil)
 	for _, e := range at {
 		e.EstRows, e.EstCost, e.ActualRows = 7.5, 12.25, 42
 	}
@@ -228,7 +228,7 @@ func TestSkeletonCoversEveryNode(t *testing.T) {
 		{Name: "f2", Disjuncts: []query.CQ{mustCQ(t, "f2(x) <- B(x)")}},
 	}}
 	n := FromJUCQ(j)
-	root, at := Skeleton(n)
+	root, at := Skeleton(n, nil)
 	count := 0
 	var walk func(*Node)
 	walk = func(m *Node) {
@@ -267,8 +267,8 @@ func TestExplainTemplateMatchesSkeleton(t *testing.T) {
 		{Name: "f2", Disjuncts: []query.CQ{mustCQ(t, "f2(x) <- B(x)")}},
 	}}
 	n := FromJUCQ(j)
-	root, at := Skeleton(n)
-	flat := FlatSkeleton(n, func(i int, m *Node) {
+	root, at := Skeleton(n, nil)
+	flat := FlatSkeleton(n, nil, func(i int, m *Node) {
 		if at[m] == nil || at[m].Op != m.Op.String() {
 			t.Errorf("node %d (%s) has no matching skeleton node", i, m.Op)
 		}
@@ -277,7 +277,7 @@ func TestExplainTemplateMatchesSkeleton(t *testing.T) {
 		t.Errorf("FlatSkeleton differs from Skeleton")
 	}
 	tmpl := NewExplainTemplate(n)
-	a, b := tmpl.New(), tmpl.New()
+	a, b := tmpl.New(nil), tmpl.New(nil)
 	if !reflect.DeepEqual(&a[0], root) || !reflect.DeepEqual(&b[0], root) {
 		t.Fatalf("template copy differs from Skeleton")
 	}
@@ -285,7 +285,7 @@ func TestExplainTemplateMatchesSkeleton(t *testing.T) {
 		a[i].ActualRows = int64(i)
 	}
 	a[len(a)-1].EstRows = 3
-	if !reflect.DeepEqual(&b[0], root) || !reflect.DeepEqual(&tmpl.New()[0], root) {
+	if !reflect.DeepEqual(&b[0], root) || !reflect.DeepEqual(&tmpl.New(nil)[0], root) {
 		t.Errorf("annotating one copy changed another")
 	}
 	own := map[*ExplainNode]bool{}

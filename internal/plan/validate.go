@@ -302,7 +302,7 @@ func sameArgs(a, b []query.Term) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Const != b[i].Const || a[i].Name != b[i].Name {
+		if a[i] != b[i] {
 			return false
 		}
 	}

@@ -170,10 +170,11 @@ func headPos(head []Term, name string) int {
 	return -1
 }
 
-// appendCanonAtom renders one atom: constants quoted, head variables by
-// position, unbound variables as "_", and shared existentials either as
-// "*" (next == nil: the name-blind rendering) or numbered in order of
-// first appearance, the numbers handed out so far being in rename.
+// appendCanonAtom renders one atom: constants and parameters as
+// appendConstKey writes them, head variables by position, unbound
+// variables as "_", and shared existentials either as "*" (next == nil:
+// the name-blind rendering) or numbered in order of first appearance,
+// the numbers handed out so far being in rename.
 func appendCanonAtom(b []byte, a Atom, refs []int, vars []BodyVar, rename []int, next *int) []byte {
 	b = append(b, a.Pred...)
 	b = append(b, '(')
@@ -182,9 +183,7 @@ func appendCanonAtom(b []byte, a Atom, refs []int, vars []BodyVar, rename []int,
 			b = append(b, ',')
 		}
 		if t.Const {
-			b = append(b, '\'')
-			b = append(b, t.Name...)
-			b = append(b, '\'')
+			b = appendConstKey(b, t)
 			continue
 		}
 		k := refs[j]

@@ -62,8 +62,10 @@ func canonicalKeyOld(q CQ) string {
 					b.WriteByte(',')
 				}
 				switch {
+				case t.Param:
+					b.WriteString(t.Name)
 				case t.Const:
-					b.WriteString("'" + t.Name + "'")
+					b.WriteString("'" + strings.ReplaceAll(t.Name, "'", "''") + "'")
 				default:
 					if i, ok := headIdx[t.Name]; ok {
 						b.WriteString("$h" + strconv.Itoa(i))
@@ -187,8 +189,10 @@ func blindKeyOld(a Atom, headIdx map[string]int, occ map[string]int) string {
 			b.WriteByte(',')
 		}
 		switch {
+		case t.Param:
+			b.WriteString(t.Name)
 		case t.Const:
-			b.WriteString("'" + t.Name + "'")
+			b.WriteString("'" + strings.ReplaceAll(t.Name, "'", "''") + "'")
 		default:
 			if i, ok := headIdx[t.Name]; ok {
 				b.WriteString("$h" + strconv.Itoa(i))

@@ -10,10 +10,18 @@ func ContainedIn(q1, q2 CQ) bool {
 	if len(q1.Head) != len(q2.Head) {
 		return false
 	}
-	// Seed mapping: head of q2 ↦ head of q1, positionally.
+	// Seed mapping: head of q2 ↦ head of q1, positionally. A head
+	// constant (PerfectRef's reduce step makes them) maps only to
+	// itself, like a constant in the body.
 	h := make(Substitution)
 	for i, t2 := range q2.Head {
 		t1 := q1.Head[i]
+		if t2.Const {
+			if t2 != t1 {
+				return false
+			}
+			continue
+		}
 		if bound, ok := h[t2.Name]; ok {
 			if bound != t1 {
 				return false // q2 repeats a head var that q1 does not

@@ -119,6 +119,78 @@ func (q CQ) Subst(s Substitution) CQ {
 	return CQ{Name: q.Name, Head: head, Atoms: atoms}
 }
 
+// Parameterize splits q into a template and its arguments: every
+// distinct constant of q becomes one parameter, numbered in order of
+// first occurrence (head, then body, left to right), and args[i] is
+// the constant parameter i stands for. Equal constants share one
+// parameter, so the template keeps exactly the equalities among q's
+// constants. The DL-LiteR TBox names no individuals, so reformulating,
+// covering, costing and planning the template does for every instance
+// what doing it on the instance would; only evaluation reads args.
+// A query without constants is its own template: q comes back as is,
+// with nil args, and nothing is allocated. q must carry no parameters.
+func Parameterize(q CQ) (tmpl CQ, args []string) {
+	if !q.hasConst() {
+		return q, nil
+	}
+	param := func(t Term) Term {
+		if !t.Const {
+			return t
+		}
+		for i, c := range args {
+			if c == t.Name {
+				return Param(i)
+			}
+		}
+		args = append(args, t.Name)
+		return Param(len(args) - 1)
+	}
+	tmpl = CQ{Name: q.Name, Head: make([]Term, len(q.Head)), Atoms: make([]Atom, len(q.Atoms))}
+	for i, h := range q.Head {
+		tmpl.Head[i] = param(h)
+	}
+	for i, a := range q.Atoms {
+		terms := make([]Term, len(a.Args))
+		for j, t := range a.Args {
+			terms[j] = param(t)
+		}
+		tmpl.Atoms[i] = Atom{Pred: a.Pred, Args: terms}
+	}
+	return tmpl, args
+}
+
+// hasConst reports whether q mentions a constant, in its head or body.
+func (q CQ) hasConst() bool {
+	for _, h := range q.Head {
+		if h.Const {
+			return true
+		}
+	}
+	for _, a := range q.Atoms {
+		for _, t := range a.Args {
+			if t.Const {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Bind returns the instance of a template: q with every parameter
+// replaced by its argument (Parameterize's inverse).
+func (q CQ) Bind(args []string) CQ {
+	out := q.Clone()
+	for i, h := range out.Head {
+		out.Head[i] = h.Bind(args)
+	}
+	for _, a := range out.Atoms {
+		for j, t := range a.Args {
+			a.Args[j] = t.Bind(args)
+		}
+	}
+	return out
+}
+
 // Clone returns a deep copy of q.
 func (q CQ) Clone() CQ {
 	head := make([]Term, len(q.Head))

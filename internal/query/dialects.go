@@ -300,7 +300,7 @@ func patternKey(q CQ) string {
 			}
 			switch {
 			case t.Const:
-				b.WriteString("'" + t.Name + "'")
+				b.Write(appendConstKey(nil, t))
 			default:
 				if k, ok := headIdx[t.Name]; ok {
 					b.WriteString("$h")

@@ -237,6 +237,21 @@ func TestContainmentWithConstants(t *testing.T) {
 	if ContainedIn(q2, q1) {
 		t.Error("variable query not contained in constant query")
 	}
+
+	// A head constant, as PerfectRef's reduce step leaves one, maps only
+	// to itself: q(x) <- R(x, y), R('c', y) answers more than its
+	// reduction q('c') <- R('c', y), which it contains. Parameters alike.
+	for _, c := range []Term{Cst("c"), Param(0)} {
+		x, y := Var("x"), Var("y")
+		general := CQ{Head: []Term{x}, Atoms: []Atom{RoleAtom("R", x, y), RoleAtom("R", c, y)}}
+		reduced := CQ{Head: []Term{c}, Atoms: []Atom{RoleAtom("R", c, y)}}
+		if ContainedIn(general, reduced) {
+			t.Errorf("%s: a query contained in its reduction", general)
+		}
+		if !ContainedIn(reduced, general) {
+			t.Errorf("%s: the reduction not contained in the query", reduced)
+		}
+	}
 }
 
 func TestEquivalentModuloRedundancy(t *testing.T) {
@@ -507,5 +522,72 @@ func TestDedupAtoms(t *testing.T) {
 	d := q.DedupAtoms()
 	if len(d.Atoms) != 2 {
 		t.Errorf("DedupAtoms left %d atoms", len(d.Atoms))
+	}
+}
+
+// TestParameterize: each distinct constant becomes one parameter, in
+// order of first occurrence; equal constants share one; Bind restores
+// the query; and a query without constants is its own template, for
+// free.
+func TestParameterize(t *testing.T) {
+	q := MustParseCQ("q(y) <- Person('a'), memberOf('a', y), worksFor(y, 'b')")
+	tmpl, args := Parameterize(q)
+	if want := []string{"a", "b"}; !reflect.DeepEqual(args, want) {
+		t.Fatalf("args %q, want %q", args, want)
+	}
+	if got, want := tmpl.String(), "q(y) ← Person(?0) ∧ memberOf(?0, y) ∧ worksFor(y, ?1)"; got != want {
+		t.Errorf("template %s, want %s", got, want)
+	}
+	if !reflect.DeepEqual(tmpl.Bind(args), q) {
+		t.Errorf("Bind gives %s, want %s", tmpl.Bind(args), q)
+	}
+	if q.Atoms[0].Args[0] != Cst("a") {
+		t.Error("Parameterize wrote to its input")
+	}
+
+	// Equal constants share a parameter; distinct ones do not, so the
+	// two queries are different templates.
+	same, _ := Parameterize(MustParseCQ("q(y) <- Person('a'), memberOf('a', y)"))
+	distinct, _ := Parameterize(MustParseCQ("q(y) <- Person('a'), memberOf('b', y)"))
+	other, _ := Parameterize(MustParseCQ("q(z) <- memberOf('c', z), Person('c')"))
+	if CanonicalKey(same) == CanonicalKey(distinct) {
+		t.Error("equal and distinct constants share a template")
+	}
+	if CanonicalKey(same) != CanonicalKey(other) {
+		t.Errorf("isomorphic instances: keys %q and %q", CanonicalKey(same), CanonicalKey(other))
+	}
+
+	free := MustParseCQ("q(x) <- A(x), R(x, y)")
+	if tmpl, args := Parameterize(free); args != nil || &tmpl.Atoms[0] != &free.Atoms[0] {
+		t.Error("a query without constants is not its own template")
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(50, func() { Parameterize(free) }); n != 0 {
+			t.Errorf("Parameterize allocates %v times on a query without constants", n)
+		}
+	}
+}
+
+// TestParamNeverLooksLikeAConstant: no constant a query can carry
+// equals a parameter, or renders like one in a canonical key — even
+// one spelled like a parameter, or one whose quotes try to close its
+// literal early.
+func TestParamNeverLooksLikeAConstant(t *testing.T) {
+	for _, c := range []string{"0", "?0", "'?0'", "?0'"} {
+		if Param(0) == Cst(c) || Param(0).Bind(nil) == Cst(c) {
+			t.Errorf("constant %q equals a parameter", c)
+		}
+		q := CQ{Head: []Term{Var("x")}, Atoms: []Atom{RoleAtom("R", Var("x"), Cst(c))}}
+		p := CQ{Head: []Term{Var("x")}, Atoms: []Atom{RoleAtom("R", Var("x"), Param(0))}}
+		if CanonicalKey(q) == CanonicalKey(p) {
+			t.Errorf("constant %q: canonical key %q of a parameter", c, CanonicalKey(p))
+		}
+	}
+	// A constant spelling out "u') & B(?0) & C('v" must not render as
+	// the three atoms it spells.
+	forged := MustParseCQ(`q(x) <- A(x, "u')&B(?0)&C('v")`)
+	genuine := CQ{Head: []Term{Var("x")}, Atoms: []Atom{RoleAtom("A", Var("x"), Cst("u")), ConceptAtom("B", Param(0)), ConceptAtom("C", Cst("v"))}}
+	if CanonicalKey(forged) == CanonicalKey(genuine) {
+		t.Errorf("forged and genuine queries share the key %q", CanonicalKey(genuine))
 	}
 }

@@ -136,7 +136,10 @@ type QueryResponse struct {
 	EvalMs    float64    `json:"evalMs"`
 	Cover     string     `json:"cover"`
 	Backend   string     `json:"backend"`
-	CacheHit  bool       `json:"cacheHit"`
+	// CacheHit reports that the front half (search, plan, compiled
+	// executable) was reused, possibly from another constant of the
+	// query's template; only evaluation ran.
+	CacheHit bool `json:"cacheHit"`
 	// ShardCache carries the shard backend's cumulative plan/result
 	// cache counters; absent for backends without a cache.
 	ShardCache *ShardCacheStats `json:"shardCache,omitempty"`

@@ -15,14 +15,18 @@
 //
 // Two LRU caches make repeated queries cheap: a plan cache keyed by
 // (canonical plan, data version) skips per-shard recompilation, and a
-// result cache keyed by (canonical plan, shard, data version) replays
-// a shard's deduplicated answer stream without re-executing it. Both
+// result cache keyed by (canonical plan, arguments, shard, data
+// version) replays a shard's deduplicated answer stream without
+// re-executing it. A parameterized plan compiles once for all its
+// instances, while each instance caches its own answers. Both
 // age out on data mutations via DB.Version() in the key;
 // core.Answerer.InvalidateTBox calls PurgeCache for ontology swaps.
 package shard
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/cache"
@@ -47,13 +51,30 @@ type planKey struct {
 }
 
 // resultKey identifies one shard's cached answer stream: the canonical
-// plan (the executed IR, exchange wrappers included), the backend's
-// shard, and the data version — the per-shard analogue of
-// core.AnswerCache's key.
+// plan (the executed IR, exchange wrappers included), the arguments
+// bound to its parameters (argsKey), the backend's shard, and the data
+// version — the per-shard analogue of core.AnswerCache's key plus the
+// constants it leaves out.
 type resultKey struct {
 	plan  string
+	args  string
 	shard int
 	ver   uint64
+}
+
+// argsKey encodes a run's arguments unambiguously: each one
+// length-prefixed.
+func argsKey(args []string) string {
+	if len(args) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	for _, a := range args {
+		b.WriteString(strconv.Itoa(len(a)))
+		b.WriteByte(':')
+		b.WriteString(a)
+	}
+	return b.String()
 }
 
 // Backend executes logical plans against a hash-partitioned database.
@@ -272,7 +293,7 @@ func (b *Backend) compileExchange(n *plan.Node, ex *exchange) (*exchangeExec, er
 		b: b, node: n, exIR: exIR, ex: ex,
 		head: proj.Head, frags: frags, exNodes: exNodes,
 		parts: parts, fragEst: fragEst,
-		probe: probe, builds: builds, est: est,
+		probe: probe, builds: builds, est: est, nparams: plan.NumParams(n),
 	}, nil
 }
 
@@ -356,6 +377,9 @@ type executable struct {
 // time.
 func (e *executable) Estimate() plan.Estimate { return e.est }
 
+// Run is RunArgs for a plan without parameters.
+func (e *executable) Run(workers int) (*plan.RunResult, error) { return e.RunArgs(workers, nil) }
+
 // Run builds one operator tree per shard (or replays a shard's cached
 // relation), unions them under the parallel union, deduplicates the
 // merged stream, and drains. The worker budget is split across shards
@@ -364,25 +388,29 @@ func (e *executable) Estimate() plan.Estimate { return e.est }
 // concurrently; both go through clampWorkers inside the engine, so the
 // pool never oversubscribes GOMAXPROCS. Each shard that runs live to
 // completion is captured into the result cache; on this path shards
-// are independent, so partial hits replay what they can.
-func (e *executable) Run(workers int) (*plan.RunResult, error) {
+// are independent, so partial hits replay what they can. args bind the
+// plan's parameters in every shard tree.
+func (e *executable) RunArgs(workers int, args []string) (*plan.RunResult, error) {
+	if err := e.parts[0].CheckArgs(args); err != nil {
+		return nil, err
+	}
 	n := len(e.parts)
 	perShard := perShardWorkers(workers, n)
 	ver := e.b.part.Base.Version()
-	ckey := e.node.String()
+	ckey, akey := e.node.String(), argsKey(args)
 	roots := make([]engine.Operator, n)
 	caps := make([]*engine.Capture, n)
 	annotate := make([]func(map[*plan.Node]*plan.ExplainNode), n)
 	cachedRows := make([]int64, n)
 	hits := 0
 	for i, c := range e.parts {
-		if r, ok := e.b.results.Get(resultKey{plan: ckey, shard: i, ver: ver}); ok {
+		if r, ok := e.b.results.Get(resultKey{plan: ckey, args: akey, shard: i, ver: ver}); ok {
 			roots[i] = engine.NewRelationSource(r)
 			cachedRows[i] = int64(len(r.Rows))
 			hits++
 			continue
 		}
-		t, at := c.Tree(perShard)
+		t, at := c.Tree(perShard, args)
 		caps[i] = engine.NewCapture(t)
 		roots[i] = caps[i]
 		annotate[i] = at
@@ -394,13 +422,13 @@ func (e *executable) Run(workers int) (*plan.RunResult, error) {
 			continue
 		}
 		if r, ok := c.Result(); ok {
-			e.b.results.Put(resultKey{plan: ckey, shard: i, ver: ver}, r)
+			e.b.results.Put(resultKey{plan: ckey, args: akey, shard: i, ver: ver}, r)
 		}
 	}
 
 	shards := make([]*plan.ExplainNode, n)
 	for i, c := range e.parts {
-		sroot, at := plan.Skeleton(e.node)
+		sroot, at := plan.Skeleton(e.node, args)
 		est := c.Estimate()
 		sn := &plan.ExplainNode{
 			Op:       "shard",
@@ -448,10 +476,14 @@ type exchangeExec struct {
 	probe   int
 	builds  []int
 	est     plan.Estimate
+	nparams int
 }
 
 // Estimate returns the exchange estimate frozen at compile time.
 func (e *exchangeExec) Estimate() plan.Estimate { return e.est }
+
+// Run is RunArgs for a plan without parameters.
+func (e *exchangeExec) Run(workers int) (*plan.RunResult, error) { return e.RunArgs(workers, nil) }
 
 // Run wires the shuffle execution. Per destination shard: a hash join
 // over one child per fragment — the shard's own local tree, the
@@ -464,24 +496,28 @@ func (e *exchangeExec) Estimate() plan.Estimate { return e.est }
 //
 // A destination's stream depends on every source shard through the
 // exchange, so the result cache is all-or-nothing here: only a full
-// set of cached destinations short-circuits execution.
-func (e *exchangeExec) Run(workers int) (*plan.RunResult, error) {
+// set of cached destinations short-circuits execution. args bind the
+// plan's parameters in every fragment tree and in the cover head.
+func (e *exchangeExec) RunArgs(workers int, args []string) (*plan.RunResult, error) {
+	if len(args) < e.nparams {
+		return nil, fmt.Errorf("shard: the plan has %d parameter(s), the run binds %d", e.nparams, len(args))
+	}
 	nsh := e.b.NumShards()
 	perShard := perShardWorkers(workers, nsh)
 	base := e.b.part.Base
 	ver := base.Version()
-	ckey := e.exIR.String()
+	ckey, akey := e.exIR.String(), argsKey(args)
 
 	cached := make([]*engine.Relation, nsh)
 	hits := 0
 	for i := 0; i < nsh; i++ {
-		if r, ok := e.b.results.Get(resultKey{plan: ckey, shard: i, ver: ver}); ok {
+		if r, ok := e.b.results.Get(resultKey{plan: ckey, args: akey, shard: i, ver: ver}); ok {
 			cached[i] = r
 			hits++
 		}
 	}
 	if hits == nsh {
-		return e.replayCached(cached)
+		return e.replayCached(cached, args)
 	}
 
 	nf := len(e.parts)
@@ -490,7 +526,7 @@ func (e *exchangeExec) Run(workers int) (*plan.RunResult, error) {
 	bcast := make([]*engine.Relation, nf)
 	for j := 0; j < nf; j++ {
 		if e.ex.frags[j].mode == fragBroadcast {
-			t, at := e.parts[j][0].Tree(workers)
+			t, at := e.parts[j][0].Tree(workers, args)
 			bcast[j] = engine.Drain(t)
 			annots[j] = []func(map[*plan.Node]*plan.ExplainNode){at}
 			continue
@@ -498,7 +534,7 @@ func (e *exchangeExec) Run(workers int) (*plan.RunResult, error) {
 		srcs[j] = make([]engine.Operator, nsh)
 		annots[j] = make([]func(map[*plan.Node]*plan.ExplainNode), nsh)
 		for i := 0; i < nsh; i++ {
-			srcs[j][i], annots[j][i] = e.parts[j][i].Tree(perShard)
+			srcs[j][i], annots[j][i] = e.parts[j][i].Tree(perShard, args)
 		}
 	}
 	hubs := make([]*engine.Exchange, nf)
@@ -513,6 +549,10 @@ func (e *exchangeExec) Run(workers int) (*plan.RunResult, error) {
 		}
 		hubs[j] = hub
 		eps[j] = endpoints
+	}
+	head := make([]query.Term, len(e.head))
+	for k, t := range e.head {
+		head[k] = t.Bind(args)
 	}
 	caps := make([]*engine.Capture, nsh)
 	roots := make([]engine.Operator, nsh)
@@ -529,14 +569,14 @@ func (e *exchangeExec) Run(workers int) (*plan.RunResult, error) {
 			}
 		}
 		joined := engine.NewHashJoin(children, e.probe, e.builds, perShard)
-		caps[i] = engine.NewCapture(engine.NewDistinctOperator(engine.NewProjectNamed(joined, e.head, base)))
+		caps[i] = engine.NewCapture(engine.NewDistinctOperator(engine.NewProjectNamed(joined, head, base)))
 		roots[i] = caps[i]
 	}
 	merged := engine.NewUnionFanIn(roots[0].Schema(), roots)
 	rel := engine.Drain(engine.NewDistinctOperator(merged))
 	for i, c := range caps {
 		if r, ok := c.Result(); ok {
-			e.b.results.Put(resultKey{plan: ckey, shard: i, ver: ver}, r)
+			e.b.results.Put(resultKey{plan: ckey, args: akey, shard: i, ver: ver}, r)
 		}
 	}
 
@@ -548,7 +588,7 @@ func (e *exchangeExec) Run(workers int) (*plan.RunResult, error) {
 	}
 	shards := make([]*plan.ExplainNode, nsh)
 	for i := 0; i < nsh; i++ {
-		sroot, at := plan.Skeleton(e.exIR)
+		sroot, at := plan.Skeleton(e.exIR, args)
 		for j := 0; j < nf; j++ {
 			if e.ex.frags[j].mode == fragBroadcast {
 				annots[j][0](at)
@@ -590,7 +630,7 @@ func (e *exchangeExec) Run(workers int) (*plan.RunResult, error) {
 
 // replayCached merges a full set of cached destination relations —
 // the repeated-query fast path: no compilation, no scans, no shuffle.
-func (e *exchangeExec) replayCached(cached []*engine.Relation) (*plan.RunResult, error) {
+func (e *exchangeExec) replayCached(cached []*engine.Relation, args []string) (*plan.RunResult, error) {
 	nsh := len(cached)
 	roots := make([]engine.Operator, nsh)
 	for i, r := range cached {
@@ -600,7 +640,7 @@ func (e *exchangeExec) replayCached(cached []*engine.Relation) (*plan.RunResult,
 	rel := engine.Drain(engine.NewDistinctOperator(merged))
 	shards := make([]*plan.ExplainNode, nsh)
 	for i, r := range cached {
-		sroot, _ := plan.Skeleton(e.exIR)
+		sroot, _ := plan.Skeleton(e.exIR, args)
 		shards[i] = &plan.ExplainNode{
 			Op:         "shard",
 			Detail:     fmt.Sprintf("shard %d/%d (cache hit)", i, nsh),

@@ -32,7 +32,9 @@ func (b *Backend) Name() string { return "sql" }
 
 // Compile validates the plan and renders its SQL, after checking that
 // the executor supports the layout (the SQL schema mirrors the simple
-// layout's tables only).
+// layout's tables only). A parameterized plan's statement depends on
+// its arguments, so each run renders its own; Compile only checks that
+// the tree renders.
 func (b *Backend) Compile(n *plan.Node) (plan.Executable, error) {
 	if b.DB.Layout != engine.LayoutSimple {
 		return nil, fmt.Errorf("sqlexec: backend requires the simple layout, have %s", b.DB.Layout)
@@ -40,11 +42,17 @@ func (b *Backend) Compile(n *plan.Node) (plan.Executable, error) {
 	if err := plan.Validate(n); err != nil {
 		return nil, err
 	}
-	sql, err := sqlgen.Render(n, sqlgen.Options{Layout: b.DB.Layout})
+	e := &sqlExecutable{b: b, node: n, nparams: plan.NumParams(n), est: b.Estimate(n)}
+	var err error
+	if e.nparams == 0 {
+		e.sql, err = sqlgen.Render(n, e.options(nil))
+	} else {
+		_, err = sqlgen.Measure(n, e.options(nil))
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &sqlExecutable{b: b, node: n, sql: sql, est: b.Estimate(n)}, nil
+	return e, nil
 }
 
 // Estimate is the native engine's plan costing: the SQL path executes
@@ -56,34 +64,47 @@ func (b *Backend) Estimate(n *plan.Node) plan.Estimate {
 
 // sqlExecutable is one compiled statement.
 type sqlExecutable struct {
-	b    *Backend
-	node *plan.Node
-	sql  string
-	est  plan.Estimate
+	b       *Backend
+	node    *plan.Node
+	nparams int
+	sql     string // the statement of a plan without parameters
+	est     plan.Estimate
 }
 
 // Estimate returns the compile-time estimate.
 func (e *sqlExecutable) Estimate() plan.Estimate { return e.est }
 
-// SQL exposes the generated statement (diagnostics and tests).
-func (e *sqlExecutable) SQL() string { return e.sql }
+func (e *sqlExecutable) options(args []string) sqlgen.Options {
+	return sqlgen.Options{Layout: e.b.DB.Layout, Args: args}
+}
 
-// Run parses and evaluates the statement. The SQL surface reports no
-// per-operator counters, so only the statement's total output is
-// counted; workers is ignored (a real RDBMS owns its parallelism).
-func (e *sqlExecutable) Run(workers int) (*plan.RunResult, error) {
-	rel, err := Exec(e.sql, e.b.DB)
+// Run is RunArgs for a plan without parameters.
+func (e *sqlExecutable) Run(workers int) (*plan.RunResult, error) { return e.RunArgs(workers, nil) }
+
+// RunArgs parses and evaluates the statement, the parameters' literals
+// rendered from args. The SQL surface reports no per-operator counters,
+// so only the statement's total output is counted; workers is ignored
+// (a real RDBMS owns its parallelism).
+func (e *sqlExecutable) RunArgs(workers int, args []string) (*plan.RunResult, error) {
+	sql := e.sql
+	if e.nparams > 0 {
+		var err error
+		if sql, err = sqlgen.Render(e.node, e.options(args)); err != nil {
+			return nil, err
+		}
+	}
+	rel, err := Exec(sql, e.b.DB)
 	if err != nil {
 		return nil, err
 	}
-	root, _ := plan.Skeleton(e.node)
+	root, _ := plan.Skeleton(e.node, args)
 	root.EstRows = e.est.Card
 	root.ActualRows = int64(len(rel.Rows))
 	ex := &plan.Explain{
 		Backend: e.b.Name(),
 		EstCost: e.est.Cost,
 		EstCard: e.est.Card,
-		SQL:     e.sql,
+		SQL:     sql,
 		Root:    root,
 	}
 	return &plan.RunResult{Tuples: rel.Decode(e.b.DB.Dict), Explain: ex}, nil

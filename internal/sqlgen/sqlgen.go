@@ -10,6 +10,7 @@
 package sqlgen
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -27,6 +28,11 @@ type Options struct {
 	// Pretty inserts newlines/indentation (diagnostics); benchmarks use
 	// the compact form, matching how drivers ship statements.
 	Pretty bool
+	// Args binds the parameters of a parameterized tree
+	// (query.Parameterize): parameter i renders as the literal Args[i],
+	// so the text is the instance's statement. Render fails on a
+	// parameter without an argument.
+	Args []string
 }
 
 func (o Options) slots() int {
@@ -51,25 +57,51 @@ func (o Options) sep() string {
 //
 // A single fragment is f1 alone, selected under its own head. A tree of
 // any other shape is an error. Render serves the sql backend and
-// diagnostics; Size measures the same statement without building it.
+// diagnostics; Measure sizes the same statement without building it.
 func Render(n *plan.Node, o Options) (string, error) {
 	var b strings.Builder
-	if err := writeStatement(&writer{b: &b}, n, o); err != nil {
+	w := writer{b: &b, args: o.Args}
+	if err := writeStatement(&w, n, o); err != nil {
 		return "", err
+	}
+	if w.unbound > 0 {
+		return "", fmt.Errorf("sqlgen: parameter ?%d has no argument", w.unbound-1)
 	}
 	return b.String(), nil
 }
 
-// Size returns len(Render(n, o)) without building the text: the same
-// writers run into a byte counter. It serves the statement-size limit
-// (engine.Profile.CheckStatementSize), the one thing off the sql
-// backend that reads the statement.
-func Size(n *plan.Node, o Options) (int, error) {
-	var w writer
-	if err := writeStatement(&w, n, o); err != nil {
-		return 0, err
+// StatementSize is the length of a parameterized tree's statement as a
+// function of its arguments: Fixed bytes, plus Params[i] literals of
+// argument i.
+type StatementSize struct {
+	Fixed  int
+	Params []int
+}
+
+// Len returns len(Render) of the instance with args, which must bind
+// every parameter: a literal is its text with quotes doubled, quoted.
+func (s StatementSize) Len(args []string) int {
+	n := s.Fixed
+	for i, k := range s.Params {
+		n += k * (2 + len(args[i]) + strings.Count(args[i], "'"))
 	}
-	return w.n, nil
+	return n
+}
+
+// Measure sizes the statement of n once for all its instances without
+// building any text: the same writers run into a byte counter, which
+// counts every byte but the parameters' literals, and how often each
+// parameter is written (o.Args is ignored). Len then gives
+// len(Render(n, o)) for any arguments. It serves the statement-size
+// limit (engine.Profile.CheckStatementSize), the one thing off the sql
+// backend that reads the statement: core measures a plan when it
+// builds it and sizes each run's instance with Len.
+func Measure(n *plan.Node, o Options) (StatementSize, error) {
+	w := writer{measure: true}
+	if err := writeStatement(&w, n, o); err != nil {
+		return StatementSize{}, err
+	}
+	return StatementSize{Fixed: w.n, Params: w.occ}, nil
 }
 
 // writeStatement writes Render's statement.
@@ -130,11 +162,17 @@ func JUSCQ(j query.JUSCQ, o Options) string {
 }
 
 // writer is the one output path of every renderer. It appends to b
-// when b is set (Render) and otherwise only counts (Size); n is the
-// byte count either way.
+// when b is set (Render) and otherwise only counts (Measure); n is the
+// byte count either way. Parameters write args' literals, or, when
+// measuring, only count into occ.
 type writer struct {
 	b *strings.Builder
 	n int
+
+	args    []string
+	measure bool
+	occ     []int
+	unbound int // a parameter written without an argument, offset by one
 }
 
 func (w *writer) str(s string) {
@@ -152,6 +190,24 @@ func (w *writer) byte(c byte) {
 }
 
 func (w *writer) int(i int) { w.str(strconv.Itoa(i)) }
+
+// constant writes a constant or parameter term as a string literal.
+func (w *writer) constant(t query.Term) {
+	i := t.ParamIndex()
+	switch {
+	case i < 0:
+		w.lit(t.Name)
+	case w.measure:
+		for len(w.occ) <= i {
+			w.occ = append(w.occ, 0)
+		}
+		w.occ[i]++
+	case i < len(w.args):
+		w.lit(w.args[i])
+	default:
+		w.unbound = i + 1
+	}
+}
 
 // lit writes s as a string literal.
 func (w *writer) lit(s string) {
@@ -313,7 +369,7 @@ func writeArm(w *writer, arm *plan.Node, o Options) error {
 			w.str(", ")
 		}
 		if h.Const {
-			w.lit(h.Name)
+			w.constant(h)
 		} else if c, ok := vars.lookup(h.Name); ok {
 			w.ref(c)
 		}
@@ -363,7 +419,7 @@ func writeArm(w *writer, arm *plan.Node, o Options) error {
 			if t.Const {
 				w.ref(c)
 				w.str(" = ")
-				w.lit(t.Name)
+				w.constant(t)
 			} else {
 				w.ref(first)
 				w.str(" = ")

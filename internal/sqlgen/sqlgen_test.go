@@ -256,7 +256,7 @@ func TestLiteralQuotesEscaped(t *testing.T) {
 	}
 }
 
-// TestSizeMatchesRender: Size counts exactly the bytes Render writes,
+// TestSizeMatchesRender: Measure counts exactly the bytes Render writes,
 // whatever the layout, formatting or arm shape.
 func TestSizeMatchesRender(t *testing.T) {
 	x, y := query.Var("x"), query.Var("y")
@@ -287,18 +287,77 @@ func TestSizeMatchesRender(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, o, err)
 			}
-			size, err := Size(n, o)
+			size, err := Measure(n, o)
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, o, err)
 			}
-			if size != len(sql) {
-				t.Errorf("%s %+v: Size = %d, len(Render) = %d", name, o, size, len(sql))
+			if size.Len(nil) != len(sql) {
+				t.Errorf("%s %+v: Measure = %d, len(Render) = %d", name, o, size.Len(nil), len(sql))
 			}
 		}
 	}
-	if _, err := Size(&plan.Node{Op: plan.OpJoin}, Options{}); err == nil {
-		t.Error("Size of a malformed tree: want Render's error")
+	if _, err := Measure(&plan.Node{Op: plan.OpJoin}, Options{}); err == nil {
+		t.Error("Measure of a malformed tree: want Render's error")
 	}
+
+	// Parameterized trees: the statement rendered with Args is the
+	// instance's own, and Measure's per-parameter count gives its exact
+	// length.
+	p0, p1 := query.Param(0), query.Param(1)
+	pf1 := query.UCQ{Disjuncts: []query.CQ{
+		{Name: "f1", Head: []query.Term{x}, Atoms: []query.Atom{query.ConceptAtom("A", x), query.RoleAtom("R", x, p0)}},
+		{Name: "f1", Head: []query.Term{x}, Atoms: []query.Atom{query.RoleAtom("R", p1, x), query.RoleAtom("S", x, p0)}},
+	}}
+	pquoted := query.UCQ{Disjuncts: []query.CQ{{Name: "q", Head: []query.Term{x, p1},
+		Atoms: []query.Atom{query.RoleAtom("worksFor", x, p0), query.ConceptAtom("A'B", x)}}}}
+	for name, n := range map[string]*plan.Node{
+		"cover":         plan.FromJUCQ(query.JUCQ{Name: "q", Head: []query.Term{x}, Subs: []query.UCQ{pf1, f2}}),
+		"fragment":      plan.FromUCQ(pf1),
+		"factorized":    plan.FromJUSCQ(query.JUSCQ{Name: "q", Head: []query.Term{x}, Subs: []query.USCQ{query.FactorizeUCQ(pf1), query.FactorizeUCQ(f2)}}),
+		"head constant": plan.FromUCQ(pquoted),
+	} {
+		for _, args := range [][]string{{"O'Brien Lab", "it's"}, {"c", ""}, {"''", "x'y'z"}} {
+			for _, o := range []Options{
+				{Layout: engine.LayoutSimple}, {Layout: engine.LayoutSimple, Pretty: true},
+				{Layout: engine.LayoutRDF, Slots: 3},
+			} {
+				measured, err := Measure(n, o)
+				if err != nil {
+					t.Fatalf("%s %+v: %v", name, o, err)
+				}
+				if _, err := Render(n, o); err == nil {
+					t.Errorf("%s %+v: rendered without arguments", name, o)
+				}
+				o.Args = args
+				sql, err := Render(n, o)
+				if err != nil {
+					t.Fatalf("%s %+v: %v", name, o, err)
+				}
+				if want, _ := Render(bindTree(n, args), Options{Layout: o.Layout, Pretty: o.Pretty, Slots: o.Slots}); sql != want {
+					t.Errorf("%s %+v: rendered\n%s\nwant the instance's\n%s", name, o, sql, want)
+				}
+				if measured.Len(args) != len(sql) {
+					t.Errorf("%s %+v: Measure = %d, len(Render) = %d", name, o, measured.Len(args), len(sql))
+				}
+			}
+		}
+	}
+}
+
+// bindTree returns a copy of a parameterized tree with every parameter
+// bound to its argument.
+func bindTree(n *plan.Node, args []string) *plan.Node {
+	m := *n
+	m.Atoms = make([]query.Atom, len(n.Atoms))
+	for i, at := range n.Atoms {
+		m.Atoms[i] = query.CQ{Atoms: []query.Atom{at}}.Bind(args).Atoms[0]
+	}
+	m.Head = query.CQ{Head: n.Head}.Bind(args).Head
+	m.Inputs = make([]*plan.Node, len(n.Inputs))
+	for i, in := range n.Inputs {
+		m.Inputs[i] = bindTree(in, args)
+	}
+	return &m
 }
 
 // TestSizeAllocBound guards the statement-size count core runs on
@@ -320,15 +379,15 @@ func TestSizeAllocBound(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if _, err := Size(n, o); err != nil {
+		if _, err := Measure(n, o); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("Q9/ucq: %d bytes per Size", perRun)
+	t.Logf("Q9/ucq: %d bytes per Measure", perRun)
 	const bound = 128 << 10
 	if perRun > bound {
-		t.Errorf("Q9/ucq: Size allocates %d bytes, bound %d", perRun, bound)
+		t.Errorf("Q9/ucq: Measure allocates %d bytes, bound %d", perRun, bound)
 	}
 }
