@@ -231,7 +231,8 @@ func bindPlan(n *plan.Node, args []string) *plan.Node {
 // TestBoundRunExplainsItsInstance: a run of a cached template plan
 // returns, byte for byte, the EXPLAIN (and on the sql backend the
 // statement) of the instance's own tree compiled and run directly —
-// on a plan's first run and on a pooled rerun with other constants.
+// on a plan's first run and on a pooled rerun with other constants —
+// and the template's plan refuses to run without its arguments.
 func TestBoundRunExplainsItsInstance(t *testing.T) {
 	tb, ab := lubm.TBox(), templateABox()
 	db := engine.NewDB(engine.LayoutSimple)
@@ -263,6 +264,14 @@ func TestBoundRunExplainsItsInstance(t *testing.T) {
 					if strings.Contains(res.Explain.Text(), "?0") {
 						t.Errorf("%s %s/%s: EXPLAIN shows a parameter:\n%s", backend.Name(), shape.slot+ind, s, res.Explain.Text())
 					}
+					// The template's plan runs only with its arguments bound.
+					tmpl, err := backend.Compile(res.Plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := tmpl.Run(0); err == nil {
+						t.Errorf("%s %s/%s: the template ran without arguments", backend.Name(), shape.slot+ind, s)
+					}
 				}
 			}
 		}
@@ -291,6 +300,11 @@ func TestShardTemplateConstants(t *testing.T) {
 			sharded, err := a.AnswerWith(q, s, sb)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tmpl, err := sb.Compile(sharded.Plan); err != nil {
+				t.Fatal(err)
+			} else if _, err := tmpl.Run(0); err == nil {
+				t.Errorf("%s/%s: the shard template ran without arguments", ind, s)
 			}
 			if got, want := sorted(sharded.Tuples), sorted(native.Tuples); !slices.Equal(got, want) || len(want) == 0 {
 				t.Errorf("%s/%s: shard answers %v, native %v", ind, s, got, want)

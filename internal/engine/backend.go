@@ -143,22 +143,13 @@ func (c *Compiled) Estimate() plan.Estimate { return c.root.estimate() }
 // callback that — once the tree has been drained — writes every IR
 // node's frozen estimate and its operator's actual row count onto an
 // EXPLAIN skeleton of the plan. The tree is the caller's: Run's pool
-// never sees it. args must pass CheckArgs.
+// never sees it. args must pass plan.CheckArgs.
 func (c *Compiled) Tree(workers int, args []string) (Operator, func(at map[*plan.Node]*plan.ExplainNode)) {
 	r := c.newRun()
 	if r.args != nil {
 		r.args.resolve(c.b.DB.Dict, args)
 	}
 	return c.root.build(r, workers), r.annotate
-}
-
-// CheckArgs rejects a run with fewer arguments than the plan has
-// parameters.
-func (c *Compiled) CheckArgs(args []string) error {
-	if len(args) < c.nparams {
-		return fmt.Errorf("engine: the plan has %d parameter(s), the run binds %d", c.nparams, len(args))
-	}
-	return nil
 }
 
 func (c *Compiled) newRun() *run {
@@ -181,7 +172,7 @@ func (c *Compiled) Run(workers int) (*plan.RunResult, error) { return c.RunArgs(
 // Either way the tree goes back to the pool afterwards. Safe for
 // concurrent use: each run owns the state it took.
 func (c *Compiled) RunArgs(workers int, args []string) (*plan.RunResult, error) {
-	if err := c.CheckArgs(args); err != nil {
+	if err := plan.CheckArgs(c.nparams, args); err != nil {
 		return nil, err
 	}
 	version := c.b.DB.Version()

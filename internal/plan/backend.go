@@ -1,5 +1,7 @@
 package plan
 
+import "fmt"
+
 // Estimate is a backend's whole-plan cost and output-cardinality
 // prediction for one plan tree — the quantity the cover search
 // minimizes and EXPLAIN reports.
@@ -36,6 +38,15 @@ type Executable interface {
 	// RunArgs executes the plan with its parameters bound to args; a
 	// run with fewer arguments than the plan has parameters fails.
 	RunArgs(workers int, args []string) (*RunResult, error)
+}
+
+// CheckArgs rejects a run that binds fewer arguments than a plan with
+// nparams parameters (NumParams) needs: what RunArgs fails on.
+func CheckArgs(nparams int, args []string) error {
+	if len(args) < nparams {
+		return fmt.Errorf("plan: %d parameter(s), the run binds %d", nparams, len(args))
+	}
+	return nil
 }
 
 // Backend turns logical plans into executables — the physical half of

@@ -223,7 +223,7 @@ func (b *Backend) compile(n *plan.Node) (plan.Executable, error) {
 		est.Cost += e.Cost
 		est.Card += e.Card
 	}
-	return &executable{b: b, node: n, an: an, parts: parts, est: est}, nil
+	return &executable{b: b, node: n, an: an, parts: parts, est: est, nparams: plan.NumParams(n)}, nil
 }
 
 // compileExchange lowers a cover plan into the shuffle execution: each
@@ -366,11 +366,12 @@ func perShardWorkers(workers, n int) int {
 // Physical operator state is built per Run, so concurrent runs are
 // independent.
 type executable struct {
-	b     *Backend
-	node  *plan.Node
-	an    analysis
-	parts []*engine.Compiled
-	est   plan.Estimate
+	b       *Backend
+	node    *plan.Node
+	an      analysis
+	parts   []*engine.Compiled
+	est     plan.Estimate
+	nparams int
 }
 
 // Estimate returns the summed per-shard estimate frozen at compile
@@ -391,7 +392,7 @@ func (e *executable) Run(workers int) (*plan.RunResult, error) { return e.RunArg
 // are independent, so partial hits replay what they can. args bind the
 // plan's parameters in every shard tree.
 func (e *executable) RunArgs(workers int, args []string) (*plan.RunResult, error) {
-	if err := e.parts[0].CheckArgs(args); err != nil {
+	if err := plan.CheckArgs(e.nparams, args); err != nil {
 		return nil, err
 	}
 	n := len(e.parts)
@@ -499,8 +500,8 @@ func (e *exchangeExec) Run(workers int) (*plan.RunResult, error) { return e.RunA
 // set of cached destinations short-circuits execution. args bind the
 // plan's parameters in every fragment tree and in the cover head.
 func (e *exchangeExec) RunArgs(workers int, args []string) (*plan.RunResult, error) {
-	if len(args) < e.nparams {
-		return nil, fmt.Errorf("shard: the plan has %d parameter(s), the run binds %d", e.nparams, len(args))
+	if err := plan.CheckArgs(e.nparams, args); err != nil {
+		return nil, err
 	}
 	nsh := e.b.NumShards()
 	perShard := perShardWorkers(workers, nsh)

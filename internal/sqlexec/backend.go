@@ -86,6 +86,9 @@ func (e *sqlExecutable) Run(workers int) (*plan.RunResult, error) { return e.Run
 // so only the statement's total output is counted; workers is ignored
 // (a real RDBMS owns its parallelism).
 func (e *sqlExecutable) RunArgs(workers int, args []string) (*plan.RunResult, error) {
+	if err := plan.CheckArgs(e.nparams, args); err != nil {
+		return nil, err
+	}
 	sql := e.sql
 	if e.nparams > 0 {
 		var err error
