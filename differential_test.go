@@ -30,7 +30,7 @@ func runPlan(t *testing.T, env *exp.Env, n *plan.Node, workers int) *engine.Rela
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, _ := c.Tree(workers, nil)
+	op, _ := c.Tree(workers)
 	return engine.Drain(op)
 }
 

@@ -419,7 +419,7 @@ func (a *Answerer) execute(cp *cachedPlan, res *Result) (*Result, error) {
 	}
 	est := cp.exec.Estimate()
 	start := time.Now()
-	rr, err := cp.exec.RunArgs(a.Workers, res.Args)
+	rr, err := cp.exec.Run(a.Workers, res.Args...)
 	if err != nil {
 		return res, err
 	}

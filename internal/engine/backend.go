@@ -71,7 +71,7 @@ type runState struct {
 }
 
 // Compile validates the plan and compiles it into a reusable
-// executable; a parameterized plan runs through RunArgs.
+// executable; a parameterized plan binds its arguments per Run.
 func (b *Backend) Compile(n *plan.Node) (plan.Executable, error) {
 	c, err := b.CompilePlan(n)
 	if err != nil {
@@ -144,7 +144,7 @@ func (c *Compiled) Estimate() plan.Estimate { return c.root.estimate() }
 // node's frozen estimate and its operator's actual row count onto an
 // EXPLAIN skeleton of the plan. The tree is the caller's: Run's pool
 // never sees it. args must pass plan.CheckArgs.
-func (c *Compiled) Tree(workers int, args []string) (Operator, func(at map[*plan.Node]*plan.ExplainNode)) {
+func (c *Compiled) Tree(workers int, args ...string) (Operator, func(at map[*plan.Node]*plan.ExplainNode)) {
 	r := c.newRun()
 	if r.args != nil {
 		r.args.resolve(c.b.DB.Dict, args)
@@ -160,18 +160,15 @@ func (c *Compiled) newRun() *run {
 	return r
 }
 
-// Run is RunArgs for a plan without parameters.
-func (c *Compiled) Run(workers int) (*plan.RunResult, error) { return c.RunArgs(workers, nil) }
-
-// RunArgs drains an operator tree, its parameters bound to args, and
+// Run drains an operator tree, its parameters bound to args, and
 // annotates a fresh EXPLAIN skeleton with the frozen estimates and the
 // actual row counters the operators observed. The tree comes from the
 // pool when one there was built for this worker budget at the current
 // data version (Open resets every operator and rebinds its parameters,
-// and the tree reads the tables afresh); otherwise RunArgs builds one.
+// and the tree reads the tables afresh); otherwise Run builds one.
 // Either way the tree goes back to the pool afterwards. Safe for
 // concurrent use: each run owns the state it took.
-func (c *Compiled) RunArgs(workers int, args []string) (*plan.RunResult, error) {
+func (c *Compiled) Run(workers int, args ...string) (*plan.RunResult, error) {
 	if err := plan.CheckArgs(c.nparams, args); err != nil {
 		return nil, err
 	}
@@ -504,7 +501,7 @@ func evaluate(n *plan.Node, db *DB, prof *Profile) Answer {
 	if err != nil {
 		return Answer{}
 	}
-	op, _ := c.Tree(1, nil)
+	op, _ := c.Tree(1)
 	return Answer{Tuples: Drain(op).Decode(db.Dict), EstCost: c.Estimate().Cost}
 }
 

@@ -35,7 +35,7 @@ func compilePlan(t *testing.T, db *DB, prof *Profile, n *plan.Node) *Compiled {
 // the given worker budget.
 func drainPlan(t *testing.T, db *DB, prof *Profile, n *plan.Node, workers int) *Relation {
 	t.Helper()
-	op, _ := compilePlan(t, db, prof, n).Tree(workers, nil)
+	op, _ := compilePlan(t, db, prof, n).Tree(workers)
 	return Drain(op)
 }
 

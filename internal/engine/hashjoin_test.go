@@ -99,7 +99,7 @@ func TestHashJoinReuse(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	c := compilePlan(t, db, ProfilePostgres(), plan.FromJUCQ(j))
 	for _, workers := range []int{1, 4} {
-		op, _ := c.Tree(workers, nil)
+		op, _ := c.Tree(workers)
 		first := Drain(op)
 		if len(first.Rows) == 0 {
 			t.Fatal("unexpected empty join")

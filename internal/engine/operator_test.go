@@ -288,7 +288,7 @@ func TestPipelineReuse(t *testing.T) {
 		query.MustParseCQ("q(x) <- supervisedBy(x, y)"),
 	}}
 	c := compilePlan(t, db, ProfilePostgres(), plan.FromUCQ(u))
-	op, _ := c.Tree(1, nil)
+	op, _ := c.Tree(1)
 	first := Drain(op)
 	for i := 0; i < 3; i++ {
 		again := Drain(op)
@@ -296,7 +296,7 @@ func TestPipelineReuse(t *testing.T) {
 			t.Fatalf("re-execution %d differs: %v vs %v", i, again, first)
 		}
 	}
-	par, _ := c.Tree(4, nil)
+	par, _ := c.Tree(4)
 	for i := 0; i < 3; i++ {
 		again := Drain(par)
 		if !sameSets(relToSet(again, db.Dict), relToSet(first, db.Dict)) {
@@ -312,7 +312,7 @@ func TestReuseResetsStats(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	prof := ProfilePostgres()
 	u := query.UCQ{Disjuncts: []query.CQ{query.MustParseCQ("q(x, y) <- supervisedBy(x, y)")}}
-	op, _ := compilePlan(t, db, prof, plan.FromUCQ(u)).Tree(1, nil)
+	op, _ := compilePlan(t, db, prof, plan.FromUCQ(u)).Tree(1)
 	Drain(op)
 	first := CollectStats(op)
 	Drain(op)
@@ -328,7 +328,7 @@ func TestReuseResetsStats(t *testing.T) {
 		query.MustParseCQ("q(x) <- PhDStudent(x)"),
 		query.MustParseCQ("q(x) <- Researcher(x)"),
 	}}
-	pop, _ := compilePlan(t, db, prof, plan.FromUCQ(multi)).Tree(4, nil)
+	pop, _ := compilePlan(t, db, prof, plan.FromUCQ(multi)).Tree(4)
 	Drain(pop)
 	pf := CollectStats(pop)
 	Drain(pop)

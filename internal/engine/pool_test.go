@@ -224,7 +224,7 @@ func TestBoundRerunAllocBound(t *testing.T) {
 	}
 	found := 0
 	for _, args := range members[:3] { // fill both pools
-		rr, err := c.RunArgs(1, args)
+		rr, err := c.Run(1, args...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestBoundRerunAllocBound(t *testing.T) {
 	const runs = 50
 	perRun := allocDuring(t, func() {
 		for i := 0; i < runs; i++ {
-			if _, err := c.RunArgs(1, members[i%len(members)]); err != nil {
+			if _, err := c.Run(1, members[i%len(members)]...); err != nil {
 				t.Fatal(err)
 			}
 		}

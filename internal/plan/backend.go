@@ -31,17 +31,15 @@ type RunResult struct {
 type Executable interface {
 	// Estimate returns the whole-plan estimate frozen at compile time.
 	Estimate() Estimate
-	// Run executes a plan without parameters with the given worker
-	// budget (<= 1 is fully sequential; backends may ignore the
-	// budget). It is RunArgs with no arguments.
-	Run(workers int) (*RunResult, error)
-	// RunArgs executes the plan with its parameters bound to args; a
-	// run with fewer arguments than the plan has parameters fails.
-	RunArgs(workers int, args []string) (*RunResult, error)
+	// Run executes the plan with the given worker budget (<= 1 is
+	// fully sequential; backends may ignore the budget) and its
+	// parameters bound to args; a run with fewer arguments than the
+	// plan has parameters fails.
+	Run(workers int, args ...string) (*RunResult, error)
 }
 
 // CheckArgs rejects a run that binds fewer arguments than a plan with
-// nparams parameters (NumParams) needs: what RunArgs fails on.
+// nparams parameters (NumParams) needs: what Run fails on.
 func CheckArgs(nparams int, args []string) error {
 	if len(args) < nparams {
 		return fmt.Errorf("plan: %d parameter(s), the run binds %d", nparams, len(args))

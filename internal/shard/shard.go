@@ -378,9 +378,6 @@ type executable struct {
 // time.
 func (e *executable) Estimate() plan.Estimate { return e.est }
 
-// Run is RunArgs for a plan without parameters.
-func (e *executable) Run(workers int) (*plan.RunResult, error) { return e.RunArgs(workers, nil) }
-
 // Run builds one operator tree per shard (or replays a shard's cached
 // relation), unions them under the parallel union, deduplicates the
 // merged stream, and drains. The worker budget is split across shards
@@ -391,7 +388,7 @@ func (e *executable) Run(workers int) (*plan.RunResult, error) { return e.RunArg
 // completion is captured into the result cache; on this path shards
 // are independent, so partial hits replay what they can. args bind the
 // plan's parameters in every shard tree.
-func (e *executable) RunArgs(workers int, args []string) (*plan.RunResult, error) {
+func (e *executable) Run(workers int, args ...string) (*plan.RunResult, error) {
 	if err := plan.CheckArgs(e.nparams, args); err != nil {
 		return nil, err
 	}
@@ -411,7 +408,7 @@ func (e *executable) RunArgs(workers int, args []string) (*plan.RunResult, error
 			hits++
 			continue
 		}
-		t, at := c.Tree(perShard, args)
+		t, at := c.Tree(perShard, args...)
 		caps[i] = engine.NewCapture(t)
 		roots[i] = caps[i]
 		annotate[i] = at
@@ -483,9 +480,6 @@ type exchangeExec struct {
 // Estimate returns the exchange estimate frozen at compile time.
 func (e *exchangeExec) Estimate() plan.Estimate { return e.est }
 
-// Run is RunArgs for a plan without parameters.
-func (e *exchangeExec) Run(workers int) (*plan.RunResult, error) { return e.RunArgs(workers, nil) }
-
 // Run wires the shuffle execution. Per destination shard: a hash join
 // over one child per fragment — the shard's own local tree, the
 // shard's exchange endpoint (fed by all source shards), or a replay of
@@ -499,7 +493,7 @@ func (e *exchangeExec) Run(workers int) (*plan.RunResult, error) { return e.RunA
 // exchange, so the result cache is all-or-nothing here: only a full
 // set of cached destinations short-circuits execution. args bind the
 // plan's parameters in every fragment tree and in the cover head.
-func (e *exchangeExec) RunArgs(workers int, args []string) (*plan.RunResult, error) {
+func (e *exchangeExec) Run(workers int, args ...string) (*plan.RunResult, error) {
 	if err := plan.CheckArgs(e.nparams, args); err != nil {
 		return nil, err
 	}
@@ -527,7 +521,7 @@ func (e *exchangeExec) RunArgs(workers int, args []string) (*plan.RunResult, err
 	bcast := make([]*engine.Relation, nf)
 	for j := 0; j < nf; j++ {
 		if e.ex.frags[j].mode == fragBroadcast {
-			t, at := e.parts[j][0].Tree(workers, args)
+			t, at := e.parts[j][0].Tree(workers, args...)
 			bcast[j] = engine.Drain(t)
 			annots[j] = []func(map[*plan.Node]*plan.ExplainNode){at}
 			continue
@@ -535,7 +529,7 @@ func (e *exchangeExec) RunArgs(workers int, args []string) (*plan.RunResult, err
 		srcs[j] = make([]engine.Operator, nsh)
 		annots[j] = make([]func(map[*plan.Node]*plan.ExplainNode), nsh)
 		for i := 0; i < nsh; i++ {
-			srcs[j][i], annots[j][i] = e.parts[j][i].Tree(perShard, args)
+			srcs[j][i], annots[j][i] = e.parts[j][i].Tree(perShard, args...)
 		}
 	}
 	hubs := make([]*engine.Exchange, nf)

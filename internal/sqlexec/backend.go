@@ -30,11 +30,10 @@ func NewBackend(db *engine.DB, prof *engine.Profile) *Backend {
 // Name identifies the backend in cache keys and EXPLAIN output.
 func (b *Backend) Name() string { return "sql" }
 
-// Compile validates the plan and renders its SQL, after checking that
-// the executor supports the layout (the SQL schema mirrors the simple
-// layout's tables only). A parameterized plan's statement depends on
-// its arguments, so each run renders its own; Compile only checks that
-// the tree renders.
+// Compile validates the plan and checks that it renders to SQL, after
+// checking that the executor supports the layout (the SQL schema
+// mirrors the simple layout's tables only). A statement depends on its
+// run's arguments, so each run renders its own.
 func (b *Backend) Compile(n *plan.Node) (plan.Executable, error) {
 	if b.DB.Layout != engine.LayoutSimple {
 		return nil, fmt.Errorf("sqlexec: backend requires the simple layout, have %s", b.DB.Layout)
@@ -43,13 +42,7 @@ func (b *Backend) Compile(n *plan.Node) (plan.Executable, error) {
 		return nil, err
 	}
 	e := &sqlExecutable{b: b, node: n, nparams: plan.NumParams(n), est: b.Estimate(n)}
-	var err error
-	if e.nparams == 0 {
-		e.sql, err = sqlgen.Render(n, e.options(nil))
-	} else {
-		_, err = sqlgen.Measure(n, e.options(nil))
-	}
-	if err != nil {
+	if _, err := sqlgen.Measure(n, e.options(nil)); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -67,7 +60,6 @@ type sqlExecutable struct {
 	b       *Backend
 	node    *plan.Node
 	nparams int
-	sql     string // the statement of a plan without parameters
 	est     plan.Estimate
 }
 
@@ -78,23 +70,17 @@ func (e *sqlExecutable) options(args []string) sqlgen.Options {
 	return sqlgen.Options{Layout: e.b.DB.Layout, Args: args}
 }
 
-// Run is RunArgs for a plan without parameters.
-func (e *sqlExecutable) Run(workers int) (*plan.RunResult, error) { return e.RunArgs(workers, nil) }
-
-// RunArgs parses and evaluates the statement, the parameters' literals
-// rendered from args. The SQL surface reports no per-operator counters,
-// so only the statement's total output is counted; workers is ignored
-// (a real RDBMS owns its parallelism).
-func (e *sqlExecutable) RunArgs(workers int, args []string) (*plan.RunResult, error) {
+// Run renders the statement, the parameters' literals rendered from
+// args, then parses and evaluates it. The SQL surface reports no
+// per-operator counters, so only the statement's total output is
+// counted; workers is ignored (a real RDBMS owns its parallelism).
+func (e *sqlExecutable) Run(workers int, args ...string) (*plan.RunResult, error) {
 	if err := plan.CheckArgs(e.nparams, args); err != nil {
 		return nil, err
 	}
-	sql := e.sql
-	if e.nparams > 0 {
-		var err error
-		if sql, err = sqlgen.Render(e.node, e.options(args)); err != nil {
-			return nil, err
-		}
+	sql, err := sqlgen.Render(e.node, e.options(args))
+	if err != nil {
+		return nil, err
 	}
 	rel, err := Exec(sql, e.b.DB)
 	if err != nil {
