@@ -3,8 +3,12 @@ package engine
 // Compilation of planned queries into streaming operator trees
 // (operator.go). The pipeline row layout of one CQ/SCQ is the set of
 // its variables in order of first use along the plan; each plan step
-// becomes a scan (first unbound atom), a filter (fully bound atom), or
-// an index-nested-loop join.
+// becomes a scan (first unbound atom), a filter (fully bound atom or
+// existence probe), or an index-nested-loop join. An existence probe is
+// a role atom with one side bound and, on the other, a variable that no
+// later step and not the head reads: the paper's semijoin reducer, run
+// as "has the bound side a neighbour?" — one row out per input row that
+// has a match, instead of one per match.
 
 import (
 	"sort"
@@ -69,6 +73,33 @@ func newAtomJoin(a query.Atom, colOf map[string]int, bound []bool, db *DB, args 
 	return j
 }
 
+// markExistential makes j an existence probe when one side is bound and
+// the other is a variable whose last reader (noteReads) is this step.
+// R(z, z) never qualifies: its sides are bound or unbound together. A
+// dead atom stays a join, which matches nothing either.
+func (j *atomJoin) markExistential(last []int, step int) {
+	if j.arity != 2 || j.dead {
+		return
+	}
+	switch {
+	case j.s.isBound() && !j.o.isBound():
+		j.exists = last[j.o.col] == step
+	case j.o.isBound() && !j.s.isBound():
+		j.exists = last[j.s.col] == step
+	}
+}
+
+// noteReads records step as the last reader of every variable in args
+// that has a column. Run over the steps in order and then over the head
+// as step len(steps), it leaves in last each column's last reading step.
+func noteReads(last []int, colOf map[string]int, step int, args []query.Term) {
+	for _, t := range args {
+		if c, ok := colOf[t.Name]; ok && t.IsVar() {
+			last[c] = step
+		}
+	}
+}
+
 // markBound records an atom's variables as bound after its step runs.
 func markBound(a query.Atom, colOf map[string]int, bound []bool) {
 	for _, t := range a.Args {
@@ -79,8 +110,9 @@ func markBound(a query.Atom, colOf map[string]int, bound []bool) {
 }
 
 // compileStep appends one plan step to the pipeline: the first wholly
-// unbound atom becomes a source scan; fully bound atoms become
-// filters; everything else an index-nested-loop join.
+// unbound atom becomes a source scan; a step whose every alternative is
+// fully bound or an existence probe becomes a filter; everything else
+// an index-nested-loop join.
 func compileStep(cur Operator, cols []string, alts []*atomJoin) Operator {
 	if cur == nil {
 		if len(alts) == 1 && alts[0].unbound() {
@@ -88,10 +120,12 @@ func compileStep(cur Operator, cols []string, alts []*atomJoin) Operator {
 		}
 		cur = newSingleton(cols)
 	}
-	if len(alts) == 1 && alts[0].fullyBound() {
-		return newFilter(cur, alts[0])
+	for _, a := range alts {
+		if !a.filters() {
+			return newJoin(cur, alts)
+		}
 	}
-	return newJoin(cur, alts)
+	return newFilter(cur, alts)
 }
 
 // compileProject closes a pipeline with head projection; head
@@ -147,11 +181,17 @@ func compileCQ(p *CQPlan, db *DB, r *run, leaves []*plan.Node) (proj, body Opera
 		seq[i] = q.Atoms[s.Atom].Args
 	}
 	colOf, cols := pipelineLayout(seq)
+	last := make([]int, len(cols))
+	for i, args := range seq {
+		noteReads(last, colOf, i, args)
+	}
+	noteReads(last, colOf, len(seq), q.Head)
 	bound := make([]bool, len(cols))
 	var cur Operator
-	for _, s := range p.Steps {
+	for i, s := range p.Steps {
 		a := q.Atoms[s.Atom]
 		j := newAtomJoin(a, colOf, bound, db, r.argRefs())
+		j.markExistential(last, i)
 		cur = compileStep(cur, cols, []*atomJoin{j})
 		markBound(a, colOf, bound)
 		if r != nil {
@@ -166,7 +206,9 @@ func compileCQ(p *CQPlan, db *DB, r *run, leaves []*plan.Node) (proj, body Opera
 
 // compileSCQ is compileCQ for SCQ plans: each block becomes one join
 // whose alternatives are the block's atoms (their matches are unioned
-// per input row — the factorized evaluation). Leaves are indexed like
+// per input row — the factorized evaluation), or one filter when every
+// alternative is fully bound or an existence probe, passing a row when
+// any alternative matches it. Leaves are indexed like
 // the blocks, and their estimates are unknown — the planner costs whole
 // block orders, not steps.
 func compileSCQ(p *SCQPlan, db *DB, r *run, leaves []*plan.Node) (proj, body Operator) {
@@ -178,13 +220,21 @@ func compileSCQ(p *SCQPlan, db *DB, r *run, leaves []*plan.Node) (proj, body Ope
 		}
 	}
 	colOf, cols := pipelineLayout(seq)
+	last := make([]int, len(cols))
+	for k, bi := range p.Order {
+		for _, a := range s.Blocks[bi] {
+			noteReads(last, colOf, k, a.Args)
+		}
+	}
+	noteReads(last, colOf, len(p.Order), s.Head)
 	bound := make([]bool, len(cols))
 	var cur Operator
-	for _, bi := range p.Order {
+	for k, bi := range p.Order {
 		block := s.Blocks[bi]
 		alts := make([]*atomJoin, len(block))
 		for i, a := range block {
 			alts[i] = newAtomJoin(a, colOf, bound, db, r.argRefs())
+			alts[i].markExistential(last, k)
 		}
 		cur = compileStep(cur, cols, alts)
 		for _, a := range block {

@@ -3,8 +3,10 @@ package engine
 // The materialize-everything CQ executor, kept as the bag reference for
 // tests that check what a set-valued oracle cannot: duplicate counts and
 // row order. It builds every intermediate as [][]int64 along the
-// production join order (PlanCQ). Set-valued comparisons use
-// internal/naive instead.
+// production join order (PlanCQ), and, like the pipeline, checks an
+// atom for a match instead of enumerating its matches when the variable
+// it would bind is read by no later atom and not by the head.
+// Set-valued comparisons use internal/naive instead.
 
 import "repro/internal/query"
 
@@ -28,8 +30,22 @@ func ExecCQMaterialized(q query.CQ, db *DB, prof *Profile) *Relation {
 	}
 	rows := [][]int64{make([]int64, len(cols))}
 	boundMask := make([]bool, len(cols))
-	for _, s := range p.Steps {
-		rows = execStep(q.Atoms[s.Atom], rows, colOf, boundMask, db)
+	for i, s := range p.Steps {
+		// readLater: the variables the head or a later step reads.
+		readLater := map[string]bool{}
+		for _, h := range q.Head {
+			if h.IsVar() {
+				readLater[h.Name] = true
+			}
+		}
+		for _, later := range p.Steps[i+1:] {
+			for _, t := range q.Atoms[later.Atom].Args {
+				if t.IsVar() {
+					readLater[t.Name] = true
+				}
+			}
+		}
+		rows = execStep(q.Atoms[s.Atom], rows, colOf, boundMask, readLater, db)
 		for _, t := range q.Atoms[s.Atom].Args {
 			if t.IsVar() {
 				boundMask[colOf[t.Name]] = true
@@ -63,8 +79,10 @@ func ExecCQMaterialized(q query.CQ, db *DB, prof *Profile) *Relation {
 	return out
 }
 
-// execStep joins the current rows with one atom using index lookups.
-func execStep(a query.Atom, rows [][]int64, colOf map[string]int, bound []bool, db *DB) [][]int64 {
+// execStep joins the current rows with one atom using index lookups. A
+// role atom with one side bound whose other side is a variable outside
+// readLater keeps each row once if it has any match.
+func execStep(a query.Atom, rows [][]int64, colOf map[string]int, bound []bool, readLater map[string]bool, db *DB) [][]int64 {
 	// resolve returns (value, isBound) of a term under a row.
 	resolve := func(t query.Term, row []int64) (int64, bool, bool) {
 		if t.Const {
@@ -123,6 +141,14 @@ func execStep(a query.Atom, rows [][]int64, colOf map[string]int, bound []bool, 
 			}
 		case sB && sameVar:
 			if db.RoleContains(a.Pred, s, s) {
+				out = append(out, row)
+			}
+		case sB && !readLater[a.Args[1].Name]:
+			if len(db.RoleObjects(a.Pred, s)) > 0 {
+				out = append(out, row)
+			}
+		case oB && !readLater[a.Args[0].Name]:
+			if len(db.RoleSubjects(a.Pred, o)) > 0 {
 				out = append(out, row)
 			}
 		case sB:

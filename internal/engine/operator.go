@@ -11,9 +11,10 @@ package engine
 // The operators are the classic relational set specialized to the
 // dictionary-encoded storage: source scans (scanOp, singletonOp), an
 // index-nested-loop join driven by the plan's access paths (joinOp),
-// a fully-bound filter (filterOp), head projection (projectOp),
-// streaming DISTINCT over a 64-bit hash set (distinctOp), and
-// sequential / parallel union (unionOp, parallel.go's unionParallelOp).
+// a filter on fully bound atoms and existence probes (filterOp), head
+// projection (projectOp), streaming DISTINCT over a 64-bit hash set
+// (distinctOp), and sequential / parallel union (unionOp, parallel.go's
+// unionParallelOp).
 // Every operator counts the batches and rows it emits, for Stats and
 // EXPLAIN's actual row counts.
 //
@@ -509,6 +510,10 @@ type atomJoin struct {
 	// dead marks an atom with a constant absent from the dictionary: it
 	// can match nothing.
 	dead bool
+	// exists marks an existence probe: one side is bound and the other
+	// is a variable nothing after this step reads (markExistential), so
+	// the atom only checks that the bound side has a neighbour.
+	exists bool
 	// args is the run's bound arguments when the atom has a parameter.
 	args *boundArgs
 	// The atom's table on the simple layout, resolved once per build;
@@ -536,14 +541,17 @@ func (j *atomJoin) bindArgs() {
 	j.dead = j.s.absent || j.arity > 1 && j.o.absent
 }
 
-// fullyBound reports whether the atom only checks already-bound values,
-// compiling to a filter instead of a join.
+// fullyBound reports whether the atom only checks already-bound values.
 func (j *atomJoin) fullyBound() bool {
 	if j.arity == 1 {
 		return j.s.isBound()
 	}
 	return j.s.isBound() && (j.o.isBound() || j.sameVar)
 }
+
+// filters reports whether the atom only decides whether a row passes —
+// it is fully bound or an existence probe — so it never extends a row.
+func (j *atomJoin) filters() bool { return j.exists || j.fullyBound() }
 
 // unbound reports whether no argument is bound — a source scan.
 func (j *atomJoin) unbound() bool {
@@ -587,13 +595,20 @@ func (j *atomJoin) roleSubjects(o int64) []int64 {
 	return j.role.Subjects(o)
 }
 
-// keep evaluates a fully bound atom against one row.
+// keep evaluates a filtering atom (filters) against one row: a probe
+// passes it when the bound side has at least one neighbour.
 func (j *atomJoin) keep(row []int64) bool {
 	if j.dead {
 		return false
 	}
 	if j.arity == 1 {
 		return j.conceptContains(j.s.value(row))
+	}
+	switch {
+	case j.exists && j.s.isBound():
+		return len(j.roleObjects(j.s.value(row))) > 0
+	case j.exists:
+		return len(j.roleSubjects(j.o.value(row))) > 0
 	}
 	s := j.s.value(row)
 	o := s
@@ -628,22 +643,17 @@ func (j *atomJoin) matches(row []int64) matchSet {
 	if j.dead {
 		return matchSet{}
 	}
-	if j.arity == 1 {
-		if j.s.isBound() {
-			if j.conceptContains(j.s.value(row)) {
-				return matchSet{keep: 1}
-			}
-			return matchSet{}
-		}
-		return matchSet{vals: j.db.ConceptMembers(j.pred), wc1: j.s.col}
-	}
-	sB, oB := j.s.isBound(), j.o.isBound()
-	switch {
-	case sB && (oB || j.sameVar):
+	if j.filters() {
 		if j.keep(row) {
 			return matchSet{keep: 1}
 		}
 		return matchSet{}
+	}
+	if j.arity == 1 {
+		return matchSet{vals: j.db.ConceptMembers(j.pred), wc1: j.s.col}
+	}
+	sB, oB := j.s.isBound(), j.o.isBound()
+	switch {
 	case sB:
 		return matchSet{vals: j.roleObjects(j.s.value(row)), wc1: j.o.col}
 	case oB:
@@ -685,25 +695,38 @@ func (j *atomJoin) loadScan() {
 
 // --- filter ---
 
-// filterOp keeps the rows satisfying a fully bound atom (probe access).
+// filterOp keeps the rows that satisfy any of its atoms (several
+// atoms = one SCQ block), each fully bound or an existence probe:
+// probe access, one output row per passing input row.
 type filterOp struct {
 	opBase
 	child Operator
-	join  *atomJoin
+	alts  []*atomJoin
 	in    *Batch
 }
 
-func newFilter(child Operator, j *atomJoin) *filterOp {
+func newFilter(child Operator, alts []*atomJoin) *filterOp {
 	return &filterOp{
-		opBase: opBase{name: "filter(" + j.pred + ")", schema: child.Schema()},
+		opBase: opBase{name: "filter(" + predNames(alts) + ")", schema: child.Schema()},
 		child:  child,
-		join:   j,
+		alts:   alts,
 	}
+}
+
+// predNames lists the atoms' predicates for an operator's name.
+func predNames(alts []*atomJoin) string {
+	preds := make([]string, len(alts))
+	for i, a := range alts {
+		preds[i] = a.pred
+	}
+	return strings.Join(preds, "|")
 }
 
 func (o *filterOp) Open() {
 	o.resetStats()
-	o.join.bindArgs()
+	for _, a := range o.alts {
+		a.bindArgs()
+	}
 	takeBatch(&o.in, len(o.child.Schema()))
 	o.child.Open()
 }
@@ -716,8 +739,11 @@ func (o *filterOp) Next(out *Batch) bool {
 		}
 		for i := 0; i < o.in.Len(); i++ {
 			row := o.in.Row(i)
-			if o.join.keep(row) {
-				out.Append(row)
+			for _, a := range o.alts {
+				if a.keep(row) {
+					out.Append(row)
+					break
+				}
 			}
 		}
 	}
@@ -754,12 +780,8 @@ type joinOp struct {
 }
 
 func newJoin(child Operator, alts []*atomJoin) *joinOp {
-	preds := make([]string, len(alts))
-	for i, a := range alts {
-		preds[i] = a.pred
-	}
 	return &joinOp{
-		opBase: opBase{name: "join(" + strings.Join(preds, "|") + ")", schema: child.Schema()},
+		opBase: opBase{name: "join(" + predNames(alts) + ")", schema: child.Schema()},
 		child:  child,
 		alts:   alts,
 	}

@@ -48,8 +48,10 @@ func compileNode(t *testing.T, db *engine.DB, n *plan.Node) *engine.Compiled {
 	return c
 }
 
-func lubmDB() *engine.DB {
-	db := engine.NewDB(engine.LayoutSimple)
+func lubmDB() *engine.DB { return lubmDBLayout(engine.LayoutSimple) }
+
+func lubmDBLayout(l engine.Layout) *engine.DB {
+	db := engine.NewDB(l)
 	lubm.Generate(lubm.Config{Universities: 1, Seed: 1}, db)
 	db.Finalize()
 	return db
@@ -157,7 +159,8 @@ func TestWarmRunAllocBound(t *testing.T) {
 
 // TestRerunAllocBound guards a run of a plan that has run before: it
 // re-opens a pooled operator tree and copies the EXPLAIN template, so
-// it allocates little beyond its answers and EXPLAIN. Measured on
+// it allocates little beyond its answers and EXPLAIN. Both plans have
+// arms with existence probes. Measured on
 // go1.24/amd64 it allocates about 0.11 MB for Q3/ucq and 0.35 MB for
 // Q9/ucq. The bounds leave room for a few rebuilds in the loop: a
 // sync.Pool may come up empty after a garbage collection or when the
@@ -173,6 +176,9 @@ func TestRerunAllocBound(t *testing.T) {
 	}{{2, 200 << 10}, {8, 500 << 10}} { // Q3, Q9
 		qi := tc.qi
 		c := compileLUBM(t, db, qi, core.StrategyUCQ)
+		if tree, _ := c.Tree(1); !engine.HasExistenceProbe(tree) {
+			t.Fatalf("Q%d/ucq: no existence probe in its arms", qi+1)
+		}
 		for i := 0; i < 3; i++ { // fill both pools
 			answers(t, c, 1)
 		}
@@ -262,7 +268,9 @@ func allocDuring(t *testing.T, f func()) uint64 {
 }
 
 // TestTableProbesAllocFree: the simple layout's probes are array loads
-// and a sub-slice (a binary search for pairs); none allocates.
+// and a sub-slice (a binary search for pairs); none allocates. Nor does
+// an existence probe's row check, in either direction, on either
+// layout.
 func TestTableProbesAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bounds are measured without the race detector")
@@ -291,6 +299,36 @@ func TestTableProbesAllocFree(t *testing.T) {
 		}
 		if hits == 0 {
 			t.Errorf("%s: probe found nothing", name)
+		}
+	}
+
+	// Existence probes, both directions; a row is (x), the variable
+	// bound before the probe. The RDF database comes from the same
+	// generator and seed, so it has the same ids.
+	for _, ldb := range []*engine.DB{db, lubmDBLayout(engine.LayoutRDF)} {
+		for _, pc := range []struct {
+			q string
+			x int64
+		}{
+			{"q(x) <- Student(x), takesCourse(x, c)", s},
+			{"q(x) <- Course(x), takesCourse(y, x)", o},
+		} {
+			keep, ok := engine.ExistenceCheck(query.MustParseCQ(pc.q), ldb)
+			if !ok {
+				t.Fatalf("%v: %s: takesCourse is not an existence probe", ldb.Layout, pc.q)
+			}
+			row := []int64{pc.x}
+			hits = 0
+			if n := testing.AllocsPerRun(1000, func() {
+				if keep(row) {
+					hits++
+				}
+			}); n != 0 {
+				t.Errorf("%v: %s: %.1f allocations per row", ldb.Layout, pc.q, n)
+			}
+			if hits == 0 {
+				t.Errorf("%v: %s: probe found nothing", ldb.Layout, pc.q)
+			}
 		}
 	}
 }

@@ -37,7 +37,10 @@ const (
 	OpJoin
 	// OpSemiJoin filters its first input by the remaining inputs (the
 	// paper's semijoin reducers f‖g): existential atoms that only
-	// restrict the core, never extend the output.
+	// restrict the core, never extend the output. The native engine
+	// runs a reducer role atom whose shared side is bound as an
+	// existence probe; an existential branch of several atoms stays in
+	// the core and is joined.
 	OpSemiJoin
 	// OpUnion concatenates its inputs (UCQ / USCQ disjuncts).
 	OpUnion
@@ -143,9 +146,14 @@ func FromCQ(q query.CQ) *Node {
 // variable (occurring nowhere else in the body nor in the head), every
 // other variable bound by the remaining core, and a shared variable
 // keeping it connected. Such an atom only restricts core rows — it can
-// never extend the output. The classification is presentation-only —
-// ArmLeaves reads reducers back in Pos order — but it is what lets
-// EXPLAIN show the f‖g shape of safe covers.
+// never extend the output. Consumers read reducers back in Pos order
+// (ArmLeaves), and the classification is what lets EXPLAIN show the
+// f‖g shape of safe covers. What runs is decided per plan step: the
+// native engine checks a reducer role atom whose shared side is bound
+// for a match instead of enumerating its matches (an existence probe,
+// engine/compile.go). An existential branch of several atoms (s in
+// advisedBy(s, x), enrolledIn(s, p)) is no reducer here: it stays in
+// the core and is joined, up to its last atom.
 //
 // Atoms are tried last to first, each against the core as it stands.
 // One pass counts every variable's occurrences in the body; the count
