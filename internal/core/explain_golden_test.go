@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -84,6 +85,39 @@ func readGzip(t *testing.T, path string) []byte {
 	return data
 }
 
+// writeGzip writes data to path, gzipped.
+func writeGzip(t *testing.T, path string, data []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// updateExplainGolden rewrites explainGoldenFile from the current code
+// before comparing against it: go test ./internal/core -run
+// TestExplainGolden -update-explain-golden.
+var updateExplainGolden = flag.Bool("update-explain-golden", false, "rewrite "+explainGoldenFile)
+
+// writeExplainGolden writes the golden file in the format
+// readExplainGolden reads: per case, its name, a tab, its EXPLAIN JSON
+// and a newline.
+func writeExplainGolden(t *testing.T, names []string, explains [][]byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	for i, name := range names {
+		fmt.Fprintf(&buf, "%s\t%s\n", name, explains[i])
+	}
+	writeGzip(t, explainGoldenFile, buf.Bytes())
+}
+
 // readExplainGolden loads the golden file into case name → EXPLAIN JSON.
 func readExplainGolden(t *testing.T) map[string][]byte {
 	t.Helper()
@@ -101,7 +135,13 @@ func readExplainGolden(t *testing.T) map[string][]byte {
 
 // TestExplainGolden: the native backend reproduces, byte for byte, the
 // recorded EXPLAIN of every golden case, at one worker and at four.
+// With -update-explain-golden it first records the one-worker EXPLAINs,
+// then reads the file back and compares as always.
 func TestExplainGolden(t *testing.T) {
+	if *updateExplainGolden {
+		names, explains := explainGoldenCases(t, 1)
+		writeExplainGolden(t, names, explains)
+	}
 	want := readExplainGolden(t)
 	for _, workers := range []int{1, 4} {
 		names, explains := explainGoldenCases(t, workers)
@@ -233,19 +273,13 @@ func TestSQLGolden(t *testing.T) {
 	got := sqlGoldenCases(t)
 	if *updateSQLGolden {
 		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		enc := json.NewEncoder(zw)
+		enc := json.NewEncoder(&buf)
 		for _, c := range got {
 			if err := enc.Encode(c); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(sqlGoldenFile, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeGzip(t, sqlGoldenFile, buf.Bytes())
 		return
 	}
 	want := map[string]sqlGoldenCase{}

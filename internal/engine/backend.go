@@ -1,24 +1,25 @@
 package engine
 
 // The native implementation of plan.Backend: one recursive compiler
-// over the plan IR. A union arm — a Project over its access leaves —
-// is planned under the profile by PlanCQ (or PlanSCQ, when factorized)
-// and built by compileCQ (compileSCQ); a fragment — DISTINCT over the
-// union of its arms, or over its single arm where Rewrite collapsed the
-// union — combines its arms' estimates with the profile's union
-// arithmetic; a cover — DISTINCT over the head projection of a join of
-// fragments — combines its fragments' with coverEstimate and joins them
-// through the streaming hash join. Every node's estimate is frozen at
-// Compile. Building an operator tree records, as it goes, which
-// operator answers for which IR node, so annotating EXPLAIN with the
-// actual row counters is a loop over that record. Operators reset
-// themselves in Open, so a tree outlives its run: Run keeps built trees
-// in a per-Compiled pool and re-opens one instead of building again,
-// as long as it was built for the same worker budget and data version.
-// A parameterized plan (query.Parameterize) compiles once for all its
-// instances: the operators hold parameter references, a run resolves
-// its arguments to dictionary ids once, and Open rebinds a pooled tree
-// to them.
+// over the plan IR. A union arm — a Project over its access leaves,
+// each leaf's atoms one block of alternatives (a single atom unless
+// the arm is factorized) — is planned under the profile by planArm,
+// straight from the leaves, and built by compileArm; a fragment —
+// DISTINCT over the union of its arms, or over its single arm where
+// Rewrite collapsed the union — combines its arms' estimates with the
+// profile's union arithmetic; a cover — DISTINCT over the head
+// projection of a join of fragments — combines its fragments' with
+// coverEstimate and joins them through the streaming hash join. Every
+// node's estimate is frozen at Compile. Building an operator tree
+// records, as it goes, which operator answers for which IR node, so
+// annotating EXPLAIN with the actual row counters is a loop over that
+// record. Operators reset themselves in Open, so a tree outlives its
+// run: Run keeps built trees in a per-Compiled pool and re-opens one
+// instead of building again, as long as it was built for the same
+// worker budget and data version. A parameterized plan
+// (query.Parameterize) compiles once for all its instances: the
+// operators hold parameter references, a run resolves its arguments
+// to dictionary ids once, and Open rebinds a pooled tree to them.
 
 import (
 	"fmt"
@@ -328,7 +329,7 @@ func (c *compiler) fragment(n *plan.Node) (*fragmentPlan, error) {
 	}
 	var sum plan.Estimate
 	for i := range f.arms[:costed] {
-		e := f.arms[i].estimate()
+		e := f.arms[i].est
 		sum.Cost += e.Cost
 		sum.Card += e.Card
 	}
@@ -356,13 +357,12 @@ func (f *fragmentPlan) build(r *run, workers int) Operator {
 }
 
 // armPlan is one union arm — a Project over its body — planned under
-// the profile over the atoms of its access leaves (kept in Pos order).
-// Exactly one of cq and scq is set.
+// the profile over the blocks of its access leaves (kept in Pos order).
 type armPlan struct {
 	n      *plan.Node
 	leaves []*plan.Node
-	cq     *CQPlan
-	scq    *SCQPlan
+	steps  []armStep
+	est    plan.Estimate
 }
 
 func (c *compiler) arm(n *plan.Node, a *armPlan) error {
@@ -371,50 +371,19 @@ func (c *compiler) arm(n *plan.Node, a *armPlan) error {
 		return err
 	}
 	a.n, a.leaves = n, leaves
-	db, prof := c.b.DB, c.b.Profile
-	if n.Factorized {
-		s := query.SCQ{Name: n.Name, Head: n.Head, Blocks: make([][]query.Atom, len(a.leaves))}
-		for i, acc := range a.leaves {
-			s.Blocks[i] = acc.Atoms
-		}
-		p := PlanSCQ(s, db, prof)
-		a.scq = &p
-	} else {
-		q := query.CQ{Name: n.Name, Head: n.Head, Atoms: make([]query.Atom, len(a.leaves))}
-		for i, acc := range a.leaves {
-			q.Atoms[i] = acc.Atoms[0]
-		}
-		p := PlanCQ(q, db, prof)
-		a.cq = &p
-	}
+	a.steps, a.est = planArm(leaves, c.b.DB, c.b.Profile)
 	return nil
-}
-
-func (a *armPlan) estimate() plan.Estimate {
-	if a.cq != nil {
-		return plan.Estimate{Cost: a.cq.EstCost, Card: a.cq.EstCard}
-	}
-	return plan.Estimate{Cost: a.scq.EstCost, Card: a.scq.EstCard}
 }
 
 // build assembles the arm's pipeline: every plan step's operator answers
 // for the access leaf it reads, the last one also for the Join or
-// SemiJoin topping the body, and the projection for the arm. SCQ blocks
-// are not costed one by one, so their estimates stay unknown.
+// SemiJoin topping the body, and the projection for the arm.
 func (a *armPlan) build(r *run) Operator {
-	var proj, body Operator
-	bodyRows := float64(plan.UnknownRows)
-	if a.cq != nil {
-		proj, body = compileCQ(a.cq, r.db, r, a.leaves)
-		bodyRows = a.cq.Steps[len(a.cq.Steps)-1].EstOut
-	} else {
-		proj, body = compileSCQ(a.scq, r.db, r, a.leaves)
-	}
+	proj, body := compileArm(a, r.db, r)
 	if top := a.n.Inputs[0]; top.Op == plan.OpJoin || top.Op == plan.OpSemiJoin {
-		r.bind(top, bodyRows, plan.UnknownRows, body)
+		r.bind(top, a.steps[len(a.steps)-1].estOut, plan.UnknownRows, body)
 	}
-	est := a.estimate()
-	r.bind(a.n, est.Card, est.Cost, proj)
+	r.bind(a.n, a.est.Card, a.est.Cost, proj)
 	return proj
 }
 
@@ -429,7 +398,7 @@ type run struct {
 }
 
 // argRefs returns the arguments operators built on r read; r may be
-// nil (a bare compileCQ), which binds none.
+// nil (an arm compiled outside a run), which binds none.
 func (r *run) argRefs() *boundArgs {
 	if r == nil {
 		return nil

@@ -71,9 +71,9 @@ func TestBackendMatchesPlannedExec(t *testing.T) {
 	}
 	var cost, card float64
 	for _, d := range u.Disjuncts {
-		p := PlanCQ(d, db, prof)
-		cost += p.EstCost
-		card += p.EstCard
+		est := planBlocks(d.Head, cqBlocks(d), db, prof).est
+		cost += est.Cost
+		card += est.Card
 	}
 	if est := exec.Estimate(); est.Cost != cost+card*prof.CDedup || est.Card != card {
 		t.Errorf("estimate = %+v, want cost %.1f card %.1f", est, cost+card*prof.CDedup, card)
@@ -116,52 +116,59 @@ func TestBackendJUCQMatchesPlannedExec(t *testing.T) {
 
 // TestBackendExplainActuals: after a run, the explain tree carries the
 // observed row counters — the root's actual equals the answer count,
-// every access leaf is annotated, and estimates come from the plan.
+// every access leaf is annotated, and estimates come from the plan —
+// for a UCQ and for its factorized lowering, whose access leaves are
+// SCQ blocks.
 func TestBackendExplainActuals(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	prof := ProfilePostgres()
 	b := NewBackend(db, prof)
 	u := backendUCQ(t)
-	exec, err := b.Compile(plan.FromUCQ(u))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := exec.Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := rr.Explain
-	if ex == nil || ex.Root == nil {
-		t.Fatal("no explain")
-	}
-	if ex.Backend != "native" {
-		t.Errorf("backend = %s", ex.Backend)
-	}
-	if ex.Root.ActualRows != int64(len(rr.Tuples)) {
-		t.Errorf("root actual = %d, want %d", ex.Root.ActualRows, len(rr.Tuples))
-	}
-	if ex.Root.EstRows < 0 || ex.EstCost <= 0 {
-		t.Errorf("root estimate missing: est=%.1f cost=%.1f", ex.Root.EstRows, ex.EstCost)
-	}
-	var accesses, annotated int
-	var walk func(*plan.ExplainNode)
-	walk = func(e *plan.ExplainNode) {
-		if e.Op == "access" {
-			accesses++
-			if e.ActualRows >= 0 {
-				annotated++
+	for name, n := range map[string]*plan.Node{
+		"ucq":  plan.FromUCQ(u),
+		"uscq": plan.FromUSCQ(query.FactorizeUCQ(u)),
+	} {
+		exec, err := b.Compile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := exec.Run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := rr.Explain
+		if ex == nil || ex.Root == nil {
+			t.Fatalf("%s: no explain", name)
+		}
+		if ex.Backend != "native" {
+			t.Errorf("%s: backend = %s", name, ex.Backend)
+		}
+		if ex.Root.ActualRows != int64(len(rr.Tuples)) {
+			t.Errorf("%s: root actual = %d, want %d", name, ex.Root.ActualRows, len(rr.Tuples))
+		}
+		if ex.Root.EstRows < 0 || ex.EstCost <= 0 {
+			t.Errorf("%s: root estimate missing: est=%.1f cost=%.1f", name, ex.Root.EstRows, ex.EstCost)
+		}
+		var accesses, annotated int
+		var walk func(*plan.ExplainNode)
+		walk = func(e *plan.ExplainNode) {
+			if e.Op == "access" {
+				accesses++
+				if e.ActualRows >= 0 {
+					annotated++
+				}
+				if e.EstRows < 0 {
+					t.Errorf("%s: access %q has no estimate", name, e.Detail)
+				}
 			}
-			if e.EstRows < 0 {
-				t.Errorf("access %q has no estimate", e.Detail)
+			for _, c := range e.Children {
+				walk(c)
 			}
 		}
-		for _, c := range e.Children {
-			walk(c)
+		walk(ex.Root)
+		if accesses == 0 || annotated != accesses {
+			t.Errorf("%s: %d/%d access nodes annotated with actuals", name, annotated, accesses)
 		}
-	}
-	walk(ex.Root)
-	if accesses == 0 || annotated != accesses {
-		t.Errorf("%d/%d access nodes annotated with actuals", annotated, accesses)
 	}
 }
 

@@ -1,14 +1,18 @@
 package engine
 
-// Compilation of planned queries into streaming operator trees
-// (operator.go). The pipeline row layout of one CQ/SCQ is the set of
-// its variables in order of first use along the plan; each plan step
-// becomes a scan (first unbound atom), a filter (fully bound atom or
-// existence probe), or an index-nested-loop join. An existence probe is
-// a role atom with one side bound and, on the other, a variable that no
-// later step and not the head reads: the paper's semijoin reducer, run
-// as "has the bound side a neighbour?" — one row out per input row that
-// has a match, instead of one per match.
+// Compilation of planned union arms into streaming operator trees
+// (operator.go). An arm's body is a conjunction of blocks, each the
+// atoms of one access leaf: one atom, unless the arm is factorized, so
+// a CQ is the SCQ of one-atom blocks and one compiler serves both. The
+// pipeline row layout of an arm is the set of its variables in order of
+// first use along the plan; each plan step becomes a scan (first
+// unbound one-atom block), a filter (every alternative fully bound or
+// an existence probe), or an index-nested-loop join whose alternatives'
+// matches are unioned per input row. An existence probe is a role atom
+// with one side bound and, on the other, a variable that no later step
+// and not the head reads: the paper's semijoin reducer, run as "has the
+// bound side a neighbour?" — one row out per input row that has a
+// match, instead of one per match.
 
 import (
 	"sort"
@@ -17,17 +21,19 @@ import (
 	"repro/internal/query"
 )
 
-// pipelineLayout assigns every variable of the atom sequence a column,
-// in order of first use.
-func pipelineLayout(atomSeq [][]query.Term) (map[string]int, []string) {
+// pipelineLayout assigns every variable of the arm's blocks a column,
+// in order of first use along the plan's steps.
+func pipelineLayout(leaves []*plan.Node, steps []armStep) (map[string]int, []string) {
 	colOf := map[string]int{}
 	var cols []string
-	for _, args := range atomSeq {
-		for _, t := range args {
-			if t.IsVar() {
-				if _, ok := colOf[t.Name]; !ok {
-					colOf[t.Name] = len(cols)
-					cols = append(cols, t.Name)
+	for _, s := range steps {
+		for _, a := range leaves[s.leaf].Atoms {
+			for _, t := range a.Args {
+				if t.IsVar() {
+					if _, ok := colOf[t.Name]; !ok {
+						colOf[t.Name] = len(cols)
+						cols = append(cols, t.Name)
+					}
 				}
 			}
 		}
@@ -169,85 +175,45 @@ func compileProject(cur Operator, head []query.Term, colOf map[string]int, db *D
 	return p
 }
 
-// compileCQ builds the streaming operator tree of a planned CQ —
+// compileArm builds the streaming operator tree of a planned arm —
 // source → (filter|join)* → project, duplicates preserved — and returns
-// the body pipeline under the projection too. It records on r (when
-// non-nil) each plan step's operator against the access leaf it reads,
-// leaves indexed like p.Q.Atoms.
-func compileCQ(p *CQPlan, db *DB, r *run, leaves []*plan.Node) (proj, body Operator) {
-	q := p.Q
-	seq := make([][]query.Term, len(p.Steps))
-	for i, s := range p.Steps {
-		seq[i] = q.Atoms[s.Atom].Args
-	}
-	colOf, cols := pipelineLayout(seq)
+// the body pipeline under the projection too. Each step's block becomes
+// one join whose alternatives are the block's atoms (their matches are
+// unioned per input row), or one filter when every alternative is fully
+// bound or an existence probe, passing a row when any alternative
+// matches it. It records on r (when non-nil) each step's operator and
+// estimates against the access leaf it reads.
+func compileArm(a *armPlan, db *DB, r *run) (proj, body Operator) {
+	head := a.n.Head
+	colOf, cols := pipelineLayout(a.leaves, a.steps)
 	last := make([]int, len(cols))
-	for i, args := range seq {
-		noteReads(last, colOf, i, args)
+	for k, s := range a.steps {
+		for _, at := range a.leaves[s.leaf].Atoms {
+			noteReads(last, colOf, k, at.Args)
+		}
 	}
-	noteReads(last, colOf, len(seq), q.Head)
+	noteReads(last, colOf, len(a.steps), head)
 	bound := make([]bool, len(cols))
 	var cur Operator
-	for i, s := range p.Steps {
-		a := q.Atoms[s.Atom]
-		j := newAtomJoin(a, colOf, bound, db, r.argRefs())
-		j.markExistential(last, i)
-		cur = compileStep(cur, cols, []*atomJoin{j})
-		markBound(a, colOf, bound)
-		if r != nil {
-			r.bind(leaves[s.Atom], s.EstOut, s.EstCost, cur)
-		}
-	}
-	if cur == nil {
-		cur = newSingleton(cols)
-	}
-	return compileProject(cur, q.Head, colOf, db, r.argRefs()), cur
-}
-
-// compileSCQ is compileCQ for SCQ plans: each block becomes one join
-// whose alternatives are the block's atoms (their matches are unioned
-// per input row — the factorized evaluation), or one filter when every
-// alternative is fully bound or an existence probe, passing a row when
-// any alternative matches it. Leaves are indexed like
-// the blocks, and their estimates are unknown — the planner costs whole
-// block orders, not steps.
-func compileSCQ(p *SCQPlan, db *DB, r *run, leaves []*plan.Node) (proj, body Operator) {
-	s := p.S
-	var seq [][]query.Term
-	for _, block := range s.Blocks {
-		for _, a := range block {
-			seq = append(seq, a.Args)
-		}
-	}
-	colOf, cols := pipelineLayout(seq)
-	last := make([]int, len(cols))
-	for k, bi := range p.Order {
-		for _, a := range s.Blocks[bi] {
-			noteReads(last, colOf, k, a.Args)
-		}
-	}
-	noteReads(last, colOf, len(p.Order), s.Head)
-	bound := make([]bool, len(cols))
-	var cur Operator
-	for k, bi := range p.Order {
-		block := s.Blocks[bi]
+	for k, s := range a.steps {
+		block := a.leaves[s.leaf].Atoms
 		alts := make([]*atomJoin, len(block))
-		for i, a := range block {
-			alts[i] = newAtomJoin(a, colOf, bound, db, r.argRefs())
+		for i, at := range block {
+			alts[i] = newAtomJoin(at, colOf, bound, db, r.argRefs())
 			alts[i].markExistential(last, k)
 		}
 		cur = compileStep(cur, cols, alts)
-		for _, a := range block {
-			markBound(a, colOf, bound)
+		for _, at := range block {
+			markBound(at, colOf, bound)
 		}
 		if r != nil {
-			r.bind(leaves[bi], plan.UnknownRows, plan.UnknownRows, cur)
+			r.bind(a.leaves[s.leaf], s.estOut, s.estCost, cur)
 		}
 	}
 	if cur == nil {
 		cur = newSingleton(cols)
 	}
-	return compileProject(cur, s.Head, colOf, db, r.argRefs()), cur
+	return compileProject(cur, head, colOf, db, r.argRefs()), cur
 }
 
 // compileProjectNamed projects a pipeline whose schema already names

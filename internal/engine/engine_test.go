@@ -393,18 +393,18 @@ func TestPlanChoosesIndexAccess(t *testing.T) {
 	sb.WriteString("A(s3)\n")
 	db := loadDB(t, LayoutSimple, sb.String())
 	q := query.MustParseCQ("q(y) <- A(x), R(x, y)")
-	p := PlanCQ(q, db, ProfilePostgres())
-	if len(p.Steps) != 2 {
-		t.Fatalf("steps = %d", len(p.Steps))
+	a := planBlocks(q.Head, cqBlocks(q), db, ProfilePostgres())
+	if len(a.steps) != 2 {
+		t.Fatalf("steps = %d", len(a.steps))
 	}
-	if p.Q.Atoms[p.Steps[0].Atom].Pred != "A" {
-		t.Errorf("planner should start from the small concept table, got %v", p)
+	if a.leaves[a.steps[0].leaf].Atoms[0].Pred != "A" {
+		t.Errorf("planner should start from the small concept table, got %+v", a.steps)
 	}
-	if p.Steps[1].Access != AccessRoleFwd {
-		t.Errorf("second step should be index-fwd, got %v", p.Steps[1].Access)
+	op, body := compileArm(a, db, nil)
+	if !expandsForward(body, "R") {
+		t.Errorf("second step should expand the bound subject through the forward index:\n%s", ExplainPipeline(op))
 	}
 	// Executing matches expectation.
-	op, _ := compileCQ(&p, db, nil, nil)
 	rel := Drain(op)
 	if got := relToSet(rel, db.Dict); len(got) != 1 {
 		t.Fatalf("distinct rows = %d", len(got))
@@ -414,10 +414,6 @@ func TestPlanChoosesIndexAccess(t *testing.T) {
 func TestExplainStrings(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	q := query.MustParseCQ("q(x) <- PhDStudent(x), supervisedBy(x, y)")
-	p := PlanCQ(q, db, ProfilePostgres())
-	if !strings.Contains(p.String(), "est cost") {
-		t.Error("CQ explain should mention cost")
-	}
 	j := query.JUCQ{Name: "q", Head: q.Head, Subs: []query.UCQ{
 		{Disjuncts: []query.CQ{query.MustParseCQ("f1(x) <- PhDStudent(x)")}},
 		{Disjuncts: []query.CQ{query.MustParseCQ("f2(x) <- supervisedBy(x, y)")}},
@@ -442,10 +438,10 @@ func TestRDFLayoutCostsMore(t *testing.T) {
 	simple.LoadABox(ab)
 	rdf := NewDB(LayoutRDF)
 	rdf.LoadABox(ab)
-	pS := PlanCQ(q, simple, ProfileDB2())
-	pR := PlanCQ(q, rdf, ProfileDB2())
-	if pR.EstCost <= pS.EstCost {
-		t.Errorf("RDF layout must be estimated costlier: %.1f vs %.1f", pR.EstCost, pS.EstCost)
+	pS := planBlocks(q.Head, cqBlocks(q), simple, ProfileDB2())
+	pR := planBlocks(q.Head, cqBlocks(q), rdf, ProfileDB2())
+	if pR.est.Cost <= pS.est.Cost {
+		t.Errorf("RDF layout must be estimated costlier: %.1f vs %.1f", pR.est.Cost, pS.est.Cost)
 	}
 	// Same answers on both layouts.
 	a1 := EvaluateCQ(q, simple, ProfileDB2())

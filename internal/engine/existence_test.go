@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -30,26 +29,12 @@ knows(b, b)
 knows(a, b)
 `
 
-// bodyOrderCQ compiles q with its atoms as the plan steps, in body
-// order, so each case fixes which side of an atom is bound.
-func bodyOrderCQ(q query.CQ, db *DB, r *run) Operator {
-	steps := make([]PlanStep, len(q.Atoms))
-	for i := range steps {
-		steps[i].Atom = i
-	}
-	op, _ := compileCQ(&CQPlan{Q: q, Steps: steps}, db, r, make([]*plan.Node, len(steps)))
-	return op
-}
-
-// bodyOrderSCQ compiles q as an SCQ of one-atom blocks, in body order.
-func bodyOrderSCQ(q query.CQ, db *DB, r *run) Operator {
-	s := query.SCQ{Name: q.Name, Head: q.Head}
-	order := make([]int, len(q.Atoms))
-	for i, a := range q.Atoms {
-		s.Blocks = append(s.Blocks, []query.Atom{a})
-		order[i] = i
-	}
-	op, _ := compileSCQ(&SCQPlan{S: s, Order: order}, db, r, make([]*plan.Node, len(order)))
+// bodyOrder compiles the arm of head over blocks with its blocks as
+// the plan steps, in body order, so each case fixes which side of an
+// atom is bound.
+func bodyOrder(head []query.Term, blocks [][]query.Atom, db *DB, r *run) Operator {
+	a := planBlocks(head, blocks, db, ProfilePostgres()).inBodyOrder()
+	op, _ := compileArm(a, db, r)
 	return op
 }
 
@@ -66,8 +51,8 @@ func hasOp(op Operator, name string) bool {
 // TestExistenceProbes: a role atom with one bound side whose other side
 // is a variable nothing later reads passes each input row once if it
 // has a match (a filter); every other atom keeps enumerating its
-// matches (a join or a scan), duplicates and all. Both layouts, as a
-// CQ and as an SCQ of one-atom blocks.
+// matches (a join or a scan), duplicates and all. Both layouts; a CQ
+// is the SCQ of one-atom blocks, so one form covers both.
 func TestExistenceProbes(t *testing.T) {
 	for _, tc := range []struct {
 		name, q string
@@ -89,16 +74,12 @@ func TestExistenceProbes(t *testing.T) {
 		q := query.MustParseCQ(tc.q)
 		for _, layout := range []Layout{LayoutSimple, LayoutRDF} {
 			db := loadDB(t, layout, existenceABox)
-			for form, op := range map[string]Operator{
-				"cq":  bodyOrderCQ(q, db, nil),
-				"scq": bodyOrderSCQ(q, db, nil),
-			} {
-				if got := len(Drain(op).Rows); got != tc.want {
-					t.Errorf("%s (%v, %s): %d rows, want %d", tc.name, layout, form, got, tc.want)
-				}
-				if !hasOp(op, tc.op) {
-					t.Errorf("%s (%v, %s): no %s in\n%s", tc.name, layout, form, tc.op, ExplainPipeline(op))
-				}
+			op := bodyOrder(q.Head, cqBlocks(q), db, nil)
+			if got := len(Drain(op).Rows); got != tc.want {
+				t.Errorf("%s (%v): %d rows, want %d", tc.name, layout, got, tc.want)
+			}
+			if !hasOp(op, tc.op) {
+				t.Errorf("%s (%v): no %s in\n%s", tc.name, layout, tc.op, ExplainPipeline(op))
 			}
 		}
 	}
@@ -120,7 +101,7 @@ func TestExistenceProbeBlocks(t *testing.T) {
 	}
 	for _, layout := range []Layout{LayoutSimple, LayoutRDF} {
 		db := loadDB(t, layout, existenceABox)
-		op, _ := compileSCQ(&SCQPlan{S: s, Order: []int{0, 1}}, db, nil, nil)
+		op := bodyOrder(s.Head, s.Blocks, db, nil)
 		rel := Drain(op)
 		var got []string
 		for _, row := range rel.Rows {
@@ -148,20 +129,18 @@ func TestExistenceProbeParameter(t *testing.T) {
 	}
 	for _, layout := range []Layout{LayoutSimple, LayoutRDF} {
 		db := loadDB(t, layout, existenceABox)
-		for form, build := range map[string]func(query.CQ, *DB, *run) Operator{"cq": bodyOrderCQ, "scq": bodyOrderSCQ} {
-			r := &run{db: db, args: &boundArgs{ids: make([]int64, 1), found: make([]bool, 1)}}
-			op := build(q, db, r)
-			if !hasOp(op, "filter(degreeFrom)") {
-				t.Fatalf("%v, %s: the parameter probe is not a filter:\n%s", layout, form, ExplainPipeline(op))
-			}
-			for _, run := range []struct {
-				arg  string
-				want int
-			}{{"u1", 4}, {"u3", 0}, {"nobody", 0}, {"u2", 4}} {
-				r.args.resolve(db.Dict, []string{run.arg})
-				if got := len(Drain(op).Rows); got != run.want {
-					t.Errorf("%v, %s, ?0=%s: %d rows, want %d", layout, form, run.arg, got, run.want)
-				}
+		r := &run{db: db, args: &boundArgs{ids: make([]int64, 1), found: make([]bool, 1)}}
+		op := bodyOrder(q.Head, cqBlocks(q), db, r)
+		if !hasOp(op, "filter(degreeFrom)") {
+			t.Fatalf("%v: the parameter probe is not a filter:\n%s", layout, ExplainPipeline(op))
+		}
+		for _, run := range []struct {
+			arg  string
+			want int
+		}{{"u1", 4}, {"u3", 0}, {"nobody", 0}, {"u2", 4}} {
+			r.args.resolve(db.Dict, []string{run.arg})
+			if got := len(Drain(op).Rows); got != run.want {
+				t.Errorf("%v, ?0=%s: %d rows, want %d", layout, run.arg, got, run.want)
 			}
 		}
 	}

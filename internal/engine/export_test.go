@@ -1,8 +1,42 @@
 package engine
 
-// Test-only hooks for the external test package.
+// Test-only hooks: the planner and compiler for the package's own
+// tests, and row checks for the external test package.
 
-import "repro/internal/query"
+import (
+	"repro/internal/plan"
+	"repro/internal/query"
+)
+
+// planBlocks plans, as the compiler plans an arm of the plan IR, the
+// arm projecting head whose body is blocks, each one access leaf in
+// body order.
+func planBlocks(head []query.Term, blocks [][]query.Atom, db *DB, prof *Profile) *armPlan {
+	a := &armPlan{n: &plan.Node{Op: plan.OpProject, Head: head}, leaves: make([]*plan.Node, len(blocks))}
+	for i, b := range blocks {
+		a.leaves[i] = &plan.Node{Op: plan.OpAccess, Atoms: b, Pos: i}
+	}
+	a.steps, a.est = planArm(a.leaves, db, prof)
+	return a
+}
+
+// cqBlocks returns q's body as one-atom blocks.
+func cqBlocks(q query.CQ) [][]query.Atom {
+	blocks := make([][]query.Atom, len(q.Atoms))
+	for i := range q.Atoms {
+		blocks[i] = q.Atoms[i : i+1]
+	}
+	return blocks
+}
+
+// inBodyOrder sets a's steps to its blocks in body order, so a test
+// fixes which side of each atom is bound.
+func (a *armPlan) inBodyOrder() *armPlan {
+	for i := range a.steps {
+		a.steps[i].leaf = i
+	}
+	return a
+}
 
 // HasExistenceProbe reports whether a filter of the tree checks an
 // existence probe.
@@ -27,14 +61,22 @@ func HasExistenceProbe(op Operator) bool {
 // unless that atom is an existence probe. Rows are laid out with q's
 // variables in order of first use.
 func ExistenceCheck(q query.CQ, db *DB) (keep func(row []int64) bool, ok bool) {
-	steps := make([]PlanStep, len(q.Atoms))
-	for i := range steps {
-		steps[i].Atom = i
-	}
-	_, body := compileCQ(&CQPlan{Q: q, Steps: steps}, db, nil, nil)
+	_, body := compileArm(planBlocks(q.Head, cqBlocks(q), db, ProfilePostgres()).inBodyOrder(), db, nil)
 	f, isFilter := body.(*filterOp)
 	if !isFilter || len(f.alts) != 1 || !f.alts[0].exists {
 		return nil, false
 	}
 	return f.alts[0].keep, true
+}
+
+// expandsForward reports whether op is a join of one atom over pred
+// that reads its subject from the row and enumerates the objects the
+// forward index holds for it.
+func expandsForward(op Operator, pred string) bool {
+	j, ok := op.(*joinOp)
+	if !ok || len(j.alts) != 1 {
+		return false
+	}
+	a := j.alts[0]
+	return a.pred == pred && a.arity == 2 && a.s.bound && !a.o.isBound()
 }

@@ -3,7 +3,7 @@ package engine
 // The materialize-everything CQ executor, kept as the bag reference for
 // tests that check what a set-valued oracle cannot: duplicate counts and
 // row order. It builds every intermediate as [][]int64 along the
-// production join order (PlanCQ), and, like the pipeline, checks an
+// production join order (planArm's), and, like the pipeline, checks an
 // atom for a match instead of enumerating its matches when the variable
 // it would bind is read by no later atom and not by the head.
 // Set-valued comparisons use internal/naive instead.
@@ -14,12 +14,12 @@ import "repro/internal/query"
 // materializing every intermediate, returning rows projected on the CQ
 // head (duplicates preserved).
 func ExecCQMaterialized(q query.CQ, db *DB, prof *Profile) *Relation {
-	p := PlanCQ(q, db, prof)
+	steps := planBlocks(q.Head, cqBlocks(q), db, prof).steps
 	// Column layout: variables in order of first use across the plan.
 	colOf := map[string]int{}
 	var cols []string
-	for _, s := range p.Steps {
-		for _, t := range q.Atoms[s.Atom].Args {
+	for _, s := range steps {
+		for _, t := range q.Atoms[s.leaf].Args {
 			if t.IsVar() {
 				if _, ok := colOf[t.Name]; !ok {
 					colOf[t.Name] = len(cols)
@@ -30,7 +30,7 @@ func ExecCQMaterialized(q query.CQ, db *DB, prof *Profile) *Relation {
 	}
 	rows := [][]int64{make([]int64, len(cols))}
 	boundMask := make([]bool, len(cols))
-	for i, s := range p.Steps {
+	for i, s := range steps {
 		// readLater: the variables the head or a later step reads.
 		readLater := map[string]bool{}
 		for _, h := range q.Head {
@@ -38,15 +38,15 @@ func ExecCQMaterialized(q query.CQ, db *DB, prof *Profile) *Relation {
 				readLater[h.Name] = true
 			}
 		}
-		for _, later := range p.Steps[i+1:] {
-			for _, t := range q.Atoms[later.Atom].Args {
+		for _, later := range steps[i+1:] {
+			for _, t := range q.Atoms[later.leaf].Args {
 				if t.IsVar() {
 					readLater[t.Name] = true
 				}
 			}
 		}
-		rows = execStep(q.Atoms[s.Atom], rows, colOf, boundMask, readLater, db)
-		for _, t := range q.Atoms[s.Atom].Args {
+		rows = execStep(q.Atoms[s.leaf], rows, colOf, boundMask, readLater, db)
+		for _, t := range q.Atoms[s.leaf].Args {
 			if t.IsVar() {
 				boundMask[colOf[t.Name]] = true
 			}

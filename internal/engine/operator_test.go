@@ -63,8 +63,12 @@ func TestRowSetExactness(t *testing.T) {
 // cqTree plans q under the Postgres profile and compiles its streaming
 // tree; duplicates are preserved.
 func cqTree(q query.CQ, db *DB) Operator {
-	p := PlanCQ(q, db, ProfilePostgres())
-	op, _ := compileCQ(&p, db, nil, nil)
+	return scqTree(q.Head, cqBlocks(q), db)
+}
+
+// scqTree is cqTree for a body of blocks.
+func scqTree(head []query.Term, blocks [][]query.Atom, db *DB) Operator {
+	op, _ := compileArm(planBlocks(head, blocks, db, ProfilePostgres()), db, nil)
 	return op
 }
 
@@ -153,8 +157,7 @@ func TestPipelineCrossesBatchBoundaries(t *testing.T) {
 func TestPipelineStatsAndExplain(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	q := query.MustParseCQ("q(x) <- PhDStudent(x), supervisedBy(x, y), Researcher(y)")
-	p := PlanCQ(q, db, ProfilePostgres())
-	op, _ := compileCQ(&p, db, nil, nil)
+	op := cqTree(q, db)
 	rel := Drain(op)
 	if len(rel.Rows) != 2 { // Damian × two supervisors
 		t.Fatalf("rows = %d", len(rel.Rows))
@@ -267,9 +270,7 @@ func TestPropPipelineSCQMatchesNaiveExpansion(t *testing.T) {
 		}
 		db := NewDB(LayoutSimple)
 		db.LoadABox(ab)
-		p := PlanSCQ(s, db, ProfilePostgres())
-		op, _ := compileSCQ(&p, db, nil, nil)
-		got := Drain(op)
+		got := Drain(scqTree(s.Head, s.Blocks, db))
 		return sameSets(relToSet(got, db.Dict), naiveToSet(naive.EvalSCQ(s, ab)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -427,11 +428,15 @@ func TestJoinRunsCrossBatchBoundaries(t *testing.T) {
 			{query.ConceptAtom("A", x), query.ConceptAtom("B", x)},
 		},
 	}
-	p := PlanSCQ(s, db, ProfilePostgres())
-	if !slices.Equal(p.Order, []int{0, 2, 1}) {
-		t.Fatalf("scq: block order %v, want the keep block before the expansion", p.Order)
+	a := planBlocks(s.Head, s.Blocks, db, ProfilePostgres())
+	var order []int
+	for _, st := range a.steps {
+		order = append(order, st.leaf)
 	}
-	op, _ := compileSCQ(&p, db, nil, nil)
+	if !slices.Equal(order, []int{0, 2, 1}) {
+		t.Fatalf("scq: block order %v, want the keep block before the expansion", order)
+	}
+	op, _ := compileArm(a, db, nil)
 	got := checkJoin("scq", op, big+(7+7)+1100)
 	var want [][]int64
 	for _, xid := range db.ConceptMembers("A") {

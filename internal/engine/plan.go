@@ -1,124 +1,69 @@
 package engine
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/plan"
 	"repro/internal/query"
 )
 
-// StepAccess identifies the physical access path of a plan step.
-type StepAccess int
-
-const (
-	// AccessConceptScan reads a whole concept table.
-	AccessConceptScan StepAccess = iota
-	// AccessConceptProbe checks membership of a bound term.
-	AccessConceptProbe
-	// AccessRoleScan reads a whole role table.
-	AccessRoleScan
-	// AccessRoleFwd expands a bound subject through the forward index.
-	AccessRoleFwd
-	// AccessRoleRev expands a bound object through the reverse index.
-	AccessRoleRev
-	// AccessRoleProbe checks a fully bound pair.
-	AccessRoleProbe
-)
-
-func (a StepAccess) String() string {
-	switch a {
-	case AccessConceptScan:
-		return "concept-scan"
-	case AccessConceptProbe:
-		return "concept-probe"
-	case AccessRoleScan:
-		return "role-scan"
-	case AccessRoleFwd:
-		return "index-fwd"
-	case AccessRoleRev:
-		return "index-rev"
-	default:
-		return "pair-probe"
-	}
+// armStep is one pipelined step of an arm's plan: join the rows
+// produced so far with the block of alternative atoms of one access
+// leaf, the leaf indexed like the arm's leaves.
+type armStep struct {
+	leaf    int
+	estOut  float64
+	estCost float64
 }
 
-// PlanStep is one pipelined step of a CQ plan: join the rows produced
-// so far with one atom, through a chosen access path.
-type PlanStep struct {
-	Atom    int
-	Access  StepAccess
-	EstIn   float64
-	EstOut  float64
-	EstCost float64
-}
-
-// CQPlan is a left-deep pipelined plan for one conjunctive query.
-type CQPlan struct {
-	Q       query.CQ
-	Steps   []PlanStep
-	EstCard float64
-	EstCost float64
-}
-
-// String renders the plan EXPLAIN-style.
-func (p CQPlan) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "CQ %s (est cost %.1f, est rows %.1f)\n", p.Q.Name, p.EstCost, p.EstCard)
-	for _, s := range p.Steps {
-		fmt.Fprintf(&b, "  %-14s %-40s rows≈%-10.1f cost≈%.1f\n",
-			s.Access, p.Q.Atoms[s.Atom].String(), s.EstOut, s.EstCost)
-	}
-	return b.String()
-}
-
-// PlanCQ builds a plan for q with a greedy join-order heuristic:
-// repeatedly pick the remaining atom with the smallest estimated output
-// cardinality given the variables bound so far (index access preferred
-// automatically, since bound-variable expansions estimate far below
-// cross products).
-func PlanCQ(q query.CQ, db *DB, prof *Profile) CQPlan {
+// planArm orders an arm's blocks — each access leaf's atoms, whose
+// matches one step unions per input row (the factorized evaluation that
+// makes USCQs cheaper than expanded UCQs [33]) — greedily: repeatedly
+// the remaining block with the smallest estimated output given the
+// variables bound so far, a tie going to the cheaper step. A block's
+// estimate is the sum over its alternatives; a CQ arm's blocks have one
+// atom each. Index access wins by itself, since bound-variable
+// expansions estimate far below cross products.
+func planArm(leaves []*plan.Node, db *DB, prof *Profile) ([]armStep, plan.Estimate) {
 	st := db.Stats()
-	n := len(q.Atoms)
-	used := make([]bool, n)
+	used := make([]bool, len(leaves))
 	bound := map[string]bool{}
-	plan := CQPlan{Q: q}
-	card := 1.0
-	cost := 0.0
-	for picked := 0; picked < n; picked++ {
-		bestIdx := -1
-		var best PlanStep
-		for i := 0; i < n; i++ {
+	steps := make([]armStep, 0, len(leaves))
+	card, cost := 1.0, 0.0
+	for range leaves {
+		best := armStep{leaf: -1}
+		for i, acc := range leaves {
 			if used[i] {
 				continue
 			}
-			step := estimateStep(q.Atoms[i], bound, card, st, prof, db.Layout)
-			step.Atom = i
-			if bestIdx < 0 || step.EstOut < best.EstOut ||
-				(step.EstOut == best.EstOut && step.EstCost < best.EstCost) {
-				bestIdx = i
-				best = step
+			s := armStep{leaf: i}
+			for _, a := range acc.Atoms {
+				out, c := estimateStep(a, bound, card, st, prof, db.Layout)
+				s.estOut += out
+				s.estCost += c
+			}
+			if best.leaf < 0 || s.estOut < best.estOut ||
+				(s.estOut == best.estOut && s.estCost < best.estCost) {
+				best = s
 			}
 		}
-		used[bestIdx] = true
-		for _, t := range q.Atoms[bestIdx].Args {
-			if t.IsVar() {
-				bound[t.Name] = true
+		used[best.leaf] = true
+		for _, a := range leaves[best.leaf].Atoms {
+			for _, t := range a.Args {
+				if t.IsVar() {
+					bound[t.Name] = true
+				}
 			}
 		}
-		plan.Steps = append(plan.Steps, best)
-		card = best.EstOut
-		cost += best.EstCost
+		steps = append(steps, best)
+		card = best.estOut
+		cost += best.estCost
 	}
-	plan.EstCard = card
-	plan.EstCost = cost
-	return plan
+	return steps, plan.Estimate{Cost: cost, Card: card}
 }
 
-// estimateStep estimates joining the current intermediate result (est.
-// cardinality in) with one atom, choosing the access path from which
-// arguments are bound.
-func estimateStep(a query.Atom, bound map[string]bool, in float64, st *Statistics, prof *Profile, layout Layout) PlanStep {
+// estimateStep estimates the output and cost of joining the current
+// intermediate result (est. cardinality in) with one atom, through the
+// access path its bound arguments allow.
+func estimateStep(a query.Atom, bound map[string]bool, in float64, st *Statistics, prof *Profile, layout Layout) (out, cost float64) {
 	isBound := func(t query.Term) bool { return t.Const || bound[t.Name] }
 	layoutF := 1.0
 	if layout == LayoutRDF {
@@ -128,21 +73,14 @@ func estimateStep(a query.Atom, bound map[string]bool, in float64, st *Statistic
 	if ent < 1 {
 		ent = 1
 	}
-	var step PlanStep
-	step.EstIn = in
 	if a.Arity() == 1 {
 		cardA := float64(st.CardConcept(a.Pred))
-		if isBound(a.Args[0]) {
-			step.Access = AccessConceptProbe
-			sel := cardA / ent
-			step.EstOut = in * sel
-			step.EstCost = in*prof.CProbe*layoutF + step.EstOut*prof.CEmit
-		} else {
-			step.Access = AccessConceptScan
-			step.EstOut = in * cardA
-			step.EstCost = in*cardA*prof.CScanTuple*layoutF + step.EstOut*prof.CEmit
+		if isBound(a.Args[0]) { // membership probe
+			out = in * (cardA / ent)
+			return out, in*prof.CProbe*layoutF + out*prof.CEmit
 		}
-		return step
+		out = in * cardA // concept scan
+		return out, in*cardA*prof.CScanTuple*layoutF + out*prof.CEmit
 	}
 	cardR := float64(st.CardRole(a.Pred))
 	dS := float64(st.RoleDistS[a.Pred])
@@ -156,27 +94,18 @@ func estimateStep(a query.Atom, bound map[string]bool, in float64, st *Statistic
 	sBound, oBound := isBound(a.Args[0]), isBound(a.Args[1])
 	sameVar := a.Args[0].IsVar() && a.Args[1].IsVar() && a.Args[0].Name == a.Args[1].Name
 	switch {
-	case sBound && (oBound || sameVar):
-		step.Access = AccessRoleProbe
+	case sBound && (oBound || sameVar): // pair probe
 		sel := cardR / (dS * dO)
 		if sel > 1 {
 			sel = 1
 		}
-		step.EstOut = in * sel
-		step.EstCost = in*prof.CProbe*layoutF + step.EstOut*prof.CEmit
-	case sBound:
-		step.Access = AccessRoleFwd
-		fan := cardR / dS
-		step.EstOut = in * fan
-		step.EstCost = in*prof.CProbe*layoutF + step.EstOut*prof.CEmit
-	case oBound:
-		step.Access = AccessRoleRev
-		fan := cardR / dO
-		step.EstOut = in * fan
-		step.EstCost = in*prof.CProbe*layoutF + step.EstOut*prof.CEmit
-	default:
-		step.Access = AccessRoleScan
-		out := in * cardR
+		out = in * sel
+	case sBound: // forward index
+		out = in * (cardR / dS)
+	case oBound: // reverse index
+		out = in * (cardR / dO)
+	default: // role scan
+		out = in * cardR
 		if sameVar {
 			// diagonal: R(x,x) keeps ~card/max(dS,dO) tuples
 			d := dS
@@ -185,63 +114,9 @@ func estimateStep(a query.Atom, bound map[string]bool, in float64, st *Statistic
 			}
 			out = in * cardR / d
 		}
-		step.EstOut = out
-		step.EstCost = in*cardR*prof.CScanTuple*layoutF + step.EstOut*prof.CEmit
+		return out, in*cardR*prof.CScanTuple*layoutF + out*prof.CEmit
 	}
-	return step
-}
-
-// SCQPlan orders the blocks of a semi-conjunctive query. Each step
-// unions the alternative atoms of one block — the factorized evaluation
-// that makes USCQs cheaper than expanded UCQs [33].
-type SCQPlan struct {
-	S       query.SCQ
-	Order   []int
-	EstCard float64
-	EstCost float64
-}
-
-// PlanSCQ greedily orders blocks by estimated output cardinality, with
-// a block's estimate being the sum over its alternative atoms.
-func PlanSCQ(s query.SCQ, db *DB, prof *Profile) SCQPlan {
-	st := db.Stats()
-	n := len(s.Blocks)
-	used := make([]bool, n)
-	bound := map[string]bool{}
-	plan := SCQPlan{S: s}
-	card, cost := 1.0, 0.0
-	for picked := 0; picked < n; picked++ {
-		best := -1
-		var bestOut, bestCost float64
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			var outSum, costSum float64
-			for _, a := range s.Blocks[i] {
-				step := estimateStep(a, bound, card, st, prof, db.Layout)
-				outSum += step.EstOut
-				costSum += step.EstCost
-			}
-			if best < 0 || outSum < bestOut {
-				best, bestOut, bestCost = i, outSum, costSum
-			}
-		}
-		used[best] = true
-		for _, a := range s.Blocks[best] {
-			for _, t := range a.Args {
-				if t.IsVar() {
-					bound[t.Name] = true
-				}
-			}
-		}
-		plan.Order = append(plan.Order, best)
-		card = bestOut
-		cost += bestCost
-	}
-	plan.EstCard = card
-	plan.EstCost = cost
-	return plan
+	return out, in*prof.CProbe*layoutF + out*prof.CEmit
 }
 
 // sampledArms is how many leading arms of an n-arm CQ union the

@@ -119,6 +119,36 @@ func TestCompiledConcurrentRuns(t *testing.T) {
 	}
 }
 
+// TestCompileAllocBound guards CompilePlan itself, which plans every
+// arm straight from its access leaves and copies none of them into a
+// query value. Measured on go1.24/amd64 it allocates about 43 kB for
+// Q3/ucq and 166 kB for Q9/ucq; a per-arm copy of the body would
+// roughly double that.
+func TestCompileAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds are measured without the race detector")
+	}
+	db := lubmDB()
+	for _, tc := range []struct {
+		qi    int
+		bound uint64
+	}{{2, 120 << 10}, {8, 420 << 10}} { // Q3, Q9
+		qi := tc.qi
+		n := planLUBM(t, db, qi, core.StrategyUCQ)
+		compileNode(t, db, n) // settle the database's statistics
+		const runs = 20
+		perCompile := allocDuring(t, func() {
+			for i := 0; i < runs; i++ {
+				compileNode(t, db, n)
+			}
+		}) / runs
+		t.Logf("Q%d/ucq: %d bytes per compile", qi+1, perCompile)
+		if perCompile > tc.bound {
+			t.Errorf("Q%d/ucq: %d bytes per compile, bound %d", qi+1, perCompile, tc.bound)
+		}
+	}
+}
+
 // TestWarmRunAllocBound guards the first run of a freshly compiled
 // plan (a run-state pool miss: every cold query's case) over a warm
 // batch pool, so building the operator tree and EXPLAIN skeleton never
