@@ -87,12 +87,5 @@ func (c *AnswerCache) put(key cacheKey, plan *cachedPlan) {
 	c.lru.Put(key, plan)
 }
 
-// Len returns the number of cached plans.
-func (c *AnswerCache) Len() int { return c.lru.Len() }
-
 // Stats returns the cumulative hit and miss counts.
 func (c *AnswerCache) Stats() (hits, misses uint64) { return c.lru.Stats() }
-
-// Purge drops every cached entry (version bumps already make stale
-// entries unreachable; Purge reclaims their memory eagerly).
-func (c *AnswerCache) Purge() { c.lru.Purge() }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/lubm"
 	"repro/internal/query"
 	"repro/internal/search"
 )
@@ -241,3 +242,59 @@ func TestSearchMemoShared(t *testing.T) {
 		t.Errorf("answers drifted: %v vs %v", second.Tuples, first.Tuples)
 	}
 }
+
+// searchReport is what a search reports about itself: the Table 6
+// counts, the fragment table's counters, and the cover it chose.
+type searchReport struct {
+	lq, gq, built, reused int
+	cover                 string
+	cost                  float64
+}
+
+func reportOf(t *testing.T, a *Answerer, q query.CQ, s Strategy) searchReport {
+	t.Helper()
+	res, err := a.Answer(q, s)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", q.Name, s, err)
+	}
+	if res.CacheHit || res.Search == nil {
+		t.Fatalf("%s/%s: no fresh search ran", q.Name, s)
+	}
+	r := res.Search
+	return searchReport{r.ExploredLq, r.ExploredGq, r.FragmentsEstimated, r.FragmentsReused, r.Cover.Key(), r.Cost}
+}
+
+// TestSearchReportIsHistoryFree: a search's report depends on its
+// inputs only, not on what the Answerer searched before. Searching
+// again after the answer cache is purged reports what the first search
+// did, and edl after gdl-ext reports what edl reports on a fresh
+// Answerer.
+func TestSearchReportIsHistoryFree(t *testing.T) {
+	tb, db, prof := lubm.TBox(), goldenDB(engine.LayoutSimple), engine.ProfilePostgres()
+	picked := map[string]bool{"Q1": true, "Q2": true, "Q3": true, "A3": true, "A4": true}
+	for _, q := range goldenQueries() {
+		if !picked[q.Name] {
+			continue
+		}
+		a := New(tb, db, prof)
+		first := reportOf(t, a, q, StrategyGDLExt)
+		a.Cache.Purge()
+		if again := reportOf(t, a, q, StrategyGDLExt); again != first {
+			t.Errorf("%s: gdl-ext after a purge reports %+v, the first search %+v", q.Name, again, first)
+		}
+		if len(q.Atoms) > 4 {
+			continue // edl is for small queries
+		}
+		after := reportOf(t, a, q, StrategyEDL)
+		if fresh := reportOf(t, New(tb, db, prof), q, StrategyEDL); after != fresh {
+			t.Errorf("%s: edl after gdl-ext reports %+v, on a fresh Answerer %+v", q.Name, after, fresh)
+		}
+	}
+}
+
+// Len returns the number of cached plans.
+func (c *AnswerCache) Len() int { return c.lru.Len() }
+
+// Purge drops every cached entry (version bumps already make stale
+// entries unreachable; Purge reclaims their memory eagerly).
+func (c *AnswerCache) Purge() { c.lru.Purge() }

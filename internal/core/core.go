@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -87,9 +86,12 @@ func (s Strategy) Description() string {
 }
 
 // Answerer answers conjunctive queries over a KB through the engine.
-// Answer is safe for concurrent use: the reformulator, the caches, and
-// the engine's statistics are all mutex-guarded, the profile is never
-// mutated, and the database is read-only during evaluation.
+// Answer is safe for concurrent use: the reformulator, the answer
+// cache, and the engine's statistics are all mutex-guarded, the profile
+// is never mutated, and the database is read-only during evaluation.
+// Each cover search starts from nothing, so its report (covers
+// explored, fragments built) depends only on the query, the TBox, the
+// data and the estimator, not on what the Answerer ran before.
 type Answerer struct {
 	TBox    *dllite.TBox
 	DB      *engine.DB
@@ -127,13 +129,6 @@ type Answerer struct {
 
 	// tboxVer counts TBox swaps (InvalidateTBox); it versions cache keys.
 	tboxVer atomic.Uint64
-
-	// The cover-estimate memo shared across searches, dropped whenever
-	// the TBox or data version moves.
-	memoMu   sync.Mutex
-	memo     *search.Memo
-	memoTbox uint64
-	memoData uint64
 }
 
 // New wires an Answerer for the given TBox, database, and profile.
@@ -150,10 +145,10 @@ func New(tb *dllite.TBox, db *engine.DB, prof *engine.Profile) *Answerer {
 
 // InvalidateTBox must be called after swapping in a new TBox: it
 // rebuilds the reformulator's axiom indexes and the cost model, and
-// bumps the TBox version so cached plans and cover estimates from the
-// old ontology can no longer be served. ABox (data) mutations need no
-// call here — engine.DB bumps its own version on every mutation and
-// the cache keys include it.
+// bumps the TBox version so cached plans from the old ontology can no
+// longer be served. ABox (data) mutations need no call here —
+// engine.DB bumps its own version on every mutation and the cache keys
+// include it.
 func (a *Answerer) InvalidateTBox() {
 	a.Ref = reformulate.New(a.TBox)
 	a.Model = cost.NewModel(a.DB)
@@ -166,18 +161,6 @@ func (a *Answerer) InvalidateTBox() {
 	}
 }
 
-// searchOpts returns the configured search options with the shared
-// cover-estimate memo wired in (unless the caller set their own, or
-// disabled caching entirely by setting Cache to nil — the memo's
-// lifetime is tied to the cache's versioned keys).
-func (a *Answerer) searchOpts() search.Options {
-	opts := a.SearchOpts
-	if opts.Memo == nil && a.Cache != nil {
-		opts.Memo = a.currentMemo()
-	}
-	return opts
-}
-
 // backend returns the configured execution backend, defaulting to the
 // native streaming engine.
 func (a *Answerer) backend() plan.Backend {
@@ -185,19 +168,6 @@ func (a *Answerer) backend() plan.Backend {
 		return a.Backend
 	}
 	return engine.NewBackend(a.DB, a.Profile)
-}
-
-// currentMemo returns the cross-search estimate memo for the current
-// TBox/data versions, dropping stale ones.
-func (a *Answerer) currentMemo() *search.Memo {
-	tv, dv := a.tboxVer.Load(), a.DB.Version()
-	a.memoMu.Lock()
-	defer a.memoMu.Unlock()
-	if a.memo == nil || a.memoTbox != tv || a.memoData != dv {
-		a.memo = search.NewMemo()
-		a.memoTbox, a.memoData = tv, dv
-	}
-	return a.memo
 }
 
 // Result reports one strategy's outcome on one query.
@@ -320,13 +290,13 @@ func (a *Answerer) buildPlan(q query.CQ, s Strategy, res *Result, backend plan.B
 		if backend.Name() != "native" {
 			est = &search.BackendEstimator{Backend: backend}
 		}
-		r := search.GDL(q, a.TBox, a.Ref, est, a.searchOpts())
+		r := search.GDL(q, a.TBox, a.Ref, est, a.SearchOpts)
 		sr = &r
 	case StrategyGDLExt:
-		r := search.GDL(q, a.TBox, a.Ref, &search.ExtEstimator{Model: a.Model}, a.searchOpts())
+		r := search.GDL(q, a.TBox, a.Ref, &search.ExtEstimator{Model: a.Model}, a.SearchOpts)
 		sr = &r
 	case StrategyEDL:
-		opts := a.searchOpts()
+		opts := a.SearchOpts
 		if opts.MaxCovers == 0 {
 			opts.MaxCovers = 20000 // the paper's A6 cutoff
 		}
@@ -505,16 +475,4 @@ func unsatQuery(ax dllite.Axiom) (query.CQ, int) {
 			query.RoleAtom(ax.RR.Name, s2, o2),
 		}}, 2
 	}
-}
-
-// CompareStrategies answers q under every given strategy; per-strategy
-// failures (e.g. statement too long) come back in errs so callers can
-// distinguish "slow" from "failed", exactly like Figures 2–3.
-func (a *Answerer) CompareStrategies(q query.CQ, strategies []Strategy) (results []*Result, errs []error) {
-	results = make([]*Result, len(strategies))
-	errs = make([]error, len(strategies))
-	for i, s := range strategies {
-		results[i], errs[i] = a.Answer(q, s)
-	}
-	return results, errs
 }

@@ -198,3 +198,15 @@ func TestUSCQSmallerSQL(t *testing.T) {
 		t.Errorf("USCQ has more disjuncts (%d) than UCQ (%d)", uscq.NumDisjuncts, ucq.NumDisjuncts)
 	}
 }
+
+// CompareStrategies answers q under every given strategy; per-strategy
+// failures (e.g. statement too long) come back in errs so callers can
+// distinguish "slow" from "failed", exactly like Figures 2–3.
+func (a *Answerer) CompareStrategies(q query.CQ, strategies []Strategy) (results []*Result, errs []error) {
+	results = make([]*Result, len(strategies))
+	errs = make([]error, len(strategies))
+	for i, s := range strategies {
+		results[i], errs[i] = a.Answer(q, s)
+	}
+	return results, errs
+}

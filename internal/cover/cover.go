@@ -38,9 +38,6 @@ func Simple(mask uint64) Fragment { return Fragment{F: mask, G: mask} }
 // IsSimple reports whether the fragment has no reducer atoms.
 func (f Fragment) IsSimple() bool { return f.F == f.G }
 
-// Size returns the number of atoms in F.
-func (f Fragment) Size() int { return bits.OnesCount64(f.F) }
-
 // Cover is a (possibly generalized) cover of a query: a set of
 // fragments whose F-parts together contain every atom (Definition 1 /
 // Section 5.2). The query is carried along because fragment semantics
@@ -48,40 +45,6 @@ func (f Fragment) Size() int { return bits.OnesCount64(f.F) }
 type Cover struct {
 	Q     query.CQ
 	Frags []Fragment
-}
-
-// NewSimple builds a simple cover from atom-index groups.
-func NewSimple(q query.CQ, groups [][]int) (Cover, error) {
-	if len(q.Atoms) > MaxAtoms {
-		return Cover{}, fmt.Errorf("cover: query has %d atoms, max %d", len(q.Atoms), MaxAtoms)
-	}
-	c := Cover{Q: q}
-	for _, g := range groups {
-		var mask uint64
-		for _, i := range g {
-			if i < 0 || i >= len(q.Atoms) {
-				return Cover{}, fmt.Errorf("cover: atom index %d out of range", i)
-			}
-			mask |= 1 << uint(i)
-		}
-		if mask == 0 {
-			return Cover{}, fmt.Errorf("cover: empty fragment")
-		}
-		c.Frags = append(c.Frags, Simple(mask))
-	}
-	if err := c.Validate(); err != nil {
-		return Cover{}, err
-	}
-	return c, nil
-}
-
-// MustSimple is NewSimple panicking on error.
-func MustSimple(q query.CQ, groups [][]int) Cover {
-	c, err := NewSimple(q, groups)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // Validate checks the structural cover conditions: every atom covered
@@ -346,16 +309,6 @@ func orName(n string) string {
 		return "q"
 	}
 	return n
-}
-
-// FragmentQueries returns all fragment queries of the cover, in
-// fragment order.
-func (c Cover) FragmentQueries() []query.CQ {
-	out := make([]query.CQ, len(c.Frags))
-	for i := range c.Frags {
-		out[i] = c.FragmentQuery(i)
-	}
-	return out
 }
 
 // SingleFragment returns the trivial one-fragment cover (always safe;

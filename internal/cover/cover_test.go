@@ -558,3 +558,37 @@ func TestFragmentIDFixesTheFragmentQuery(t *testing.T) {
 			n, union.FragmentQuery(2).Name)
 	}
 }
+
+// MustSimple is NewSimple panicking on error.
+func MustSimple(q query.CQ, groups [][]int) Cover {
+	c, err := NewSimple(q, groups)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// NewSimple builds a simple cover from atom-index groups.
+func NewSimple(q query.CQ, groups [][]int) (Cover, error) {
+	if len(q.Atoms) > MaxAtoms {
+		return Cover{}, fmt.Errorf("cover: query has %d atoms, max %d", len(q.Atoms), MaxAtoms)
+	}
+	c := Cover{Q: q}
+	for _, g := range groups {
+		var mask uint64
+		for _, i := range g {
+			if i < 0 || i >= len(q.Atoms) {
+				return Cover{}, fmt.Errorf("cover: atom index %d out of range", i)
+			}
+			mask |= 1 << uint(i)
+		}
+		if mask == 0 {
+			return Cover{}, fmt.Errorf("cover: empty fragment")
+		}
+		c.Frags = append(c.Frags, Simple(mask))
+	}
+	if err := c.Validate(); err != nil {
+		return Cover{}, err
+	}
+	return c, nil
+}

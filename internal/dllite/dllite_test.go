@@ -396,3 +396,9 @@ func TestAxiomStrings(t *testing.T) {
 		t.Error("role disjointness rendering")
 	}
 }
+
+// DeclareConcept registers a concept name not mentioned in any axiom.
+func (t *TBox) DeclareConcept(name string) { t.concepts[name] = true }
+
+// IsConcept reports whether name is a declared concept.
+func (t *TBox) IsConcept(name string) bool { return t.concepts[name] }

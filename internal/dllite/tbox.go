@@ -114,18 +114,6 @@ func MustTBox(axioms []Axiom) *TBox {
 	return t
 }
 
-// DeclareConcept registers a concept name not mentioned in any axiom.
-func (t *TBox) DeclareConcept(name string) { t.concepts[name] = true }
-
-// DeclareRole registers a role name not mentioned in any axiom.
-func (t *TBox) DeclareRole(name string) { t.roles[name] = true }
-
-// IsConcept reports whether name is a declared concept.
-func (t *TBox) IsConcept(name string) bool { return t.concepts[name] }
-
-// IsRole reports whether name is a declared role.
-func (t *TBox) IsRole(name string) bool { return t.roles[name] }
-
 // ConceptNames returns the sorted declared concept names.
 func (t *TBox) ConceptNames() []string { return sortedKeys(t.concepts) }
 

@@ -493,8 +493,3 @@ func EvaluateUSCQ(u query.USCQ, db *DB, prof *Profile) Answer {
 func EvaluateJUCQ(j query.JUCQ, db *DB, prof *Profile) Answer {
 	return evaluate(plan.FromJUCQ(j), db, prof)
 }
-
-// EvaluateJUSCQ answers a JUSCQ on the native backend.
-func EvaluateJUSCQ(j query.JUSCQ, db *DB, prof *Profile) Answer {
-	return evaluate(plan.FromJUSCQ(j), db, prof)
-}

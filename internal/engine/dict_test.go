@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -180,7 +179,7 @@ func TestFinalizeRebuildsOnlyWrittenTables(t *testing.T) {
 }
 
 // pendingWriteQueries read the facts written without Finalize in the
-// Save and Partition tests below.
+// Partition test below.
 var pendingWriteQueries = []string{
 	"q(x, y) <- worksWith(x, y)",
 	"q(x) <- supervisedBy(x, y), Researcher(y)",
@@ -191,33 +190,6 @@ func writeUnfinalized(db *DB) {
 	db.AddRoleFact("worksWith", "Damian", "Ioana")
 	db.AddRoleFact("supervisedBy", "Anna", "Ioana")
 	db.AddConceptFact("Researcher", "Anna")
-}
-
-// TestSaveSeesPendingWrites: Save finalizes pending writes first, so a
-// write followed by Save with no explicit Finalize survives the round
-// trip.
-func TestSaveSeesPendingWrites(t *testing.T) {
-	db := loadDB(t, LayoutSimple, sampleABox)
-	writeUnfinalized(db)
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf, LayoutFromSnapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumFacts() != 9 || db.NumFacts() != 9 {
-		t.Fatalf("facts: loaded %d, saved %d, want 9", back.NumFacts(), db.NumFacts())
-	}
-	for _, qs := range pendingWriteQueries {
-		q := query.MustParseCQ(qs)
-		want := tupleSet(EvaluateCQ(q, db, ProfilePostgres()).Tuples)
-		got := tupleSet(EvaluateCQ(q, back, ProfilePostgres()).Tuples)
-		if !sameSets(got, want) {
-			t.Errorf("%s: loaded %v, saved %v", qs, got, want)
-		}
-	}
 }
 
 // TestPartitionSeesPendingWrites: Partition finalizes pending writes

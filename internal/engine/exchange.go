@@ -113,9 +113,6 @@ func NewExchange(sources []Operator, key string, workers int) (*Exchange, []Oper
 	return h, eps, nil
 }
 
-// Key returns the repartition column name.
-func (h *Exchange) Key() string { return h.key }
-
 // SentFrom returns how many rows source i routed to a shard other than
 // its own.
 func (h *Exchange) SentFrom(i int) int64 { return h.sent[i].Load() }

@@ -240,3 +240,6 @@ func TestCaptureReplaysStream(t *testing.T) {
 		t.Fatal("abandoned capture must be incomplete")
 	}
 }
+
+// Key returns the repartition column name.
+func (h *Exchange) Key() string { return h.key }

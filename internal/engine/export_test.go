@@ -1,9 +1,13 @@
 package engine
 
 // Test-only hooks: the planner and compiler for the package's own
-// tests, and row checks for the external test package.
+// tests, row checks for the external test package, and the evaluation
+// and operator-tree helpers only tests call.
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/plan"
 	"repro/internal/query"
 )
@@ -79,4 +83,43 @@ func expandsForward(op Operator, pred string) bool {
 	}
 	a := j.alts[0]
 	return a.pred == pred && a.arity == 2 && a.s.bound && !a.o.isBound()
+}
+
+// EvaluateJUSCQ answers a JUSCQ on the native backend.
+func EvaluateJUSCQ(j query.JUSCQ, db *DB, prof *Profile) Answer {
+	return evaluate(plan.FromJUSCQ(j), db, prof)
+}
+
+// ExplainPipeline renders an operator tree with the per-operator row
+// and batch counters gathered during execution — the "EXPLAIN ANALYZE"
+// of the streaming path.
+func ExplainPipeline(op Operator) string {
+	var b strings.Builder
+	var walk func(op Operator, depth int)
+	walk = func(op Operator, depth int) {
+		st := op.Stats()
+		fmt.Fprintf(&b, "%s%-24s rows=%-8d batches=%d\n",
+			strings.Repeat("  ", depth), st.Op, st.Rows, st.Batches)
+		children := op.Children()
+		// Render children deterministically even if the slice is shared.
+		for _, c := range children {
+			walk(c, depth+1)
+		}
+	}
+	walk(op, 0)
+	return b.String()
+}
+
+// CollectStats flattens the tree's statistics, roots first.
+func CollectStats(op Operator) []OpStats {
+	var out []OpStats
+	var walk func(op Operator)
+	walk = func(op Operator) {
+		out = append(out, op.Stats())
+		for _, c := range op.Children() {
+			walk(c)
+		}
+	}
+	walk(op)
+	return out
 }

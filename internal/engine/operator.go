@@ -30,7 +30,6 @@ package engine
 // the tables before.
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 )
@@ -175,8 +174,8 @@ func (o *opBase) Schema() []string { return o.schema }
 
 // resetStats zeroes the emit counters and arms closeOnce; every
 // operator calls it from Open so a reused tree (Compiled.Run re-opens
-// pooled ones) reports per-execution cardinalities, keeping Stats and
-// ExplainPipeline scoped to one execution.
+// pooled ones) reports per-execution cardinalities, keeping Stats
+// scoped to one execution.
 func (o *opBase) resetStats() {
 	o.batches, o.rows = 0, 0
 	o.opened = true
@@ -1095,38 +1094,4 @@ func Drain(op Operator) *Relation {
 		}
 	}
 	return rel
-}
-
-// ExplainPipeline renders an operator tree with the per-operator row
-// and batch counters gathered during execution — the "EXPLAIN ANALYZE"
-// of the streaming path.
-func ExplainPipeline(op Operator) string {
-	var b strings.Builder
-	var walk func(op Operator, depth int)
-	walk = func(op Operator, depth int) {
-		st := op.Stats()
-		fmt.Fprintf(&b, "%s%-24s rows=%-8d batches=%d\n",
-			strings.Repeat("  ", depth), st.Op, st.Rows, st.Batches)
-		children := op.Children()
-		// Render children deterministically even if the slice is shared.
-		for _, c := range children {
-			walk(c, depth+1)
-		}
-	}
-	walk(op, 0)
-	return b.String()
-}
-
-// CollectStats flattens the tree's statistics, roots first.
-func CollectStats(op Operator) []OpStats {
-	var out []OpStats
-	var walk func(op Operator)
-	walk = func(op Operator) {
-		out = append(out, op.Stats())
-		for _, c := range op.Children() {
-			walk(c)
-		}
-	}
-	walk(op)
-	return out
 }

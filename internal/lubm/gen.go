@@ -253,28 +253,3 @@ func genUniversity(u, total int, rng *rand.Rand, sink Sink, areas []string) {
 	sink.AddConceptFact("Fellowship", award)
 	sink.AddRoleFact("awardedTo", award, fmt.Sprintf("%s_Dept0_Prof0", univ))
 }
-
-// CountingSink counts facts (used to size datasets).
-type CountingSink struct {
-	Concepts, Roles int
-	Inner           Sink
-}
-
-// AddConceptFact counts and forwards.
-func (c *CountingSink) AddConceptFact(concept, ind string) {
-	c.Concepts++
-	if c.Inner != nil {
-		c.Inner.AddConceptFact(concept, ind)
-	}
-}
-
-// AddRoleFact counts and forwards.
-func (c *CountingSink) AddRoleFact(role, s, o string) {
-	c.Roles++
-	if c.Inner != nil {
-		c.Inner.AddRoleFact(role, s, o)
-	}
-}
-
-// Total returns the number of generated facts.
-func (c *CountingSink) Total() int { return c.Concepts + c.Roles }

@@ -277,7 +277,7 @@ var disjointness = [][2]string{
 }
 
 // TBox builds the LUBM∃ TBox. The result is freshly allocated; callers
-// may extend it (e.g. DeclareConcept) without affecting others.
+// may modify it without affecting others.
 func TBox() *dllite.TBox {
 	var axioms []dllite.Axiom
 	for _, e := range conceptParents {

@@ -53,13 +53,6 @@ func Write(w io.Writer, ab *dllite.ABox, o Options) error {
 	return bw.Flush()
 }
 
-// WriteString serializes to a string.
-func WriteString(ab *dllite.ABox, o Options) string {
-	var sb strings.Builder
-	_ = Write(&sb, ab, o)
-	return sb.String()
-}
-
 // Read parses N-Triples into an ABox. IRIs under the base are
 // shortened to local names; rdf:type triples become concept assertions.
 // Blank lines and '#' comments are skipped.
@@ -92,11 +85,6 @@ func Read(r io.Reader, o Options) (*dllite.ABox, error) {
 		return nil, err
 	}
 	return ab, nil
-}
-
-// ReadString parses from a string.
-func ReadString(s string, o Options) (*dllite.ABox, error) {
-	return Read(strings.NewReader(s), o)
 }
 
 // parseTriple splits one "<s> <p> <o> ." line.

@@ -112,3 +112,15 @@ func TestLUBMExportImport(t *testing.T) {
 		t.Fatalf("LUBM round trip: %d vs %d facts", back.Size(), ab.Size())
 	}
 }
+
+// ReadString parses from a string.
+func ReadString(s string, o Options) (*dllite.ABox, error) {
+	return Read(strings.NewReader(s), o)
+}
+
+// WriteString serializes to a string.
+func WriteString(ab *dllite.ABox, o Options) string {
+	var sb strings.Builder
+	_ = Write(&sb, ab, o)
+	return sb.String()
+}

@@ -8,14 +8,25 @@ import "repro/internal/query"
 // against.
 func splitReducersOld(q query.CQ) (core, reducers []int) {
 	n := len(q.Atoms)
-	head := q.HeadVarSet()
+	head := make(map[string]bool, len(q.Head))
+	for _, h := range q.Head {
+		head[h.Name] = true
+	}
 	occ := q.VarOccurrences()
 	inCore := make([]bool, n)
 	coreLeft := n
 	for i := range inCore {
 		inCore[i] = true
 	}
-	varsOf := func(i int) []string { return q.Atoms[i].Vars(nil) }
+	varsOf := func(i int) []string {
+		var vs []string
+		for _, t := range q.Atoms[i].Args {
+			if t.IsVar() {
+				vs = append(vs, t.Name)
+			}
+		}
+		return vs
+	}
 	coreVars := func(skip int) map[string]bool {
 		m := map[string]bool{}
 		for k := 0; k < n; k++ {

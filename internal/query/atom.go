@@ -50,17 +50,6 @@ func (a Atom) Equal(b Atom) bool {
 	return true
 }
 
-// Vars appends the names of the variables of the atom to dst, in
-// argument order, with duplicates preserved.
-func (a Atom) Vars(dst []string) []string {
-	for _, t := range a.Args {
-		if t.IsVar() {
-			dst = append(dst, t.Name)
-		}
-	}
-	return dst
-}
-
 // SharesVar reports whether a and b have at least one variable in common.
 func (a Atom) SharesVar(b Atom) bool {
 	for _, t := range a.Args {
@@ -90,37 +79,12 @@ func (a Atom) String() string {
 	return b.String()
 }
 
-// Unify computes a most general unifier of atoms a and b, or nil if they
-// do not unify. Terms are flat (no function symbols) so unification is a
-// simple union-find-free pass. The returned substitution may contain
-// variable-to-variable chains; Substitution.Apply resolves them.
-func Unify(a, b Atom) Substitution {
-	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
-		return nil
-	}
-	s := make(Substitution)
-	for i := range a.Args {
-		x := s.Apply(a.Args[i])
-		y := s.Apply(b.Args[i])
-		switch {
-		case x == y:
-			// already equal under s
-		case x.IsVar():
-			s.Bind(x.Name, y)
-		case y.IsVar():
-			s.Bind(y.Name, x)
-		default: // distinct constants
-			return nil
-		}
-	}
-	return s
-}
-
-// UnifyPrefer computes an mgu like Unify, but when two variables are
-// unified and one of them is "preferred" (e.g. a head variable of the
-// enclosing query), the preferred one is kept as the representative.
-// This mirrors footnote 3 of the paper: unifying supervisedBy(x,y) and
-// supervisedBy(z,y) with head variable x must keep x.
+// UnifyPrefer computes a most general unifier of atoms a and b, or nil
+// if they do not unify. When two variables are unified and one of them
+// is "preferred" (e.g. a head variable of the enclosing query), the
+// preferred one is kept as the representative. This mirrors footnote 3
+// of the paper: unifying supervisedBy(x,y) and supervisedBy(z,y) with
+// head variable x must keep x.
 func UnifyPrefer(a, b Atom, preferred func(string) bool) Substitution {
 	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
 		return nil

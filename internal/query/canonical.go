@@ -298,9 +298,6 @@ func NewFreshVarGen(qs ...CQ) *FreshVarGen {
 	return g
 }
 
-// Reserve marks a name as taken.
-func (g *FreshVarGen) Reserve(name string) { g.used[name] = true }
-
 // Fresh returns a new variable term with an unused name.
 func (g *FreshVarGen) Fresh() Term {
 	for {

@@ -33,11 +33,6 @@ func ContainedIn(q1, q2 CQ) bool {
 	return extendHom(q2.Atoms, 0, h, q1.Atoms)
 }
 
-// Equivalent reports mutual containment.
-func Equivalent(q1, q2 CQ) bool {
-	return ContainedIn(q1, q2) && ContainedIn(q2, q1)
-}
-
 // extendHom tries to map q2's atoms[i:] into targets, extending h.
 func extendHom(atoms []Atom, i int, h Substitution, targets []Atom) bool {
 	if i == len(atoms) {
@@ -78,42 +73,4 @@ func extendHom(atoms []Atom, i int, h Substitution, targets []Atom) bool {
 		}
 	}
 	return false
-}
-
-// MinimizeCQ returns a core-like minimization of q: it repeatedly drops
-// body atoms whose removal leaves an equivalent query. The result is
-// equivalent to q. (Computing the exact core is NP-hard; greedy removal
-// reaches a minimal — not necessarily minimum — equivalent subquery,
-// which is what the paper's "minimal form" examples use.)
-func MinimizeCQ(q CQ) CQ {
-	cur := q.DedupAtoms()
-	changed := true
-	for changed {
-		changed = false
-		for i := 0; i < len(cur.Atoms); i++ {
-			if len(cur.Atoms) == 1 {
-				return cur
-			}
-			cand := cur.Clone()
-			cand.Atoms = append(cand.Atoms[:i], cand.Atoms[i+1:]...)
-			if !headCovered(cand) {
-				continue
-			}
-			if ContainedIn(cand, cur) && ContainedIn(cur, cand) {
-				cur = cand
-				changed = true
-				i--
-			}
-		}
-	}
-	return cur
-}
-
-func headCovered(q CQ) bool {
-	for _, h := range q.Head {
-		if !q.bodyHasVar(h.Name) {
-			return false
-		}
-	}
-	return true
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -30,15 +29,6 @@ func NewCQ(name string, head []Term, atoms []Atom) (CQ, error) {
 	return q, nil
 }
 
-// MustCQ is NewCQ for statically known queries; it panics on invalid input.
-func MustCQ(name string, head []Term, atoms []Atom) CQ {
-	q, err := NewCQ(name, head, atoms)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 func (q CQ) bodyHasVar(name string) bool {
 	for _, a := range q.Atoms {
 		for _, t := range a.Args {
@@ -48,15 +38,6 @@ func (q CQ) bodyHasVar(name string) bool {
 		}
 	}
 	return false
-}
-
-// HeadVarSet returns the set of head variable names.
-func (q CQ) HeadVarSet() map[string]bool {
-	m := make(map[string]bool, len(q.Head))
-	for _, h := range q.Head {
-		m[h.Name] = true
-	}
-	return m
 }
 
 // IsHeadVar reports whether name is a head variable of q.
@@ -101,22 +82,6 @@ func (q CQ) Occurrences(name string) int {
 		}
 	}
 	return n
-}
-
-// Subst returns a copy of q with the substitution applied to head and
-// body. The head may acquire repeated variables but never constants in
-// reformulation use (PerfectRef never binds a head variable to a
-// constant unless the query mentions that constant, which is legal).
-func (q CQ) Subst(s Substitution) CQ {
-	head := make([]Term, len(q.Head))
-	for i, h := range q.Head {
-		head[i] = s.Apply(h)
-	}
-	atoms := make([]Atom, len(q.Atoms))
-	for i, a := range q.Atoms {
-		atoms[i] = a.Subst(s)
-	}
-	return CQ{Name: q.Name, Head: head, Atoms: atoms}
 }
 
 // Parameterize splits q into a template and its arguments: every
@@ -242,46 +207,6 @@ func (q CQ) Vars() []string {
 		}
 	}
 	return out
-}
-
-// Preds returns the distinct predicate names used in the body, sorted.
-func (q CQ) Preds() []string {
-	seen := make(map[string]bool)
-	for _, a := range q.Atoms {
-		seen[a.Pred] = true
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// IsConnected reports whether the join graph of the body (atoms as
-// nodes, shared variables as edges) is connected. The paper considers
-// only connected queries (no cartesian products).
-func (q CQ) IsConnected() bool {
-	n := len(q.Atoms)
-	if n <= 1 {
-		return true
-	}
-	visited := make([]bool, n)
-	stack := []int{0}
-	visited[0] = true
-	count := 1
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for j := 0; j < n; j++ {
-			if !visited[j] && q.Atoms[i].SharesVar(q.Atoms[j]) {
-				visited[j] = true
-				count++
-				stack = append(stack, j)
-			}
-		}
-	}
-	return count == n
 }
 
 // String renders the CQ in the paper's notation, e.g.

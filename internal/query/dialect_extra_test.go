@@ -108,3 +108,13 @@ func TestMinimizeCQSingleAtom(t *testing.T) {
 		t.Errorf("minimized single atom = %v", m)
 	}
 }
+
+// NumChoices returns the number of CQs the SCQ stands for (the product
+// of block sizes).
+func (s SCQ) NumChoices() int {
+	n := 1
+	for _, b := range s.Blocks {
+		n *= len(b)
+	}
+	return n
+}

@@ -115,16 +115,6 @@ func (s SCQ) Expand() UCQ {
 	return UCQ{Name: s.Name, Disjuncts: out}
 }
 
-// NumChoices returns the number of CQs the SCQ stands for (the product
-// of block sizes).
-func (s SCQ) NumChoices() int {
-	n := 1
-	for _, b := range s.Blocks {
-		n *= len(b)
-	}
-	return n
-}
-
 func (s SCQ) String() string {
 	var b strings.Builder
 	name := s.Name

@@ -3,6 +3,7 @@ package query
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -590,4 +591,113 @@ func TestParamNeverLooksLikeAConstant(t *testing.T) {
 	if CanonicalKey(forged) == CanonicalKey(genuine) {
 		t.Errorf("forged and genuine queries share the key %q", CanonicalKey(genuine))
 	}
+}
+
+// Unify computes a most general unifier of atoms a and b, or nil if they
+// do not unify. Terms are flat (no function symbols) so unification is a
+// simple union-find-free pass. The returned substitution may contain
+// variable-to-variable chains; Substitution.Apply resolves them.
+func Unify(a, b Atom) Substitution {
+	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
+		return nil
+	}
+	s := make(Substitution)
+	for i := range a.Args {
+		x := s.Apply(a.Args[i])
+		y := s.Apply(b.Args[i])
+		switch {
+		case x == y:
+			// already equal under s
+		case x.IsVar():
+			s.Bind(x.Name, y)
+		case y.IsVar():
+			s.Bind(y.Name, x)
+		default: // distinct constants
+			return nil
+		}
+	}
+	return s
+}
+
+// Equivalent reports mutual containment.
+func Equivalent(q1, q2 CQ) bool {
+	return ContainedIn(q1, q2) && ContainedIn(q2, q1)
+}
+
+// MinimizeCQ returns a core-like minimization of q: it repeatedly drops
+// body atoms whose removal leaves an equivalent query. The result is
+// equivalent to q. (Computing the exact core is NP-hard; greedy removal
+// reaches a minimal — not necessarily minimum — equivalent subquery,
+// which is what the paper's "minimal form" examples use.)
+func MinimizeCQ(q CQ) CQ {
+	cur := q.DedupAtoms()
+	changed := true
+	for changed {
+		changed = false
+		for i := 0; i < len(cur.Atoms); i++ {
+			if len(cur.Atoms) == 1 {
+				return cur
+			}
+			cand := cur.Clone()
+			cand.Atoms = append(cand.Atoms[:i], cand.Atoms[i+1:]...)
+			if !headCovered(cand) {
+				continue
+			}
+			if ContainedIn(cand, cur) && ContainedIn(cur, cand) {
+				cur = cand
+				changed = true
+				i--
+			}
+		}
+	}
+	return cur
+}
+
+// Preds returns the distinct predicate names used in the body, sorted.
+func (q CQ) Preds() []string {
+	seen := make(map[string]bool)
+	for _, a := range q.Atoms {
+		seen[a.Pred] = true
+	}
+	out := make([]string, 0, len(seen))
+	for p := range seen {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// IsConnected reports whether the join graph of the body (atoms as
+// nodes, shared variables as edges) is connected. The paper considers
+// only connected queries (no cartesian products).
+func (q CQ) IsConnected() bool {
+	n := len(q.Atoms)
+	if n <= 1 {
+		return true
+	}
+	visited := make([]bool, n)
+	stack := []int{0}
+	visited[0] = true
+	count := 1
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for j := 0; j < n; j++ {
+			if !visited[j] && q.Atoms[i].SharesVar(q.Atoms[j]) {
+				visited[j] = true
+				count++
+				stack = append(stack, j)
+			}
+		}
+	}
+	return count == n
+}
+
+func headCovered(q CQ) bool {
+	for _, h := range q.Head {
+		if !q.bodyHasVar(h.Name) {
+			return false
+		}
+	}
+	return true
 }

@@ -97,8 +97,8 @@ func appendConstKey(b []byte, t Term) []byte {
 type Substitution map[string]Term
 
 // Apply resolves t through the substitution, following chains of
-// variable-to-variable bindings (the maps produced by Unify are not
-// necessarily idempotent).
+// variable-to-variable bindings (the maps produced by UnifyPrefer are
+// not necessarily idempotent).
 func (s Substitution) Apply(t Term) Term {
 	for !t.Const {
 		u, ok := s[t.Name]
@@ -112,15 +112,6 @@ func (s Substitution) Apply(t Term) Term {
 
 // Bind records that variable v resolves to term t.
 func (s Substitution) Bind(v string, t Term) { s[v] = t }
-
-// Clone returns an independent copy of the substitution.
-func (s Substitution) Clone() Substitution {
-	c := make(Substitution, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
 
 func (s Substitution) String() string {
 	var b strings.Builder

@@ -278,14 +278,3 @@ func backwardExists(lc dllite.Concept, x query.Term, gen *query.FreshVarGen) que
 func CQToUCQ(q query.CQ, t *dllite.TBox) (query.UCQ, error) {
 	return New(t).Reformulate(q)
 }
-
-// CQToUSCQ reformulates q into a USCQ: the UCQ reformulation compressed
-// by exact cartesian factorization. The result is equivalent to the UCQ
-// reformulation.
-func CQToUSCQ(q query.CQ, t *dllite.TBox) (query.USCQ, error) {
-	u, err := CQToUCQ(q, t)
-	if err != nil {
-		return query.USCQ{}, err
-	}
-	return query.FactorizeUCQ(u), nil
-}

@@ -614,3 +614,14 @@ func TestDisjunctOrderIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// CQToUSCQ reformulates q into a USCQ: the UCQ reformulation compressed
+// by exact cartesian factorization. The result is equivalent to the UCQ
+// reformulation.
+func CQToUSCQ(q query.CQ, t *dllite.TBox) (query.USCQ, error) {
+	u, err := CQToUCQ(q, t)
+	if err != nil {
+		return query.USCQ{}, err
+	}
+	return query.FactorizeUCQ(u), nil
+}

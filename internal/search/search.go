@@ -97,7 +97,6 @@ func (e *ExtEstimator) Estimate(n *plan.Node) float64 {
 // Result is the outcome of a cover search.
 type Result struct {
 	Cover cover.Cover
-	JUCQ  query.JUCQ
 	// Plan is the winning cover's logical plan — lowered and rewritten,
 	// the tree the estimator scored — ready for plan.Validate and a
 	// backend's Compile.
@@ -132,11 +131,14 @@ type Options struct {
 	// MaxCovers caps EDL enumeration (the paper stops A6 at 20003
 	// generalized covers). 0 = unlimited.
 	MaxCovers int
-	// Memo, when non-nil, carries cover cost estimates across searches:
-	// repeated GDL/EDL runs over the same query (server traffic) skip
-	// reformulating and re-costing covers already explored. Estimates
-	// served from the memo do not count toward ExploredLq/ExploredGq
-	// (nothing was estimated anew).
+	// Memo, when non-nil, carries cover cost estimates across the
+	// searches that share it. Its only caller is the benchmark's traced
+	// run (bench/traced.go), which builds a fresh one per staged
+	// operation; core.Answerer leaves it nil, so every search starts
+	// from nothing. A search given a memo that already holds some of its
+	// covers reports less than a fresh one: estimates served from the
+	// memo are left out of ExploredLq/ExploredGq (nothing was estimated
+	// anew).
 	Memo *Memo
 }
 
@@ -144,9 +146,8 @@ type Options struct {
 // estimates, keyed by (query canonical form, cover key, estimator
 // name). Cover.Key only encodes the fragment bitmasks, so two queries
 // with the same atom count produce colliding cover keys; the canonical
-// form keeps them apart. It must be dropped when the TBox, the data, or
-// the estimator's statistics change — the Answerer ties its lifetime to
-// the answer cache's versioned keys.
+// form keeps them apart. Its holder must drop it when the TBox, the
+// data, or the estimator's statistics change.
 type Memo struct {
 	mu sync.Mutex
 	m  map[memoKey]float64
@@ -163,13 +164,6 @@ func NewMemo() *Memo {
 	return &Memo{m: make(map[memoKey]float64)}
 }
 
-// Len returns the number of memoized estimates.
-func (m *Memo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.m)
-}
-
 func (m *Memo) get(k memoKey) (float64, bool) {
 	m.mu.Lock()
 	v, ok := m.m[k]
@@ -183,19 +177,12 @@ func (m *Memo) put(k memoKey, v float64) {
 	m.mu.Unlock()
 }
 
-// fragment is one entry of a search's fragment table: a fragment's
-// reformulation, and its lowered and rewritten subtree.
-type fragment struct {
-	ucq  query.UCQ
-	tree *plan.Node
-}
-
 // evaluator costs the covers one search visits. Algorithm 1 moves from
 // cover to cover by unioning two fragments or enlarging one, so a
 // candidate differs from the current cover in at most two fragments;
 // the evaluator therefore works at fragment granularity. Its fragment
-// table maps a fragment's identity to its reformulation and its lowered,
-// rewritten IR subtree, each built once per search; a cover's tree is
+// table maps a fragment's identity to its reformulated, lowered and
+// rewritten IR subtree, built once per search; a cover's tree is
 // plan.Cover over the subtrees of its fragments — the same tree
 // plan.Rewrite(plan.FromJUCQ(j)) builds for its JUCQ j, but sharing
 // every unchanged fragment with the trees before it (the IR is
@@ -211,7 +198,7 @@ type evaluator struct {
 	memo    *Memo
 	scope   string // canonical form of the query, for memo keys
 	seen    map[string]float64
-	frags   map[cover.FragmentID]fragment
+	frags   map[cover.FragmentID]*plan.Node
 	built   int // fragment table misses
 	reused  int // fragment table hits
 	lq      int
@@ -221,36 +208,35 @@ type evaluator struct {
 
 func newEvaluator(ref *reformulate.Reformulator, est Estimator, memo *Memo, q query.CQ) *evaluator {
 	ev := &evaluator{ref: ref, est: est, estName: est.Name(), memo: memo,
-		seen: make(map[string]float64), frags: make(map[cover.FragmentID]fragment)}
+		seen: make(map[string]float64), frags: make(map[cover.FragmentID]*plan.Node)}
 	if memo != nil {
 		ev.scope = query.CanonicalKey(q)
 	}
 	return ev
 }
 
-// build assembles the cover's JUCQ and plan tree from the fragment
-// table, reformulating and lowering the fragments not yet in it.
-func (ev *evaluator) build(c cover.Cover) (query.JUCQ, *plan.Node, error) {
-	subs := make([]query.UCQ, len(c.Frags))
+// build assembles the cover's plan tree from the fragment table,
+// reformulating and lowering the fragments not yet in it.
+func (ev *evaluator) build(c cover.Cover) (*plan.Node, error) {
 	trees := make([]*plan.Node, len(c.Frags))
 	for k := range c.Frags {
 		id := c.FragmentID(k)
-		f, ok := ev.frags[id]
+		tree, ok := ev.frags[id]
 		if ok {
 			ev.reused++
 		} else {
 			u, err := c.ReformulateFragment(k, ev.ref)
 			if err != nil {
-				return query.JUCQ{}, nil, err
+				return nil, err
 			}
-			f = fragment{ucq: u, tree: plan.Rewrite(plan.FromUCQ(u))}
-			ev.frags[id] = f
+			tree = plan.Rewrite(plan.FromUCQ(u))
+			ev.frags[id] = tree
 			ev.built++
 		}
-		subs[k], trees[k] = f.ucq, f.tree
+		trees[k] = tree
 	}
-	j := c.JUCQ(subs)
-	return j, plan.Cover(j.Name, j.Head, trees), nil
+	j := c.JUCQ(nil) // the cover's name and head
+	return plan.Cover(j.Name, j.Head, trees), nil
 }
 
 // estimate returns the cover's cost, building and scoring its tree if
@@ -268,7 +254,7 @@ func (ev *evaluator) estimate(c cover.Cover) (float64, bool) {
 			return v, true
 		}
 	}
-	_, tree, err := ev.build(c)
+	tree, err := ev.build(c)
 	if err != nil {
 		ev.err = err
 		return 0, false
@@ -289,9 +275,9 @@ func (ev *evaluator) estimate(c cover.Cover) (float64, bool) {
 }
 
 // result reports the search's outcome for the chosen cover. The
-// fragment counters are read first: assembling the winner's JUCQ and
-// plan goes through the fragment table once more (and, for a winner
-// known only from the cross-search memo, builds it).
+// fragment counters are read first: assembling the winner's plan goes
+// through the fragment table once more (and, for a winner known only
+// from the cross-search memo, builds it).
 func (ev *evaluator) result(c cover.Cover, cost float64, moves int, start time.Time) Result {
 	res := Result{
 		Cover:              c,
@@ -302,7 +288,7 @@ func (ev *evaluator) result(c cover.Cover, cost float64, moves int, start time.T
 		FragmentsEstimated: ev.built,
 		FragmentsReused:    ev.reused,
 	}
-	res.JUCQ, res.Plan, res.Err = ev.build(c)
+	res.Plan, res.Err = ev.build(c)
 	res.Elapsed = time.Since(start)
 	return res
 }

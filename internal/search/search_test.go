@@ -68,7 +68,11 @@ func TestGDLFindsValidCover(t *testing.T) {
 	u := ref.MustReformulate(q)
 	ab := dllite.MustParseABox(sampleData)
 	want := naive.EvalUCQ(u, ab)
-	got := naive.EvalJUCQ(res.JUCQ, ab)
+	j, err := res.Cover.ReformulateJUCQ(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := naive.EvalJUCQ(j, ab)
 	if !naive.SameAnswers(got, want) {
 		t.Errorf("GDL cover answers differ: %v vs %v", got.Sorted(), want.Sorted())
 	}

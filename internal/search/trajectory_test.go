@@ -164,7 +164,7 @@ func TestSharedTreeIsTheLoweredJUCQ(t *testing.T) {
 			t.Fatal(ev.err)
 		}
 		for {
-			_, curTree, err := ev.build(cur)
+			curTree, err := ev.build(cur)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,15 +213,12 @@ func TestSharedTreeIsTheLoweredJUCQ(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotJ, got, err := ev.build(c)
+			got, err := ev.build(c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := plan.Rewrite(plan.FromJUCQ(j)); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s %s: assembled tree differs from the lowered JUCQ:\n got %s\nwant %s", q.Name, key, got, want)
-			}
-			if !reflect.DeepEqual(gotJ, j) {
-				t.Errorf("%s %s: assembled JUCQ differs from the cover's reformulation", q.Name, key)
 			}
 			for _, f := range fragmentsOf(got) {
 				if !built[f] {
@@ -268,7 +265,7 @@ func TestTimeLimitedGDLKeepsTheInterruptedRoundsBestMove(t *testing.T) {
 	if want := root.UnionFragments(0, 1); res.Cover.Key() != want.Key() {
 		t.Errorf("cover %s, want the first candidate %s (root %s)", res.Cover.Key(), want.Key(), root.Key())
 	}
-	if res.Plan == nil || len(res.JUCQ.Subs) != len(res.Cover.Frags) {
-		t.Errorf("result carries no plan/JUCQ for the adopted cover")
+	if res.Plan == nil || len(plan.CoverFragments(res.Plan)) != len(res.Cover.Frags) {
+		t.Errorf("result carries no plan for the adopted cover")
 	}
 }

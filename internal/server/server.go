@@ -67,9 +67,6 @@ type Options struct {
 	Shards int
 }
 
-// New builds the HTTP server around an Answerer with default options.
-func New(a *core.Answerer) *Server { return NewWithOptions(a, Options{}) }
-
 // NewWithOptions builds the HTTP server around an Answerer. Backends
 // are constructed lazily on first use (the shard backend partitions
 // the whole database) and cached for the server's lifetime — the data

@@ -482,3 +482,6 @@ func TestUnknownBackendRejected(t *testing.T) {
 		t.Fatalf("GET status = %d", get.StatusCode)
 	}
 }
+
+// New builds the HTTP server around an Answerer with default options.
+func New(a *core.Answerer) *Server { return NewWithOptions(a, Options{}) }

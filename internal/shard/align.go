@@ -74,14 +74,6 @@ func (a analysis) describe(n int) string {
 	return s
 }
 
-// key identifies the view set the decision needs (cache key).
-func (a analysis) key() string {
-	if !a.aligned() {
-		return ""
-	}
-	return relSetKey(a.partitioned)
-}
-
 // relSetKey canonicalizes a partitioned-relation set (view cache key).
 func relSetKey(rels map[string]bool) string {
 	parts := make([]string, 0, len(rels))
