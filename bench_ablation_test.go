@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/cover"
 	"repro/internal/engine"
 	"repro/internal/exp"
@@ -72,7 +73,7 @@ func BenchmarkAblationMemoization(b *testing.B) {
 	b.Run("memoized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ref := reformulate.New(env.TBox) // shared across the search
-			est := &search.ExtEstimator{Model: env.A.Model}
+			est := &search.ExtEstimator{Model: cost.NewModel(env.DB)}
 			res := search.GDL(q, env.TBox, ref, est, search.Options{})
 			if res.Err != nil {
 				b.Fatal(res.Err)
@@ -84,7 +85,7 @@ func BenchmarkAblationMemoization(b *testing.B) {
 			// Estimate every enumerated cover with a cold reformulator:
 			// enumerate the same covers GDL's first round would.
 			root := cover.RootCover(q, env.TBox)
-			est := &search.ExtEstimator{Model: env.A.Model}
+			est := &search.ExtEstimator{Model: cost.NewModel(env.DB)}
 			for f1 := 0; f1 < len(root.Frags); f1++ {
 				for f2 := f1 + 1; f2 < len(root.Frags); f2++ {
 					cold := reformulate.New(env.TBox)

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/cover"
 	"repro/internal/engine"
 	"repro/internal/exp"
@@ -123,7 +124,7 @@ func BenchmarkTable6(b *testing.B) {
 		b.Run(q.Name+"/gdl", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := search.GDL(q, env.TBox, ref,
-					&search.ExtEstimator{Model: env.A.Model}, search.Options{})
+					&search.ExtEstimator{Model: cost.NewModel(env.DB)}, search.Options{})
 				if res.Err != nil {
 					b.Fatal(res.Err)
 				}
@@ -159,7 +160,7 @@ func BenchmarkTimeLimitedGDL(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Estimators remember the subtrees of the search they
 				// served: one per search.
-				est := &search.ExtEstimator{Model: env.A.Model}
+				est := &search.ExtEstimator{Model: cost.NewModel(env.DB)}
 				res := search.GDL(q, env.TBox, ref, est, search.Options{TimeLimit: 20 * time.Millisecond})
 				if res.Err != nil {
 					b.Fatal(res.Err)
@@ -177,7 +178,7 @@ func BenchmarkGDLSearch(b *testing.B) {
 	q9 := lubm.Queries()[8]
 	b.Run("Q9/ext", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			search.GDL(q9, env.TBox, ref, &search.ExtEstimator{Model: env.A.Model}, search.Options{})
+			search.GDL(q9, env.TBox, ref, &search.ExtEstimator{Model: cost.NewModel(env.DB)}, search.Options{})
 		}
 	})
 	b.Run("Q9/rdbms", func(b *testing.B) {

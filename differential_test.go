@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/cover"
 	"repro/internal/engine"
 	"repro/internal/exp"
@@ -81,7 +82,7 @@ func TestCoverExecutionDifferentialLUBM(t *testing.T) {
 		truth := tupleSet(runPlan(t, env, plan.FromUCQ(u), 1), env.DB)
 
 		covers := map[string]cover.Cover{"croot": cover.RootCover(q, env.TBox)}
-		est := &search.ExtEstimator{Model: env.A.Model}
+		est := &search.ExtEstimator{Model: cost.NewModel(env.DB)}
 		if sr := search.GDL(q, env.TBox, ref, est, search.Options{}); sr.Err == nil {
 			covers["gdl"] = sr.Cover
 		} else {

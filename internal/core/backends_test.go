@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/lubm"
 	"repro/internal/plan"
@@ -125,7 +126,7 @@ func TestSearchCostMatchesExecutedEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		if got := a.Model.Estimate(res.Plan).Cost; res.Search.Cost != got {
+		if got := cost.NewModel(a.DB).Estimate(res.Plan).Cost; res.Search.Cost != got {
 			t.Errorf("%s/gdl-ext: search cost %.4f != ε(plan) %.4f",
 				q.Name, res.Search.Cost, got)
 		}

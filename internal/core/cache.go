@@ -7,13 +7,16 @@ package core
 // AnswerCache memoizes that whole front half of Answer, keyed on the
 // canonical form of the query's template (query.Parameterize: its
 // constants become parameters, so queries differing only in constants
-// share an entry, as do isomorphic ones), the strategy, and the
-// TBox/data versions — a TBox or ABox mutation bumps a version, so
-// stale entries become unreachable and age out of the LRU. Execution
-// itself always runs, binding the request's constants: the cached
-// artifact is the plan, not the answer tuples, so updates to the data
-// are reflected immediately after the version bump while unchanged
-// deployments skip straight to the operator pipeline.
+// share an entry, as do isomorphic ones), the strategy, the backend,
+// the TBox version and the statistics epoch. A TBox swap bumps its
+// version; a write moves the epoch only when it moves a statistic the
+// estimators read to another power-of-two bucket
+// (engine.Statistics.Epoch). Stale entries become unreachable and age
+// out of the LRU. Execution itself always runs, against the live data
+// and binding the request's constants: the cached artifact is the
+// plan, not the answer tuples, so a write is reflected by the next read
+// whether or not it re-plans — a plan chosen on older statistics
+// answers the same (Theorems 1 and 3) and can only cost time.
 
 import (
 	"time"
@@ -29,12 +32,15 @@ import (
 const DefaultAnswerCacheSize = 256
 
 // cacheKey identifies one cached reformulation+plan: of a query
-// template, never of one instance's constants.
+// template, never of one instance's constants. It carries the
+// statistics epoch, not the data version: the plan is a function of
+// what its estimates read, while the answer, which does depend on the
+// data, is computed afresh by every run.
 type cacheKey struct {
 	canon    string // query.CanonicalKey of the template
 	strategy Strategy
 	tboxVer  uint64
-	dataVer  uint64
+	epoch    uint64 // engine.Statistics.Epoch the plan was costed in
 	backend  string // executables are backend-specific
 }
 
@@ -59,9 +65,9 @@ type cachedPlan struct {
 }
 
 // AnswerCache is a concurrency-safe LRU of cachedPlans, one per query
-// template, strategy, backend and TBox/data version, built on the
-// shared internal/cache LRU (the same implementation backing the shard
-// backend's per-shard plan/result caches).
+// template, strategy, backend, TBox version and statistics epoch,
+// built on the shared internal/cache LRU (the same implementation
+// backing the shard backend's per-shard plan/result caches).
 type AnswerCache struct {
 	lru *cache.LRU[cacheKey, *cachedPlan]
 }

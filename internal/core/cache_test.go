@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/lubm"
 	"repro/internal/query"
@@ -76,8 +79,11 @@ func TestCacheCanonicalization(t *testing.T) {
 	}
 }
 
-// TestCacheDataInvalidation: an ABox mutation bumps the data version;
-// the next request re-plans and sees the new facts.
+// TestCacheDataInvalidation: a write is seen by the next request
+// whether or not it re-plans. A write that moves a statistic to another
+// power-of-two bucket moves the statistics epoch and re-plans; one that
+// leaves every bucket alone keeps the cached plan, which runs on the
+// new data.
 func TestCacheDataInvalidation(t *testing.T) {
 	a := answerer(t, engine.LayoutSimple, engine.ProfilePostgres())
 	q := query.MustParseCQ("q(x) <- PhDStudent(x), worksWith(y, x)")
@@ -88,21 +94,80 @@ func TestCacheDataInvalidation(t *testing.T) {
 	if len(first.Tuples) != 1 {
 		t.Fatalf("baseline answers = %v", first.Tuples)
 	}
-	v := a.DB.Version()
+
+	// 3 facts become 5 and supervisedBy's 2 facts 4: buckets move.
+	v, epoch := a.DB.Version(), a.DB.Stats().Epoch
 	a.DB.AddRoleFact("supervisedBy", "Eva", "Ioana")
+	a.DB.AddRoleFact("supervisedBy", "Eva", "Francois")
 	a.DB.Finalize()
 	if a.DB.Version() == v {
 		t.Fatal("mutation did not bump the data version")
+	}
+	if a.DB.Stats().Epoch == epoch {
+		t.Fatal("a write across buckets kept the statistics epoch")
 	}
 	second, err := a.Answer(q, StrategyGDLExt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second.CacheHit {
-		t.Error("stale entry served after data mutation")
+		t.Error("a write across buckets served the plan of the old epoch")
 	}
 	if len(second.Tuples) != 2 { // Damian and Eva
 		t.Errorf("post-mutation answers = %v", second.Tuples)
+	}
+
+	// 5 facts become 6, 4 entities 5, supervisedBy's 4 facts 5, its 2
+	// subjects 3 and its 2 objects stay: every bucket holds.
+	epoch = a.DB.Stats().Epoch
+	a.DB.AddRoleFact("supervisedBy", "Gina", "Ioana")
+	a.DB.Finalize()
+	if a.DB.Stats().Epoch != epoch {
+		t.Fatal("a write inside every bucket moved the statistics epoch")
+	}
+	third, err := a.Answer(q, StrategyGDLExt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !third.CacheHit {
+		t.Error("a write inside every bucket re-planned")
+	}
+	if got, want := sorted(third.Tuples), []string{"Damian", "Eva", "Gina"}; !slices.Equal(got, want) {
+		t.Errorf("answers after the second write = %v, want %v", got, want)
+	}
+}
+
+// TestSearchCostsTheWrittenData: a gdl-ext search after a write that
+// moves the statistics epoch costs its covers on the statistics of
+// that epoch, so its cost is ε of its plan on the written data.
+func TestSearchCostsTheWrittenData(t *testing.T) {
+	a := lubmAnswerer(t)
+	qs := lubm.Queries()
+	queries := []query.CQ{qs[2], qs[8]} // Q3 and Q9 read authorOf
+	for _, q := range queries {
+		if _, err := a.Answer(q, StrategyGDLExt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch := a.DB.Stats().Epoch
+	for i := 0; i < 64; i++ {
+		a.DB.AddRoleFact("authorOf", fmt.Sprintf("Writer%d", i), fmt.Sprintf("Paper%d", i))
+	}
+	a.DB.Finalize()
+	if a.DB.Stats().Epoch == epoch {
+		t.Fatal("doubling authorOf kept the statistics epoch")
+	}
+	for _, q := range queries {
+		res, err := a.Answer(q, StrategyGDLExt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit || res.Search == nil {
+			t.Fatalf("%s: no fresh search after the epoch moved", q.Name)
+		}
+		if got := cost.NewModel(a.DB).Estimate(res.Plan).Cost; res.Search.Cost != got {
+			t.Errorf("%s: search cost %.4f != ε(plan) on the written data %.4f", q.Name, res.Search.Cost, got)
+		}
 	}
 }
 
@@ -295,6 +360,6 @@ func TestSearchReportIsHistoryFree(t *testing.T) {
 // Len returns the number of cached plans.
 func (c *AnswerCache) Len() int { return c.lru.Len() }
 
-// Purge drops every cached entry (version bumps already make stale
-// entries unreachable; Purge reclaims their memory eagerly).
+// Purge drops every cached entry (a TBox swap or an epoch move already
+// makes stale entries unreachable; Purge reclaims their memory eagerly).
 func (c *AnswerCache) Purge() { c.lru.Purge() }

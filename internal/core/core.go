@@ -98,7 +98,6 @@ type Answerer struct {
 	Profile *engine.Profile
 
 	Ref        *reformulate.Reformulator
-	Model      *cost.Model
 	SearchOpts search.Options
 
 	// Backend compiles and executes the logical plans every strategy
@@ -119,12 +118,15 @@ type Answerer struct {
 
 	// Cache, when non-nil, memoizes the front half of Answer (cover
 	// search, reformulation, planning, compiling, statement sizing) per
-	// query template, strategy, and TBox/data version: queries that
-	// differ only in their constants share one entry, and each run
-	// binds its own. New enables it with DefaultAnswerCacheSize; set to
-	// nil to re-run the full pipeline on every request. Cached plans
-	// freeze the cardinality estimates of the moment they were planned;
-	// a data change moves the version and so re-plans.
+	// query template, strategy, backend, TBox version and statistics
+	// epoch: queries that differ only in their constants share one
+	// entry, and each run binds its own. New enables it with
+	// DefaultAnswerCacheSize; set to nil to re-run the full pipeline on
+	// every request. Cached plans freeze the estimates of the epoch they
+	// were planned in. A write re-plans only when it moves the epoch
+	// (engine.Statistics.Epoch); otherwise the cached plan runs on the
+	// new data, and answers as a re-plan would, since every safe cover
+	// yields the same certain answers.
 	Cache *AnswerCache
 
 	// tboxVer counts TBox swaps (InvalidateTBox); it versions cache keys.
@@ -138,20 +140,18 @@ func New(tb *dllite.TBox, db *engine.DB, prof *engine.Profile) *Answerer {
 		DB:      db,
 		Profile: prof,
 		Ref:     reformulate.New(tb),
-		Model:   cost.NewModel(db),
 		Cache:   NewAnswerCache(DefaultAnswerCacheSize),
 	}
 }
 
 // InvalidateTBox must be called after swapping in a new TBox: it
-// rebuilds the reformulator's axiom indexes and the cost model, and
-// bumps the TBox version so cached plans from the old ontology can no
-// longer be served. ABox (data) mutations need no call here —
-// engine.DB bumps its own version on every mutation and the cache keys
-// include it.
+// rebuilds the reformulator's axiom indexes and bumps the TBox version
+// so cached plans from the old ontology can no longer be served. ABox
+// (data) mutations need no call here: the cache keys on the statistics
+// epoch, which a write moves when it moves the statistics plans are
+// costed on, and every run reads the live data.
 func (a *Answerer) InvalidateTBox() {
 	a.Ref = reformulate.New(a.TBox)
-	a.Model = cost.NewModel(a.DB)
 	a.tboxVer.Add(1)
 	// Backends with their own caches (the shard backend's per-shard
 	// plan/result LRUs) key on the data version only — a TBox swap must
@@ -246,8 +246,10 @@ func (a *Answerer) AnswerWith(q query.CQ, s Strategy, backend plan.Backend) (*Re
 			canon:    query.CanonicalKey(tmpl),
 			strategy: s,
 			tboxVer:  a.tboxVer.Load(),
-			dataVer:  a.DB.Version(),
-			backend:  backend.Name(),
+			// Stats, not a bare epoch read: it finalizes a pending
+			// write, so the run below sees it.
+			epoch:   a.DB.Stats().Epoch,
+			backend: backend.Name(),
 		}
 		if cp, ok := a.Cache.get(key); ok {
 			res.CacheHit = true
@@ -293,14 +295,14 @@ func (a *Answerer) buildPlan(q query.CQ, s Strategy, res *Result, backend plan.B
 		r := search.GDL(q, a.TBox, a.Ref, est, a.SearchOpts)
 		sr = &r
 	case StrategyGDLExt:
-		r := search.GDL(q, a.TBox, a.Ref, &search.ExtEstimator{Model: a.Model}, a.SearchOpts)
+		r := search.GDL(q, a.TBox, a.Ref, &search.ExtEstimator{Model: cost.NewModel(a.DB)}, a.SearchOpts)
 		sr = &r
 	case StrategyEDL:
 		opts := a.SearchOpts
 		if opts.MaxCovers == 0 {
 			opts.MaxCovers = 20000 // the paper's A6 cutoff
 		}
-		r := search.EDL(q, a.TBox, a.Ref, &search.ExtEstimator{Model: a.Model}, opts)
+		r := search.EDL(q, a.TBox, a.Ref, &search.ExtEstimator{Model: cost.NewModel(a.DB)}, opts)
 		sr = &r
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %q", s)

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/lubm"
 )
 
@@ -37,7 +38,7 @@ func TestCostModelDriftGuard(t *testing.T) {
 		if res.Explain == nil || res.Explain.Root == nil {
 			t.Fatalf("%s: no explain", q.Name)
 		}
-		est := a.Model.Estimate(res.Plan).Card
+		est := cost.NewModel(a.DB).Estimate(res.Plan).Card
 		actual := float64(res.Explain.Root.ActualRows)
 		if est < 0 {
 			t.Fatalf("%s: negative estimate %f", q.Name, est)

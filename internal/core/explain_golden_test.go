@@ -13,6 +13,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/lubm"
 	"repro/internal/query"
@@ -215,7 +216,7 @@ func sqlGoldenCases(t *testing.T) []sqlGoldenCase {
 			res, err := a.Answer(q, s)
 			fail("native", err)
 			c.SQL = renderSized(t, c.Case, res, engine.LayoutSimple)
-			est := a.Model.Estimate(res.Plan)
+			est := cost.NewModel(a.DB).Estimate(res.Plan)
 			c.EpsCost, c.EpsCard = math.Float64bits(est.Cost), math.Float64bits(est.Card)
 
 			// A fresh Answerer per backend: the answer cache keys on the

@@ -15,8 +15,9 @@ package engine
 // annotating EXPLAIN with the actual row counters is a loop over that
 // record. Operators reset themselves in Open, so a tree outlives its
 // run: Run keeps built trees in a per-Compiled pool and re-opens one
-// instead of building again, as long as it was built for the same
-// worker budget and data version. A parameterized plan
+// instead of building again, as long as what its build read still
+// holds (runTag): the worker budget, the set of tables, and, for a
+// plan with constants, the data. A parameterized plan
 // (query.Parameterize) compiles once for all its instances: the
 // operators hold parameter references, a run resolves its arguments
 // to dictionary ids once, and Open rebinds a pooled tree to them.
@@ -51,24 +52,48 @@ type Compiled struct {
 	root    physical
 	nbind   int // bounds the EXPLAIN bindings one run records
 	nparams int // the arguments a run needs
+	// consts marks a plan with a constant that is not a parameter,
+	// which a build resolves against the dictionary (newAtomJoin,
+	// compileProject): its trees are tagged with the data version.
+	consts bool
 	// states holds the *runState of finished runs for Run to re-open. A
 	// sync.Pool, so idle states are freed by the garbage collector
 	// rather than held for as long as the plan is cached.
 	states sync.Pool
 }
 
-// runState is what a run leaves for the next: its operator tree, built
-// for one worker budget at one data version, the arguments its
-// operators read, the tree's EXPLAIN bindings resolved to skeleton
-// indexes, and, from the first reuse on, the EXPLAIN template later
-// runs copy.
+// runState is what a run leaves for the next: its operator tree, the
+// tag of what the tree's build read, the arguments its operators read,
+// the tree's EXPLAIN bindings resolved to skeleton indexes, and, from
+// the first reuse on, the EXPLAIN template later runs copy.
 type runState struct {
-	workers int
-	version uint64
-	root    Operator
-	args    *boundArgs
-	bound   []binding
-	tmpl    *plan.ExplainTemplate
+	tag   runTag
+	root  Operator
+	args  *boundArgs
+	bound []binding
+	tmpl  *plan.ExplainTemplate
+}
+
+// runTag is what building an operator tree read, so a tree whose tag
+// still matches answers as a fresh build would: Open re-reads the
+// tables' contents (resetScan) and rebinds the parameters, but not
+// these.
+type runTag struct {
+	workers int    // the worker budget the tree was split for
+	tables  uint64 // DB table-set version: newAtomJoin resolves table pointers
+	// data is the DB data version for a plan with constants, whose
+	// dictionary lookups (and dead atoms) are fixed at build; 0
+	// otherwise, so writes to existing tables keep the tree.
+	data uint64
+}
+
+// tag returns the tag a tree built now for workers would carry.
+func (c *Compiled) tag(workers int) runTag {
+	tables, data := c.b.DB.buildVersions()
+	if !c.consts {
+		data = 0
+	}
+	return runTag{workers: workers, tables: tables, data: data}
 }
 
 // Compile validates the plan and compiles it into a reusable
@@ -93,7 +118,34 @@ func (b *Backend) CompilePlan(n *plan.Node) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{b: b, node: n, root: root, nbind: plan.NodeCount(n), nparams: plan.NumParams(n)}, nil
+	return &Compiled{b: b, node: n, root: root, nbind: plan.NodeCount(n), nparams: plan.NumParams(n), consts: hasConstant(n)}, nil
+}
+
+// hasConstant reports whether a node of n has a constant that is not a
+// parameter, in an atom or a head.
+func hasConstant(n *plan.Node) bool {
+	isConst := func(ts []query.Term) bool {
+		for _, t := range ts {
+			if t.Const && !t.Param {
+				return true
+			}
+		}
+		return false
+	}
+	if isConst(n.Head) {
+		return true
+	}
+	for _, a := range n.Atoms {
+		if isConst(a.Args) {
+			return true
+		}
+	}
+	for _, in := range n.Inputs {
+		if hasConstant(in) {
+			return true
+		}
+	}
+	return false
 }
 
 // NewDistinctOperator wraps any operator in the streaming distinct —
@@ -164,25 +216,27 @@ func (c *Compiled) newRun() *run {
 // Run drains an operator tree, its parameters bound to args, and
 // annotates a fresh EXPLAIN skeleton with the frozen estimates and the
 // actual row counters the operators observed. The tree comes from the
-// pool when one there was built for this worker budget at the current
-// data version (Open resets every operator and rebinds its parameters,
-// and the tree reads the tables afresh); otherwise Run builds one.
-// Either way the tree goes back to the pool afterwards. Safe for
-// concurrent use: each run owns the state it took.
+// pool when its tag (runTag) matches a build now: the same worker
+// budget, no table created since, and, for a plan with constants, no
+// write since. Open resets every operator and rebinds its parameters,
+// and the tree reads the tables afresh, so a write into an existing
+// table keeps the tree. Otherwise Run builds one. Either way the tree
+// goes back to the pool afterwards. Safe for concurrent use: each run
+// owns the state it took.
 func (c *Compiled) Run(workers int, args ...string) (*plan.RunResult, error) {
 	if err := plan.CheckArgs(c.nparams, args); err != nil {
 		return nil, err
 	}
-	version := c.b.DB.Version()
+	tag := c.tag(workers)
 	var nodes []plan.ExplainNode
 	st, _ := c.states.Get().(*runState)
-	if st != nil && st.workers == workers && st.version == version {
+	if st != nil && st.tag == tag {
 		if st.tmpl == nil {
 			st.tmpl = plan.NewExplainTemplate(c.node)
 		}
 		nodes = st.tmpl.New(args)
 	} else {
-		st, nodes = c.newState(workers, version, args)
+		st, nodes = c.newState(tag, args)
 	}
 	if st.args != nil {
 		st.args.resolve(c.b.DB.Dict, args)
@@ -203,9 +257,9 @@ func (c *Compiled) Run(workers int, args ...string) (*plan.RunResult, error) {
 // first run's EXPLAIN skeleton, which also places each binding's node.
 // No template is made here: a plan run once (every cold query) would
 // pay for one it never copies.
-func (c *Compiled) newState(workers int, version uint64, args []string) (*runState, []plan.ExplainNode) {
+func (c *Compiled) newState(tag runTag, args []string) (*runState, []plan.ExplainNode) {
 	r := c.newRun()
-	st := &runState{workers: workers, version: version, root: c.root.build(r, workers), args: r.args}
+	st := &runState{tag: tag, root: c.root.build(r, tag.workers), args: r.args}
 	at := make(map[*plan.Node]int32, c.nbind)
 	nodes := plan.FlatSkeleton(c.node, args, func(i int, n *plan.Node) { at[n] = int32(i) })
 	for i := range r.bound {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -38,12 +39,14 @@ type DB struct {
 	roles    map[string]*RoleTable
 	rdf      *rdfStore // non-nil when Layout == LayoutRDF
 
-	// statsMu guards stats and version: queries running concurrently
-	// (server traffic) may all ask for statistics while a late
-	// Finalize is still computing them.
+	// statsMu guards stats, pending and the two versions: queries
+	// running concurrently (server traffic) may all ask for statistics
+	// while a late Finalize is still computing them.
 	statsMu sync.Mutex
-	stats   *Statistics
-	version uint64
+	stats   *Statistics // of the last Finalize; nil before the first
+	pending bool        // a write since the last Finalize
+	version uint64      // data version: bumped by every write
+	tables  uint64      // table-set version: bumped by a write that creates a table
 }
 
 // NewDB builds an empty database with the given layout.
@@ -62,12 +65,13 @@ func NewDB(layout Layout) *DB {
 func (db *DB) AddConceptFact(concept, ind string) {
 	id := db.Dict.Encode(ind)
 	t := db.concepts[concept]
-	if t == nil {
+	created := t == nil
+	if created {
 		t = new(ConceptTable)
 		db.concepts[concept] = t
 	}
 	t.add(id)
-	db.invalidate()
+	db.invalidate(created)
 }
 
 // AddRoleFact stores R(s, o). Like AddConceptFact, the fact becomes
@@ -75,30 +79,48 @@ func (db *DB) AddConceptFact(concept, ind string) {
 func (db *DB) AddRoleFact(role, s, o string) {
 	sid, oid := db.Dict.Encode(s), db.Dict.Encode(o)
 	t := db.roles[role]
-	if t == nil {
+	created := t == nil
+	if created {
 		t = new(RoleTable)
 		db.roles[role] = t
 	}
 	t.add(sid, oid)
-	db.invalidate()
+	db.invalidate(created)
 }
 
-// invalidate drops the cached statistics and bumps the data version —
-// every ABox mutation makes answer/plan caches keyed on Version stale.
-func (db *DB) invalidate() {
+// invalidate marks the statistics stale, so the next Stats finalizes
+// the write, and bumps the data version; a write that created its
+// table bumps the table-set version too. Neither version moves the
+// statistics epoch: only the Finalize that publishes the write can.
+func (db *DB) invalidate(created bool) {
 	db.statsMu.Lock()
-	db.stats = nil
+	db.pending = true
 	db.version++
+	if created {
+		db.tables++
+	}
 	db.statsMu.Unlock()
 }
 
 // Version returns the data version: a counter bumped by every ABox
-// mutation. Caches keyed on (query, TBox version, Version) are
-// invalidated wholesale by updates.
+// mutation. It keys what a write must strand whatever it changed —
+// the shard backend's plan and result caches, and a pooled operator
+// tree that resolved a constant when it was built. Plans key on the
+// statistics epoch instead (Statistics.Epoch), which moves only when
+// the statistics their estimates read do.
 func (db *DB) Version() uint64 {
 	db.statsMu.Lock()
 	defer db.statsMu.Unlock()
 	return db.version
+}
+
+// buildVersions returns, under one lock, the table-set version — bumped
+// by a write that creates a table, whose pointer an operator tree
+// resolves when it is built — and the data version.
+func (db *DB) buildVersions() (tables, data uint64) {
+	db.statsMu.Lock()
+	defer db.statsMu.Unlock()
+	return db.tables, db.version
 }
 
 // LoadABox bulk-loads an ABox and finalizes the layout.
@@ -136,7 +158,15 @@ func (db *DB) finalizeLocked() {
 	if db.Layout == LayoutRDF {
 		db.rdf = buildRDFStore(db)
 	}
-	db.stats = computeStatistics(db)
+	s := computeStatistics(db)
+	if prev := db.stats; prev != nil {
+		s.Epoch = prev.Epoch
+		if !s.sameBuckets(prev) {
+			s.Epoch++
+		}
+	}
+	db.stats = s
+	db.pending = false
 }
 
 // NumFacts returns the total number of stored assertions, pending
@@ -174,7 +204,7 @@ func (db *DB) RoleNames() []string {
 func (db *DB) Stats() *Statistics {
 	db.statsMu.Lock()
 	defer db.statsMu.Unlock()
-	if db.stats == nil {
+	if db.stats == nil || db.pending {
 		db.finalizeLocked()
 	}
 	return db.stats
@@ -183,8 +213,15 @@ func (db *DB) Stats() *Statistics {
 // Statistics holds per-table cardinalities and distinct-value counts —
 // what the cost models consume (Section 6.1: "statistics on the stored
 // data (cardinality and number of distinct values in each stored table
-// attribute)").
+// attribute)"). Finalize publishes a new value and never mutates a
+// published one, so a plan costed on it keeps its estimates.
 type Statistics struct {
+	// Epoch numbers the statistics' power-of-two buckets: it moves only
+	// when a Finalize moves a statistic to another bucket
+	// (computeStatistics gives the rule). The answer cache keys plans on
+	// it, so a write that leaves every bucket alone strands no plan.
+	Epoch uint64
+
 	TotalFacts    int
 	TotalEntities int
 
@@ -194,6 +231,18 @@ type Statistics struct {
 	RoleDistO   map[string]int
 }
 
+// computeStatistics reads the tables' statistics; Finalize then sets
+// the epoch. The epoch rule: the statistics an estimator reads — each
+// table's cardinality, each role's distinct subjects and distinct
+// objects, TotalFacts and TotalEntities — each fall in a power-of-two
+// bucket (bits.Len: 0 for 0, then 1, 2–3, 4–7, …), and the epoch
+// advances when any of them lands in a different bucket than at the
+// last Finalize. A table that appears, empties or fills therefore moves
+// it (bucket 0 against any other); a Finalize with nothing pending
+// never does. A plan chosen within the current epoch saw every
+// statistic within a factor of two of today's; chosen in any epoch it
+// answers the same (every safe cover does, Theorems 1 and 3), so
+// keeping it costs at most time, never rows.
 func computeStatistics(db *DB) *Statistics {
 	s := &Statistics{
 		ConceptCard: make(map[string]int),
@@ -214,6 +263,36 @@ func computeStatistics(db *DB) *Statistics {
 	s.TotalEntities = db.Dict.Size()
 	return s
 }
+
+// sameBuckets reports whether every statistic the epoch rule reads
+// falls in the same power-of-two bucket in s as in prev.
+func (s *Statistics) sameBuckets(prev *Statistics) bool {
+	return bucket(s.TotalFacts) == bucket(prev.TotalFacts) &&
+		bucket(s.TotalEntities) == bucket(prev.TotalEntities) &&
+		sameBuckets(s.ConceptCard, prev.ConceptCard) &&
+		sameBuckets(s.RoleCard, prev.RoleCard) &&
+		sameBuckets(s.RoleDistS, prev.RoleDistS) &&
+		sameBuckets(s.RoleDistO, prev.RoleDistO)
+}
+
+// sameBuckets compares two per-table statistics, a table missing from
+// either counting as 0.
+func sameBuckets(a, b map[string]int) bool {
+	for k, v := range a {
+		if bucket(v) != bucket(b[k]) {
+			return false
+		}
+	}
+	for k, v := range b {
+		if bucket(v) != bucket(a[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// bucket is n's power-of-two bucket.
+func bucket(n int) int { return bits.Len(uint(n)) }
 
 // CardConcept returns the concept cardinality (0 for unknown tables).
 func (s *Statistics) CardConcept(name string) int { return s.ConceptCard[name] }

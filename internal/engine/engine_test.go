@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -493,6 +494,99 @@ func TestStatsInvalidatedByUpdates(t *testing.T) {
 	if after != before+1 {
 		t.Errorf("stats not refreshed: %d -> %d", before, after)
 	}
+}
+
+// TestStatsEpoch: the statistics epoch moves when, and only when, a
+// Finalize moves a statistic an estimator reads to another power-of-two
+// bucket. Each step below moves exactly the statistics it names — the
+// test checks its own construction against crossed — from a start of
+// 20 facts over 13 entities (Pad pads both to mid-bucket).
+func TestStatsEpoch(t *testing.T) {
+	db := NewDB(LayoutSimple)
+	e := func(i int) string { return "e" + itoa(i) }
+	for i := 0; i < 3; i++ {
+		db.AddConceptFact("Card", e(i))
+	}
+	for i := 3; i < 13; i++ {
+		db.AddConceptFact("Pad", e(i))
+	}
+	for _, p := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
+		db.AddRoleFact("RCard", e(p[0]), e(p[1]))
+	}
+	db.AddRoleFact("RDistS", e(0), e(1))
+	db.AddRoleFact("RDistS", e(0), e(2))
+	db.AddRoleFact("RDistO", e(0), e(1))
+	db.AddRoleFact("RDistO", e(2), e(1))
+	db.Finalize()
+	concept := func(c string, i int) func() { return func() { db.AddConceptFact(c, e(i)) } }
+	role := func(r string, s, o int) func() { return func() { db.AddRoleFact(r, e(s), e(o)) } }
+	for _, step := range []struct {
+		name   string
+		writes []func()
+		moves  []string // the statistics whose bucket moves
+		lazy   bool     // no Finalize: Stats finalizes the writes
+	}{
+		{"a write inside every bucket", []func(){concept("Pad", 13)}, nil, false},
+		{"a Finalize with nothing pending", nil, nil, false},
+		{"a concept's cardinality", []func(){concept("Card", 3)}, []string{"ConceptCard[Card]"}, false},
+		{"a role's cardinality", []func(){role("RCard", 1, 1)}, []string{"RoleCard[RCard]"}, false},
+		{"a role's distinct subjects", []func(){role("RDistS", 1, 2)}, []string{"RoleDistS[RDistS]"}, false},
+		{"a role's distinct objects", []func(){role("RDistO", 0, 2)}, []string{"RoleDistO[RDistO]"}, false},
+		{"an entity inside every bucket", []func(){concept("Pad", 14)}, nil, false},
+		{"TotalEntities", []func(){concept("Pad", 15)}, []string{"TotalEntities"}, false},
+		{"facts inside every bucket", []func(){concept("Pad", 0), concept("Pad", 1), role("RCard", 2, 1), role("RCard", 2, 2)}, nil, false},
+		{"TotalFacts", []func(){role("RCard", 2, 0)}, []string{"TotalFacts"}, false},
+		{"a concept table appears", []func(){concept("New", 0)}, []string{"ConceptCard[New]"}, false},
+		{"a role table appears", []func(){role("RNew", 0, 1)}, []string{"RoleCard[RNew]", "RoleDistO[RNew]", "RoleDistS[RNew]"}, false},
+		{"a role table appears, read by Stats alone", []func(){role("RLazy", 0, 1)}, []string{"RoleCard[RLazy]", "RoleDistO[RLazy]", "RoleDistS[RLazy]"}, true},
+	} {
+		before := db.Stats()
+		for _, w := range step.writes {
+			w()
+		}
+		if !step.lazy {
+			db.Finalize()
+		}
+		after := db.Stats()
+		if got := crossed(before, after); !slices.Equal(got, step.moves) {
+			t.Fatalf("%s: the step moves %v, want %v", step.name, got, step.moves)
+		}
+		if moved := after.Epoch != before.Epoch; moved != (step.moves != nil) {
+			t.Errorf("%s: epoch %d -> %d", step.name, before.Epoch, after.Epoch)
+		}
+	}
+}
+
+// crossed lists, sorted, the statistics the epoch rule reads whose
+// power-of-two bucket differs between a and b.
+func crossed(a, b *Statistics) []string {
+	var out []string
+	diff := func(name string, x, y int) {
+		if bits.Len(uint(x)) != bits.Len(uint(y)) {
+			out = append(out, name)
+		}
+	}
+	diff("TotalFacts", a.TotalFacts, b.TotalFacts)
+	diff("TotalEntities", a.TotalEntities, b.TotalEntities)
+	for name, m := range map[string][2]map[string]int{
+		"ConceptCard": {a.ConceptCard, b.ConceptCard},
+		"RoleCard":    {a.RoleCard, b.RoleCard},
+		"RoleDistS":   {a.RoleDistS, b.RoleDistS},
+		"RoleDistO":   {a.RoleDistO, b.RoleDistO},
+	} {
+		keys := map[string]bool{}
+		for k := range m[0] {
+			keys[k] = true
+		}
+		for k := range m[1] {
+			keys[k] = true
+		}
+		for k := range keys {
+			diff(name+"["+k+"]", m[0][k], m[1][k])
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 func TestJUSCQEngineMatchesNaive(t *testing.T) {

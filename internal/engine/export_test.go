@@ -60,6 +60,17 @@ func HasExistenceProbe(op Operator) bool {
 	return false
 }
 
+// PooledTree returns the operator tree of a run state in c's pool and
+// puts the state back; nil when the pool holds none.
+func (c *Compiled) PooledTree() Operator {
+	st, _ := c.states.Get().(*runState)
+	if st == nil {
+		return nil
+	}
+	c.states.Put(st)
+	return st.root
+}
+
 // ExistenceCheck compiles q with its atoms as the plan steps, in body
 // order, and returns the row check of its last atom, with ok false
 // unless that atom is an existence probe. Rows are laid out with q's

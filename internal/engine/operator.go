@@ -667,8 +667,9 @@ func (j *atomJoin) matches(row []int64) matchSet {
 }
 
 // resetScan drops the cached full scan, so a re-opened operator reads
-// the table as it is now: Finalize publishes pending facts without
-// bumping the data version a pooled tree is checked against.
+// the table as it is now: a pooled tree outlives Finalize, which
+// publishes pending facts, and outlives every write into a table that
+// existed when it was built.
 func (j *atomJoin) resetScan() {
 	j.scansLoaded = false
 	j.scanPairs = nil

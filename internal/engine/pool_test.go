@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -224,6 +225,41 @@ func TestRerunAllocBound(t *testing.T) {
 		if perRun > tc.bound {
 			t.Errorf("Q%d/ucq: %d bytes per rerun, bound %d", qi+1, perRun, tc.bound)
 		}
+	}
+}
+
+// TestRerunAfterWriteAllocBound guards a rerun of Q3/ucq after each
+// of a series of writes into a table it reads (authorOf, one new fact
+// and a Finalize before every run, outside the measurement): the write
+// leaves the set of tables alone and the plan has no constant, so the
+// run re-opens its pooled tree and stays within TestRerunAllocBound's
+// Q3 bound. Rebuilding the tree after every write costs about 0.69 MB
+// a run (TestWarmRunAllocBound).
+func TestRerunAfterWriteAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds are measured without the race detector")
+	}
+	db := lubmDB()
+	c := compileLUBM(t, db, 2, core.StrategyUCQ) // Q3
+	// Fill both pools.
+	for i := 0; i < 3; i++ {
+		answers(t, c, 1)
+	}
+	const runs, bound = 50, 200 << 10
+	var total uint64
+	for i := 0; i < runs; i++ {
+		db.AddRoleFact("authorOf", "Writer"+strconv.Itoa(i), "Paper"+strconv.Itoa(i))
+		db.Finalize()
+		total += allocDuring(t, func() {
+			if _, err := c.Run(1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	perRun := total / runs
+	t.Logf("Q3/ucq: %d bytes per rerun after a write", perRun)
+	if perRun > bound {
+		t.Errorf("Q3/ucq: %d bytes per rerun after a write, bound %d", perRun, bound)
 	}
 }
 

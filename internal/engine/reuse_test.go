@@ -3,12 +3,13 @@ package engine_test
 // Run reuse: Compiled.Run re-opens the operator tree a previous run
 // left in its pool. A reused tree must answer, and explain, exactly as
 // a freshly built one; it must read the tables as they are now; and it
-// must never serve a worker budget or data version it was not built
-// for.
+// must never serve a worker budget, a set of tables, or (for a plan
+// with constants) a data version it was not built for.
 
 import (
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -63,6 +64,101 @@ func TestReusedTreeSeesFinalize(t *testing.T) {
 func TestRunRebuildsAfterWrite(t *testing.T) {
 	db := engine.NewDB(engine.LayoutSimple)
 	db.AddConceptFact("A", "a")
+	db.Finalize()
+	c := compileNode(t, db, cqPlan("q(x) <- A(x), B('newcomer')"))
+	for i := 0; i < 2; i++ {
+		if n := runRows(t, c); n != 0 {
+			t.Fatalf("run %d before the write: %d rows, want 0", i, n)
+		}
+	}
+	db.AddConceptFact("B", "newcomer")
+	db.Finalize()
+	if n := runRows(t, c); n != 1 {
+		t.Fatalf("after the write: %d rows, want 1", n)
+	}
+}
+
+// TestPooledTreeSurvivesWrite: a write into a table that existed when
+// a pooled tree was built keeps the tree — the next run re-opens it and
+// sees the new fact. Each attempt writes one new Q3 answer, an existing
+// paper by an existing author of another; a sync.Pool may drop a state
+// (after a garbage collection, on another processor, or at random under
+// the race detector), so reuse must show in one attempt of twenty. A
+// tree built while a predicate had no table, though, reads it as empty:
+// once the first write creates the table, the next run builds a tree
+// that reads it.
+func TestPooledTreeSurvivesWrite(t *testing.T) {
+	db := lubmDB()
+	c := compileLUBM(t, db, 2, core.StrategyUCQ) // Q3(x, y): paper x, author y
+	rows := answers(t, c, 1)
+	var papers, authors []string
+	seen := map[string]bool{}
+	for _, r := range rows {
+		x, y, _ := strings.Cut(r, ",")
+		if !seen["x"+x] {
+			papers = append(papers, x)
+		}
+		if !seen["y"+y] {
+			authors = append(authors, y)
+		}
+		seen["x"+x], seen["y"+y] = true, true
+	}
+	reused, attempts := false, 0
+	for _, x := range papers {
+		for _, y := range authors {
+			if reused || attempts == 20 || slices.Contains(rows, x+","+y) {
+				continue
+			}
+			attempts++
+			before := c.PooledTree()
+			db.AddRoleFact("authorOf", y, x)
+			db.Finalize()
+			want := append(slices.Clone(rows), x+","+y)
+			slices.Sort(want)
+			if rows = answers(t, c, 1); !slices.Equal(rows, want) {
+				t.Fatalf("after authorOf(%s, %s): %d answers, want %d", y, x, len(rows), len(want))
+			}
+			reused = before != nil && c.PooledTree() == before
+		}
+	}
+	if attempts == 0 {
+		t.Fatal("no candidate write")
+	}
+	if !reused {
+		t.Errorf("none of %d runs after a write re-opened the tree the run before it left", attempts)
+	}
+
+	for _, layout := range []engine.Layout{engine.LayoutSimple, engine.LayoutRDF} {
+		db := engine.NewDB(layout)
+		db.AddConceptFact("A", "a")
+		db.Finalize()
+		c := compileNode(t, db, cqPlan("q(x) <- A(x), B(x), R(x, y)"))
+		for i := 0; i < 2; i++ {
+			if n := runRows(t, c); n != 0 {
+				t.Fatalf("%v: run %d before the writes: %d rows, want 0", layout, i, n)
+			}
+		}
+		db.AddConceptFact("B", "a")
+		db.Finalize()
+		if n := runRows(t, c); n != 0 {
+			t.Fatalf("%v: with B only: %d rows, want 0", layout, n)
+		}
+		db.AddRoleFact("R", "a", "b")
+		db.Finalize()
+		if n := runRows(t, c); n != 1 {
+			t.Fatalf("%v: with B and R: %d rows, want 1", layout, n)
+		}
+	}
+}
+
+// TestConstantTreeRebuildsAfterWrite: a plan with a constant resolves
+// it when a tree is built, so any write rebuilds its trees — here one
+// into a table that already existed, which leaves a constant-free
+// plan's trees alone, adds the constant the pooled tree found absent.
+func TestConstantTreeRebuildsAfterWrite(t *testing.T) {
+	db := engine.NewDB(engine.LayoutSimple)
+	db.AddConceptFact("A", "a")
+	db.AddConceptFact("B", "b")
 	db.Finalize()
 	c := compileNode(t, db, cqPlan("q(x) <- A(x), B('newcomer')"))
 	for i := 0; i < 2; i++ {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/cover"
 	"repro/internal/dllite"
 	"repro/internal/engine"
@@ -133,7 +134,7 @@ func RunTable6(env *Env) []Table6Row {
 		row.Gq = cover.CountGeneralizedCovers(q, env.TBox, GqCap)
 		row.GqCapped = row.Gq >= GqCap
 		res := search.GDL(q, env.TBox, ref,
-			&search.ExtEstimator{Model: env.A.Model}, search.Options{})
+			&search.ExtEstimator{Model: cost.NewModel(env.DB)}, search.Options{})
 		row.GDLLq = res.ExploredLq
 		row.GDLGq = res.ExploredGq
 		row.GDLElapsed = res.Elapsed
@@ -198,7 +199,7 @@ type TimeLimitedRow struct {
 // RunTimeLimited compares GDL with and without the 20 ms budget.
 func RunTimeLimited(env *Env, budget time.Duration) []TimeLimitedRow {
 	ref := reformulate.New(env.TBox)
-	est := &search.ExtEstimator{Model: env.A.Model}
+	est := &search.ExtEstimator{Model: cost.NewModel(env.DB)}
 	var rows []TimeLimitedRow
 	for _, q := range lubm.Queries() {
 		full := search.GDL(q, env.TBox, ref, est, search.Options{})
@@ -276,7 +277,7 @@ type GCovRow struct {
 // RunGCov measures how often each estimator's winner is generalized.
 func RunGCov(env *Env) []GCovRow {
 	ref := reformulate.New(env.TBox)
-	ext := &search.ExtEstimator{Model: env.A.Model}
+	ext := &search.ExtEstimator{Model: cost.NewModel(env.DB)}
 	rdbms := &search.RDBMSEstimator{DB: env.DB, Profile: env.Profile}
 	var rows []GCovRow
 	for _, q := range lubm.Queries() {
