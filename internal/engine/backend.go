@@ -15,16 +15,20 @@ package engine
 // annotating EXPLAIN with the actual row counters is a loop over that
 // record. Operators reset themselves in Open, so a tree outlives its
 // run: Run keeps built trees in a per-Compiled pool and re-opens one
-// instead of building again, as long as what its build read still
-// holds (runTag): the worker budget, the set of tables, and, for a
-// plan with constants, the data. A parameterized plan
-// (query.Parameterize) compiles once for all its instances: the
-// operators hold parameter references, a run resolves its arguments
-// to dictionary ids once, and Open rebinds a pooled tree to them.
+// built for the same worker budget instead of building again. That is
+// safe because building a tree reads only the plan and the worker
+// budget, and Open reads everything the tree takes from the database:
+// each atom's table, and the dictionary ids of the plan's constants and
+// parameters (query.Parameterize). A constant compiles as a parameter
+// does: the build numbers each distinct one after the plan's
+// parameters, a run resolves its arguments and the constants to
+// dictionary ids once, and Open binds the operators to them, so a
+// parameterized plan compiles once for all its instances.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/plan"
@@ -52,10 +56,6 @@ type Compiled struct {
 	root    physical
 	nbind   int // bounds the EXPLAIN bindings one run records
 	nparams int // the arguments a run needs
-	// consts marks a plan with a constant that is not a parameter,
-	// which a build resolves against the dictionary (newAtomJoin,
-	// compileProject): its trees are tagged with the data version.
-	consts bool
 	// states holds the *runState of finished runs for Run to re-open. A
 	// sync.Pool, so idle states are freed by the garbage collector
 	// rather than held for as long as the plan is cached.
@@ -63,37 +63,15 @@ type Compiled struct {
 }
 
 // runState is what a run leaves for the next: its operator tree, the
-// tag of what the tree's build read, the arguments its operators read,
-// the tree's EXPLAIN bindings resolved to skeleton indexes, and, from
-// the first reuse on, the EXPLAIN template later runs copy.
+// worker budget the tree was split for, the arguments its operators
+// read, the tree's EXPLAIN bindings resolved to skeleton indexes, and,
+// from the first reuse on, the EXPLAIN template later runs copy.
 type runState struct {
-	tag   runTag
-	root  Operator
-	args  *boundArgs
-	bound []binding
-	tmpl  *plan.ExplainTemplate
-}
-
-// runTag is what building an operator tree read, so a tree whose tag
-// still matches answers as a fresh build would: Open re-reads the
-// tables' contents (resetScan) and rebinds the parameters, but not
-// these.
-type runTag struct {
-	workers int    // the worker budget the tree was split for
-	tables  uint64 // DB table-set version: newAtomJoin resolves table pointers
-	// data is the DB data version for a plan with constants, whose
-	// dictionary lookups (and dead atoms) are fixed at build; 0
-	// otherwise, so writes to existing tables keep the tree.
-	data uint64
-}
-
-// tag returns the tag a tree built now for workers would carry.
-func (c *Compiled) tag(workers int) runTag {
-	tables, data := c.b.DB.buildVersions()
-	if !c.consts {
-		data = 0
-	}
-	return runTag{workers: workers, tables: tables, data: data}
+	workers int
+	root    Operator
+	args    *boundArgs
+	bound   []binding
+	tmpl    *plan.ExplainTemplate
 }
 
 // Compile validates the plan and compiles it into a reusable
@@ -118,34 +96,7 @@ func (b *Backend) CompilePlan(n *plan.Node) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{b: b, node: n, root: root, nbind: plan.NodeCount(n), nparams: plan.NumParams(n), consts: hasConstant(n)}, nil
-}
-
-// hasConstant reports whether a node of n has a constant that is not a
-// parameter, in an atom or a head.
-func hasConstant(n *plan.Node) bool {
-	isConst := func(ts []query.Term) bool {
-		for _, t := range ts {
-			if t.Const && !t.Param {
-				return true
-			}
-		}
-		return false
-	}
-	if isConst(n.Head) {
-		return true
-	}
-	for _, a := range n.Atoms {
-		if isConst(a.Args) {
-			return true
-		}
-	}
-	for _, in := range n.Inputs {
-		if hasConstant(in) {
-			return true
-		}
-	}
-	return false
+	return &Compiled{b: b, node: n, root: root, nbind: plan.NodeCount(n), nparams: plan.NumParams(n)}, nil
 }
 
 // NewDistinctOperator wraps any operator in the streaming distinct —
@@ -199,10 +150,9 @@ func (c *Compiled) Estimate() plan.Estimate { return c.root.estimate() }
 // never sees it. args must pass plan.CheckArgs.
 func (c *Compiled) Tree(workers int, args ...string) (Operator, func(at map[*plan.Node]*plan.ExplainNode)) {
 	r := c.newRun()
-	if r.args != nil {
-		r.args.resolve(c.b.DB.Dict, args)
-	}
-	return c.root.build(r, workers), r.annotate
+	root := c.root.build(r, workers)
+	r.args.resolve(c.b.DB.Dict, args)
+	return root, r.annotate
 }
 
 func (c *Compiled) newRun() *run {
@@ -216,31 +166,27 @@ func (c *Compiled) newRun() *run {
 // Run drains an operator tree, its parameters bound to args, and
 // annotates a fresh EXPLAIN skeleton with the frozen estimates and the
 // actual row counters the operators observed. The tree comes from the
-// pool when its tag (runTag) matches a build now: the same worker
-// budget, no table created since, and, for a plan with constants, no
-// write since. Open resets every operator and rebinds its parameters,
-// and the tree reads the tables afresh, so a write into an existing
-// table keeps the tree. Otherwise Run builds one. Either way the tree
-// goes back to the pool afterwards. Safe for concurrent use: each run
-// owns the state it took.
+// pool when it was built for the same worker budget; otherwise Run
+// builds one. Either way the run resolves its arguments and the plan's
+// constants, and Open resets every operator, binds it to them and
+// resolves its table, so a pooled tree answers as a fresh one would
+// after any write. The tree goes back to the pool afterwards. Safe for
+// concurrent use: each run owns the state it took.
 func (c *Compiled) Run(workers int, args ...string) (*plan.RunResult, error) {
 	if err := plan.CheckArgs(c.nparams, args); err != nil {
 		return nil, err
 	}
-	tag := c.tag(workers)
 	var nodes []plan.ExplainNode
 	st, _ := c.states.Get().(*runState)
-	if st != nil && st.tag == tag {
+	if st != nil && st.workers == workers {
 		if st.tmpl == nil {
 			st.tmpl = plan.NewExplainTemplate(c.node)
 		}
 		nodes = st.tmpl.New(args)
 	} else {
-		st, nodes = c.newState(tag, args)
+		st, nodes = c.newState(workers, args)
 	}
-	if st.args != nil {
-		st.args.resolve(c.b.DB.Dict, args)
-	}
+	st.args.resolve(c.b.DB.Dict, args)
 	rel := Drain(st.root)
 	for _, b := range st.bound {
 		e := &nodes[b.at]
@@ -257,9 +203,9 @@ func (c *Compiled) Run(workers int, args ...string) (*plan.RunResult, error) {
 // first run's EXPLAIN skeleton, which also places each binding's node.
 // No template is made here: a plan run once (every cold query) would
 // pay for one it never copies.
-func (c *Compiled) newState(tag runTag, args []string) (*runState, []plan.ExplainNode) {
+func (c *Compiled) newState(workers int, args []string) (*runState, []plan.ExplainNode) {
 	r := c.newRun()
-	st := &runState{tag: tag, root: c.root.build(r, tag.workers), args: r.args}
+	st := &runState{workers: workers, root: c.root.build(r, workers), args: r.args}
 	at := make(map[*plan.Node]int32, c.nbind)
 	nodes := plan.FlatSkeleton(c.node, args, func(i int, n *plan.Node) { at[n] = int32(i) })
 	for i := range r.bound {
@@ -342,7 +288,7 @@ func (p *coverPlan) build(r *run, workers int) Operator {
 		ops[i] = f.build(r, per)
 	}
 	join := NewHashJoin(ops, p.probe, p.builds, workers)
-	proj := compileProjectNamed(join, p.project.Head, r.db, r.args)
+	proj := compileProjectNamed(join, p.project.Head, r)
 	root := newDistinct(proj)
 	r.bind(p.join, plan.UnknownRows, plan.UnknownRows, join)
 	r.bind(p.project, p.est.Card, plan.UnknownRows, proj)
@@ -433,7 +379,7 @@ func (c *compiler) arm(n *plan.Node, a *armPlan) error {
 // for the access leaf it reads, the last one also for the Join or
 // SemiJoin topping the body, and the projection for the arm.
 func (a *armPlan) build(r *run) Operator {
-	proj, body := compileArm(a, r.db, r)
+	proj, body := compileArm(a, r)
 	if top := a.n.Inputs[0]; top.Op == plan.OpJoin || top.Op == plan.OpSemiJoin {
 		r.bind(top, a.steps[len(a.steps)-1].estOut, plan.UnknownRows, body)
 	}
@@ -442,54 +388,66 @@ func (a *armPlan) build(r *run) Operator {
 }
 
 // run is one execution's build state: the database, the arguments
-// the tree's parameters read (nil for a plan without any), and the
-// EXPLAIN record — which operator answers for which IR node, beside the
-// node's frozen estimate.
+// the tree's constants and parameters read (nil for a plan without
+// any), and the EXPLAIN record — which operator answers for which IR
+// node, beside the node's frozen estimate.
 type run struct {
 	db    *DB
 	args  *boundArgs
 	bound []binding
 }
 
-// argRefs returns the arguments operators built on r read; r may be
-// nil (an arm compiled outside a run), which binds none.
-func (r *run) argRefs() *boundArgs {
-	if r == nil {
-		return nil
+// slot returns the argument slot a constant term reads: a parameter's
+// own index, or, for any other constant, one numbered after the plan's
+// parameters, shared by every occurrence of the same name in the tree.
+func (r *run) slot(t query.Term) int32 {
+	if r.args == nil {
+		r.args = &boundArgs{}
 	}
-	return r.args
+	if t.Param {
+		return int32(t.ParamIndex())
+	}
+	a := r.args
+	if k := slices.Index(a.consts, t.Name); k >= 0 {
+		return int32(len(a.ids) - len(a.consts) + k)
+	}
+	a.consts = append(a.consts, t.Name)
+	a.ids, a.found = append(a.ids, 0), append(a.found, false)
+	return int32(len(a.ids) - 1)
 }
 
-// boundArgs is one run's arguments resolved to dictionary ids, shared
-// by every operator of its tree that reads a parameter. A run state
-// keeps it, so a pooled tree is rebound, not rebuilt.
+// boundArgs is one run's arguments, then the plan's constants, resolved
+// to dictionary ids, shared by every operator of its tree that reads a
+// constant. A run state keeps it, so a pooled tree is rebound, not
+// rebuilt.
 type boundArgs struct {
-	ids   []int64
-	found []bool // false: the argument is not in the dictionary
+	ids    []int64
+	found  []bool   // false: the name is not in the dictionary
+	consts []string // the constants' names, in slot order after the arguments
 }
 
-// resolve looks each argument up once.
+// resolve looks each argument and each constant up once; a nil a (a
+// plan without either) has nothing to resolve.
 func (a *boundArgs) resolve(d *Dictionary, args []string) {
-	for i := range a.ids {
+	if a == nil {
+		return
+	}
+	n := len(a.ids) - len(a.consts)
+	for i := range n {
 		a.ids[i], a.found[i] = d.Lookup(args[i])
 	}
+	for k, name := range a.consts {
+		a.ids[n+k], a.found[n+k] = d.Lookup(name)
+	}
 }
 
-// lookup returns parameter p's id and whether the dictionary has it;
+// lookup returns slot p's id and whether the dictionary has it;
 // unbound arguments (nil a) match nothing.
 func (a *boundArgs) lookup(p int) (int64, bool) {
 	if a == nil || p >= len(a.ids) {
 		return 0, false
 	}
 	return a.ids[p], a.found[p]
-}
-
-// bind sets a parameter reference to its argument's id.
-func (a *boundArgs) bind(t *termRef) {
-	if t.isParam {
-		id, ok := a.lookup(int(t.param))
-		t.constID, t.absent = id, !ok
-	}
 }
 
 type binding struct {

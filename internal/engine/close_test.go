@@ -203,7 +203,7 @@ func TestUnionEarlyAndDoubleCloseBalanced(t *testing.T) {
 func TestDoubleCloseReleasesBatchOnce(t *testing.T) {
 	for _, op := range []Operator{
 		newDistinct(newLifecycleOp(10)),
-		newProject(newLifecycleOp(10), []string{"x"}, []int{0}, []int64{0}, false),
+		newProject(newLifecycleOp(10), []string{"x"}, []int{0}),
 		NewHashJoin([]Operator{newLifecycleOp(10), newLifecycleOp(10)}, 0, []int{1}, 1),
 	} {
 		op.Open()

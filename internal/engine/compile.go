@@ -42,31 +42,16 @@ func pipelineLayout(leaves []*plan.Node, steps []armStep) (map[string]int, []str
 }
 
 // newAtomJoin compiles one atom against the current layout and bound
-// mask. Constants are resolved once; a constant absent from the
-// dictionary makes the atom dead (it can match nothing). Parameters
-// resolve from args at every Open instead. On the simple layout the
-// atom's table is resolved once too, so probes skip the DB's per-call
-// table lookup.
-func newAtomJoin(a query.Atom, colOf map[string]int, bound []bool, db *DB, args *boundArgs) *atomJoin {
-	j := &atomJoin{db: db, pred: a.Pred, arity: a.Arity()}
-	if db.Layout != LayoutRDF {
-		if j.arity == 1 {
-			j.concept = db.Concept(a.Pred)
-		} else {
-			j.role = db.Role(a.Pred)
-		}
-	}
+// mask. It reads nothing from the database: a constant or parameter
+// becomes a reference to its argument slot (run.slot), and the atom's
+// table and the slots' ids are read at every Open (atomJoin.open).
+func newAtomJoin(a query.Atom, colOf map[string]int, bound []bool, r *run) *atomJoin {
+	j := &atomJoin{db: r.db, pred: a.Pred, arity: a.Arity()}
 	ref := func(t query.Term) termRef {
-		if t.Param {
-			j.args = args
-			return termRef{isConst: true, isParam: true, param: int32(t.ParamIndex())}
-		}
 		if t.Const {
-			id, ok := db.Dict.Lookup(t.Name)
-			if !ok {
-				j.dead = true
-			}
-			return termRef{isConst: true, constID: id, absent: !ok}
+			slot := r.slot(t)
+			j.args = r.args
+			return termRef{isConst: true, slot: slot}
 		}
 		c := colOf[t.Name]
 		return termRef{col: c, bound: bound[c]}
@@ -81,10 +66,9 @@ func newAtomJoin(a query.Atom, colOf map[string]int, bound []bool, db *DB, args 
 
 // markExistential makes j an existence probe when one side is bound and
 // the other is a variable whose last reader (noteReads) is this step.
-// R(z, z) never qualifies: its sides are bound or unbound together. A
-// dead atom stays a join, which matches nothing either.
+// R(z, z) never qualifies: its sides are bound or unbound together.
 func (j *atomJoin) markExistential(last []int, step int) {
-	if j.arity != 2 || j.dead {
+	if j.arity != 2 {
 		return
 	}
 	switch {
@@ -135,42 +119,24 @@ func compileStep(cur Operator, cols []string, alts []*atomJoin) Operator {
 }
 
 // compileProject closes a pipeline with head projection; head
-// parameters read args.
-func compileProject(cur Operator, head []query.Term, colOf map[string]int, db *DB, args *boundArgs) Operator {
-	srcCols := make([]int, len(head))
-	consts := make([]int64, len(head))
-	var params []int
-	dead := false
+// constants and parameters read their slots of r's arguments at Open.
+func compileProject(cur Operator, head []query.Term, colOf map[string]int, r *run) Operator {
+	p := newProject(cur, headSchema(head), make([]int, len(head)))
 	for i, h := range head {
-		srcCols[i] = -1
-		if h.Param {
-			if params == nil {
-				params = make([]int, len(head))
-				for k := range params {
-					params[k] = -1
-				}
+		switch c, ok := colOf[h.Name]; {
+		case h.Const:
+			if p.consts == nil {
+				p.consts = make([]int64, len(head))
 			}
-			params[i] = h.ParamIndex()
-			continue
+			p.srcCols[i] = -1 - int(r.slot(h))
+			p.args = r.args
+		case ok:
+			p.srcCols[i] = c
+		default:
+			// Head variable never bound by any atom: no row qualifies,
+			// so its column is never read.
+			p.unbound = true
 		}
-		if h.Const {
-			id, ok := db.Dict.Lookup(h.Name)
-			if !ok {
-				dead = true
-			}
-			consts[i] = id
-			continue
-		}
-		if c, ok := colOf[h.Name]; ok {
-			srcCols[i] = c
-		} else {
-			// Head variable never bound by any atom: no row qualifies.
-			dead = true
-		}
-	}
-	p := newProject(cur, headSchema(head), srcCols, consts, dead)
-	if params != nil {
-		p.params = &headParams{index: params, deadConst: dead, args: args}
 	}
 	return p
 }
@@ -181,9 +147,9 @@ func compileProject(cur Operator, head []query.Term, colOf map[string]int, db *D
 // one join whose alternatives are the block's atoms (their matches are
 // unioned per input row), or one filter when every alternative is fully
 // bound or an existence probe, passing a row when any alternative
-// matches it. It records on r (when non-nil) each step's operator and
-// estimates against the access leaf it reads.
-func compileArm(a *armPlan, db *DB, r *run) (proj, body Operator) {
+// matches it. It records on r each step's operator and estimates
+// against the access leaf it reads.
+func compileArm(a *armPlan, r *run) (proj, body Operator) {
 	head := a.n.Head
 	colOf, cols := pipelineLayout(a.leaves, a.steps)
 	last := make([]int, len(cols))
@@ -199,41 +165,43 @@ func compileArm(a *armPlan, db *DB, r *run) (proj, body Operator) {
 		block := a.leaves[s.leaf].Atoms
 		alts := make([]*atomJoin, len(block))
 		for i, at := range block {
-			alts[i] = newAtomJoin(at, colOf, bound, db, r.argRefs())
+			alts[i] = newAtomJoin(at, colOf, bound, r)
 			alts[i].markExistential(last, k)
 		}
 		cur = compileStep(cur, cols, alts)
 		for _, at := range block {
 			markBound(at, colOf, bound)
 		}
-		if r != nil {
-			r.bind(a.leaves[s.leaf], s.estOut, s.estCost, cur)
-		}
+		r.bind(a.leaves[s.leaf], s.estOut, s.estCost, cur)
 	}
 	if cur == nil {
 		cur = newSingleton(cols)
 	}
-	return compileProject(cur, head, colOf, db, r.argRefs()), cur
+	return compileProject(cur, head, colOf, r), cur
 }
 
 // compileProjectNamed projects a pipeline whose schema already names
 // its columns (a fragment join) onto the overall query head.
-func compileProjectNamed(cur Operator, head []query.Term, db *DB, args *boundArgs) Operator {
+func compileProjectNamed(cur Operator, head []query.Term, r *run) Operator {
 	colOf := map[string]int{}
 	for i, v := range cur.Schema() {
 		if _, ok := colOf[v]; !ok {
 			colOf[v] = i
 		}
 	}
-	return compileProject(cur, head, colOf, db, args)
+	return compileProject(cur, head, colOf, r)
 }
 
 // NewProjectNamed is the exported form of compileProjectNamed for
 // composing backends (internal/shard) that assemble their own fragment
-// joins and need the head projection above them. The head carries no
-// parameters: bind them first (query.Term.Bind).
+// joins, one per run, and need the head projection above them. The
+// head carries no parameters: bind them first (query.Term.Bind). Its
+// constants are resolved here, as Compiled.Tree resolves a tree's.
 func NewProjectNamed(cur Operator, head []query.Term, db *DB) Operator {
-	return compileProjectNamed(cur, head, db, nil)
+	r := &run{db: db}
+	p := compileProjectNamed(cur, head, r)
+	r.args.resolve(db.Dict, nil)
+	return p
 }
 
 // CoverJoinOrder is the exported form of coverJoinOrder for composing

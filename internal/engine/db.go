@@ -39,14 +39,13 @@ type DB struct {
 	roles    map[string]*RoleTable
 	rdf      *rdfStore // non-nil when Layout == LayoutRDF
 
-	// statsMu guards stats, pending and the two versions: queries
-	// running concurrently (server traffic) may all ask for statistics
-	// while a late Finalize is still computing them.
+	// statsMu guards stats, pending and version: queries running
+	// concurrently (server traffic) may all ask for statistics while a
+	// late Finalize is still computing them.
 	statsMu sync.Mutex
 	stats   *Statistics // of the last Finalize; nil before the first
 	pending bool        // a write since the last Finalize
 	version uint64      // data version: bumped by every write
-	tables  uint64      // table-set version: bumped by a write that creates a table
 }
 
 // NewDB builds an empty database with the given layout.
@@ -65,13 +64,12 @@ func NewDB(layout Layout) *DB {
 func (db *DB) AddConceptFact(concept, ind string) {
 	id := db.Dict.Encode(ind)
 	t := db.concepts[concept]
-	created := t == nil
-	if created {
+	if t == nil {
 		t = new(ConceptTable)
 		db.concepts[concept] = t
 	}
 	t.add(id)
-	db.invalidate(created)
+	db.invalidate()
 }
 
 // AddRoleFact stores R(s, o). Like AddConceptFact, the fact becomes
@@ -79,48 +77,36 @@ func (db *DB) AddConceptFact(concept, ind string) {
 func (db *DB) AddRoleFact(role, s, o string) {
 	sid, oid := db.Dict.Encode(s), db.Dict.Encode(o)
 	t := db.roles[role]
-	created := t == nil
-	if created {
+	if t == nil {
 		t = new(RoleTable)
 		db.roles[role] = t
 	}
 	t.add(sid, oid)
-	db.invalidate(created)
+	db.invalidate()
 }
 
 // invalidate marks the statistics stale, so the next Stats finalizes
-// the write, and bumps the data version; a write that created its
-// table bumps the table-set version too. Neither version moves the
-// statistics epoch: only the Finalize that publishes the write can.
-func (db *DB) invalidate(created bool) {
+// the write, and bumps the data version. The version does not move the
+// statistics epoch: only the Finalize that publishes the write can. No
+// operator tree needs telling: Open reads the tables and the
+// dictionary afresh on every run.
+func (db *DB) invalidate() {
 	db.statsMu.Lock()
 	db.pending = true
 	db.version++
-	if created {
-		db.tables++
-	}
 	db.statsMu.Unlock()
 }
 
 // Version returns the data version: a counter bumped by every ABox
-// mutation. It keys what a write must strand whatever it changed —
-// the shard backend's plan and result caches, and a pooled operator
-// tree that resolved a constant when it was built. Plans key on the
-// statistics epoch instead (Statistics.Epoch), which moves only when
-// the statistics their estimates read do.
+// mutation. It keys what a write must strand whatever it changed: the
+// shard backend's plan and result caches. Plans key on the statistics
+// epoch instead (Statistics.Epoch), which moves only when the
+// statistics their estimates read do, and pooled operator trees on
+// nothing from the data, since Open reads it afresh.
 func (db *DB) Version() uint64 {
 	db.statsMu.Lock()
 	defer db.statsMu.Unlock()
 	return db.version
-}
-
-// buildVersions returns, under one lock, the table-set version — bumped
-// by a write that creates a table, whose pointer an operator tree
-// resolves when it is built — and the data version.
-func (db *DB) buildVersions() (tables, data uint64) {
-	db.statsMu.Lock()
-	defer db.statsMu.Unlock()
-	return db.tables, db.version
 }
 
 // LoadABox bulk-loads an ABox and finalizes the layout.

@@ -401,7 +401,7 @@ func TestPlanChoosesIndexAccess(t *testing.T) {
 	if a.leaves[a.steps[0].leaf].Atoms[0].Pred != "A" {
 		t.Errorf("planner should start from the small concept table, got %+v", a.steps)
 	}
-	op, body := compileArm(a, db, nil)
+	op, body := buildArm(a, db)
 	if !expandsForward(body, "R") {
 		t.Errorf("second step should expand the bound subject through the forward index:\n%s", ExplainPipeline(op))
 	}

@@ -24,6 +24,16 @@ func planBlocks(head []query.Term, blocks [][]query.Atom, db *DB, prof *Profile)
 	return a
 }
 
+// buildArm builds a's operator tree, and the body pipeline under its
+// projection, for one run without arguments, binding the arm's
+// constants as Compiled.Tree does.
+func buildArm(a *armPlan, db *DB) (proj, body Operator) {
+	r := &run{db: db}
+	proj, body = compileArm(a, r)
+	r.args.resolve(db.Dict, nil)
+	return proj, body
+}
+
 // cqBlocks returns q's body as one-atom blocks.
 func cqBlocks(q query.CQ) [][]query.Atom {
 	blocks := make([][]query.Atom, len(q.Atoms))
@@ -72,15 +82,17 @@ func (c *Compiled) PooledTree() Operator {
 }
 
 // ExistenceCheck compiles q with its atoms as the plan steps, in body
-// order, and returns the row check of its last atom, with ok false
-// unless that atom is an existence probe. Rows are laid out with q's
-// variables in order of first use.
+// order, and returns the row check of its last atom, opened as its
+// filter's Open opens it, with ok false unless that atom is an
+// existence probe. Rows are laid out with q's variables in order of
+// first use.
 func ExistenceCheck(q query.CQ, db *DB) (keep func(row []int64) bool, ok bool) {
-	_, body := compileArm(planBlocks(q.Head, cqBlocks(q), db, ProfilePostgres()).inBodyOrder(), db, nil)
+	_, body := buildArm(planBlocks(q.Head, cqBlocks(q), db, ProfilePostgres()).inBodyOrder(), db)
 	f, isFilter := body.(*filterOp)
 	if !isFilter || len(f.alts) != 1 || !f.alts[0].exists {
 		return nil, false
 	}
+	f.alts[0].open()
 	return f.alts[0].keep, true
 }
 

@@ -26,8 +26,9 @@ package engine
 //
 // Trees are reused too: Compiled.Run (backend.go) re-opens the tree a
 // previous run of the same plan left behind, so Open resets whatever a
-// run leaves in an operator and must not trust anything it cached from
-// the tables before.
+// run leaves in an operator and reads from the database afresh
+// everything the operator takes from it: tables, and the dictionary ids
+// of constants (atomJoin.open).
 
 import (
 	"strings"
@@ -417,9 +418,6 @@ func (o *scanOp) Open() {
 	o.resetStats()
 	o.pos = 0
 	o.members, o.pairs = nil, nil
-	if o.join.dead {
-		return
-	}
 	switch {
 	case o.join.arity == 1:
 		o.members = o.db.ConceptMembers(o.join.pred)
@@ -475,16 +473,15 @@ func rolePairsAll(db *DB, pred string) [][2]int64 {
 
 // --- atom joining (shared by scan/filter/join) ---
 
-// termRef is a compiled atom argument: a dictionary constant or a
+// termRef is a compiled atom argument: a constant (or parameter) or a
 // column of the pipeline's row layout, with the bound-ness the planner
-// established for this step. A parameter is a constant whose id (and
-// absence) every run sets anew from its arguments (atomJoin.bindArgs).
+// established for this step. A constant reads the run's argument slot
+// slot: every Open sets its id and absence anew (atomJoin.open).
 type termRef struct {
 	constID int64
 	col     int
-	param   int32 // the parameter's index, when isParam
+	slot    int32 // the constant's argument slot (run.slot), when isConst
 	isConst bool
-	isParam bool
 	absent  bool // the constant is not in the dictionary
 	bound   bool
 }
@@ -506,16 +503,16 @@ type atomJoin struct {
 	arity   int
 	s, o    termRef
 	sameVar bool
-	// dead marks an atom with a constant absent from the dictionary: it
-	// can match nothing.
+	// dead marks an atom with a constant absent from the dictionary this
+	// run: it can match nothing.
 	dead bool
 	// exists marks an existence probe: one side is bound and the other
 	// is a variable nothing after this step reads (markExistential), so
 	// the atom only checks that the bound side has a neighbour.
 	exists bool
-	// args is the run's bound arguments when the atom has a parameter.
+	// args is the run's bound arguments when the atom has a constant.
 	args *boundArgs
-	// The atom's table on the simple layout, resolved once per build;
+	// The atom's table on the simple layout, resolved at every Open;
 	// nil for an absent predicate, which the tables' nil-receiver guards
 	// read as empty. Unused on the RDF layout.
 	concept *ConceptTable
@@ -528,16 +525,31 @@ type atomJoin struct {
 	scansLoaded bool
 }
 
-// bindArgs resolves the atom's parameters from the run's arguments,
-// each Open: a parameter absent from the dictionary kills the atom for
-// the run.
-func (j *atomJoin) bindArgs() {
-	if j.args == nil {
-		return
+// open readies the atom for one run, at its operator's Open: it
+// resolves the atom's table (simple layout), binds its constants to the
+// run's ids — one absent from the dictionary kills the atom for the run
+// — and drops the cached full scan. So a re-opened tree reads the
+// database as it is now: a pooled tree outlives Finalize, which
+// publishes pending facts, and every write, the one that creates a
+// table included.
+func (j *atomJoin) open() {
+	if j.db.Layout != LayoutRDF {
+		if j.arity == 1 {
+			j.concept = j.db.Concept(j.pred)
+		} else {
+			j.role = j.db.Role(j.pred)
+		}
 	}
-	j.args.bind(&j.s)
-	j.args.bind(&j.o)
-	j.dead = j.s.absent || j.arity > 1 && j.o.absent
+	for _, t := range []*termRef{&j.s, &j.o} {
+		if t.isConst {
+			id, ok := j.args.lookup(int(t.slot))
+			t.constID, t.absent = id, !ok
+		}
+	}
+	j.dead = j.s.absent || j.o.absent
+	j.scansLoaded = false
+	j.scanPairs = nil
+	j.scanDiag = j.scanDiag[:0]
 }
 
 // fullyBound reports whether the atom only checks already-bound values.
@@ -554,9 +566,6 @@ func (j *atomJoin) filters() bool { return j.exists || j.fullyBound() }
 
 // unbound reports whether no argument is bound — a source scan.
 func (j *atomJoin) unbound() bool {
-	if j.dead {
-		return false
-	}
 	if j.arity == 1 {
 		return !j.s.isBound()
 	}
@@ -666,16 +675,6 @@ func (j *atomJoin) matches(row []int64) matchSet {
 	}
 }
 
-// resetScan drops the cached full scan, so a re-opened operator reads
-// the table as it is now: a pooled tree outlives Finalize, which
-// publishes pending facts, and outlives every write into a table that
-// existed when it was built.
-func (j *atomJoin) resetScan() {
-	j.scansLoaded = false
-	j.scanPairs = nil
-	j.scanDiag = j.scanDiag[:0]
-}
-
 func (j *atomJoin) loadScan() {
 	if j.scansLoaded {
 		return
@@ -725,7 +724,7 @@ func predNames(alts []*atomJoin) string {
 func (o *filterOp) Open() {
 	o.resetStats()
 	for _, a := range o.alts {
-		a.bindArgs()
+		a.open()
 	}
 	takeBatch(&o.in, len(o.child.Schema()))
 	o.child.Open()
@@ -794,8 +793,7 @@ func (o *joinOp) Open() {
 	o.curRow = nil
 	o.pend, o.pendIdx = matchSet{}, 0
 	for _, a := range o.alts {
-		a.resetScan()
-		a.bindArgs()
+		a.open()
 	}
 	o.child.Open()
 }
@@ -873,54 +871,42 @@ func (o *joinOp) Children() []Operator { return []Operator{o.child} }
 // --- projection ---
 
 // projectOp maps pipeline rows onto the query head: source columns for
-// head variables, dictionary ids for head constants. A head constant
-// absent from the dictionary (dead) matches nothing; a head variable
-// absent from the pipeline's schema drops the row. Head parameters
-// take their ids from the run's arguments at each Open.
+// head variables, the ids Open binds for head constants and
+// parameters. A head constant absent from the dictionary makes the run
+// match nothing (dead); so does a head variable absent from the
+// pipeline's schema (unbound).
 type projectOp struct {
 	opBase
 	child Operator
-	// srcCols[i] ≥ 0 reads that pipeline column; -1 emits consts[i].
+	// srcCols[i] ≥ 0 reads that pipeline column; a negative one, -1-s,
+	// emits consts[i], the id Open binds from argument slot s. consts
+	// is nil when the head has no constant.
 	srcCols []int
 	consts  []int64
+	args    *boundArgs
+	unbound bool
 	dead    bool
-
-	params *headParams // nil when the head has none
 
 	in      *Batch
 	scratch []int64
 }
 
-// headParams binds a projection's head parameters each Open: index[i]
-// is head term i's parameter index, -1 for any other term, and
-// deadConst is the projection's deadness before them.
-type headParams struct {
-	index     []int
-	deadConst bool
-	args      *boundArgs
-}
-
-func newProject(child Operator, schema []string, srcCols []int, consts []int64, dead bool) *projectOp {
+func newProject(child Operator, schema []string, srcCols []int) *projectOp {
 	return &projectOp{
 		opBase:  opBase{name: "project", schema: schema},
 		child:   child,
 		srcCols: srcCols,
-		consts:  consts,
-		dead:    dead,
 		scratch: make([]int64, len(schema)),
 	}
 }
 
 func (o *projectOp) Open() {
 	o.resetStats()
-	if p := o.params; p != nil {
-		o.dead = p.deadConst
-		for c, i := range p.index {
-			if i >= 0 {
-				id, ok := p.args.lookup(i)
-				o.consts[c] = id
-				o.dead = o.dead || !ok
-			}
+	o.dead = o.unbound
+	for c, src := range o.srcCols {
+		if src < 0 {
+			id, ok := o.args.lookup(-1 - src)
+			o.consts[c], o.dead = id, o.dead || !ok
 		}
 	}
 	takeBatch(&o.in, len(o.child.Schema()))

@@ -68,7 +68,7 @@ func cqTree(q query.CQ, db *DB) Operator {
 
 // scqTree is cqTree for a body of blocks.
 func scqTree(head []query.Term, blocks [][]query.Atom, db *DB) Operator {
-	op, _ := compileArm(planBlocks(head, blocks, db, ProfilePostgres()), db, nil)
+	op, _ := buildArm(planBlocks(head, blocks, db, ProfilePostgres()), db)
 	return op
 }
 
@@ -436,7 +436,7 @@ func TestJoinRunsCrossBatchBoundaries(t *testing.T) {
 	if !slices.Equal(order, []int{0, 2, 1}) {
 		t.Fatalf("scq: block order %v, want the keep block before the expansion", order)
 	}
-	op, _ := compileArm(a, db, nil)
+	op, _ := buildArm(a, db)
 	got := checkJoin("scq", op, big+(7+7)+1100)
 	var want [][]int64
 	for _, xid := range db.ConceptMembers("A") {
