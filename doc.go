@@ -19,7 +19,7 @@
 //	                      sequential/parallel union), with per-operator
 //	                      row counters feeding the cost model
 //	internal/sqlgen       SQL translation, statement-size accounting
-//	internal/cost         the external cost model ε (Section 6.1)
+//	internal/cost         the external cost function ε (Section 6.1)
 //	internal/search       EDL and GDL (Algorithm 1), time-limited GDL
 //	internal/core         the Answerer tying everything together
 //	internal/lubm         the LUBM∃ benchmark (TBox, generator, Q1-Q13)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/dllite"
 	"repro/internal/engine"
 	"repro/internal/lubm"
 	"repro/internal/plan"
@@ -232,5 +233,46 @@ func TestSQLBackendExplainCarriesStatement(t *testing.T) {
 	}
 	if res.Explain.Root.ActualRows != int64(len(res.Tuples)) {
 		t.Errorf("root actual %d, want %d", res.Explain.Root.ActualRows, len(res.Tuples))
+	}
+}
+
+// TestBooleanCQAgreesAcrossBackends: a boolean CQ answers one empty
+// tuple when true and nothing when false, under every strategy, on the
+// native and sql backends alike and as naive evaluation of its
+// reformulation does; answering never grows the dictionary.
+func TestBooleanCQAgreesAcrossBackends(t *testing.T) {
+	tb := lubm.TBox()
+	ab := dllite.MustParseABox("takesCourse(Ann, Course0)")
+	boolean := func(text string) query.CQ {
+		q := query.MustParseCQ(text)
+		q.Head = nil
+		return q
+	}
+	for _, q := range []query.CQ{
+		boolean("q(x) <- Student(x), takesCourse(x, y)"),
+		boolean("q(x) <- Student(x), teacherOf(x, y)"),
+	} {
+		want := certain(t, tb, q, ab)
+		for _, s := range Strategies() {
+			for _, backend := range []string{"native", "sql"} {
+				db := engine.NewDB(engine.LayoutSimple)
+				db.LoadABox(ab)
+				a := New(tb, db, engine.ProfilePostgres())
+				if backend == "sql" {
+					a.Backend = sqlexec.NewBackend(db, a.Profile)
+				}
+				size := db.Dict.Size()
+				res, err := a.Answer(q, s)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", q, s, backend, err)
+				}
+				if got := sorted(res.Tuples); !slices.Equal(got, want) {
+					t.Errorf("%s/%s/%s: answers %q, naive %q", q, s, backend, got, want)
+				}
+				if got := db.Dict.Size(); got != size {
+					t.Errorf("%s/%s/%s: dictionary grew from %d to %d entries", q, s, backend, size, got)
+				}
+			}
+		}
 	}
 }

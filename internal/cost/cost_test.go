@@ -101,28 +101,6 @@ func TestJUCQCostIncludesMaterialization(t *testing.T) {
 	}
 }
 
-func TestSCQCheaperThanExpansion(t *testing.T) {
-	m := NewModel(buildDB(t, engine.LayoutSimple))
-	s := query.SCQ{
-		Head: []query.Term{query.Var("x")},
-		Blocks: [][]query.Atom{
-			{query.ConceptAtom("A", query.Var("x")), query.ConceptAtom("B", query.Var("x"))},
-			{query.RoleAtom("R", query.Var("x"), query.Var("y")),
-				query.RoleAtom("S", query.Var("x"), query.Var("y"))},
-		},
-	}
-	// The one arm alone (no DISTINCT) against the whole expanded union.
-	factored, err := m.arm(plan.FromSCQ(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	expanded := m.Estimate(plan.FromUCQ(s.Expand()))
-	if factored.Cost > expanded.Cost {
-		t.Errorf("factorized evaluation (%.1f) should not exceed expansion (%.1f)",
-			factored.Cost, expanded.Cost)
-	}
-}
-
 func TestUSCQAndJUSCQ(t *testing.T) {
 	m := NewModel(buildDB(t, engine.LayoutSimple))
 	s := query.SCQ{
@@ -145,68 +123,6 @@ func TestEmptyTablesZeroCard(t *testing.T) {
 	e := m.Estimate(cqPlan("q(x) <- Missing(x)"))
 	if e.Card != 0 {
 		t.Errorf("unknown table must estimate zero rows, got %v", e.Card)
-	}
-}
-
-// TestEstimateSharedMatchesFormulas: scoring a cover's plan tree
-// fragment by fragment — recalling fragment figures from the shared map
-// on later trees — gives exactly the figures of the cover estimated
-// whole, which are the Join of its fragments' own estimates; a plain CQ
-// arm costs, bit for bit, what the same arm costs as all-singleton
-// factorized blocks.
-func TestEstimateSharedMatchesFormulas(t *testing.T) {
-	m := NewModel(buildDB(t, engine.LayoutSimple))
-	x := query.Var("x")
-	f1 := query.UCQ{Name: "f1", Disjuncts: []query.CQ{
-		query.MustParseCQ("f1(x) <- A(x)"), query.MustParseCQ("f1(x) <- R(x, y)")}}
-	f2 := query.UCQ{Name: "f2", Disjuncts: []query.CQ{query.MustParseCQ("f2(x) <- R(x, 'o3')")}}
-	f3 := query.UCQ{Name: "f3", Disjuncts: []query.CQ{
-		query.MustParseCQ("f3(x) <- R(x, y), R(z, y)"), query.MustParseCQ("f3(x) <- A(x), R(x, y)")}}
-	tree := map[string]*plan.Node{}
-	for _, u := range []query.UCQ{f1, f2, f3} {
-		tree[u.Name] = plan.Rewrite(plan.FromUCQ(u))
-	}
-	shared := map[*plan.Node]Estimate{}
-	for _, subs := range [][]query.UCQ{{f1, f2}, {f1, f3}, {f3, f2, f1}, {f2}} {
-		j := query.JUCQ{Name: "j", Head: []query.Term{x}, Subs: subs}
-		frags := make([]*plan.Node, len(subs))
-		ests := make([]Estimate, len(subs))
-		for i, u := range subs {
-			frags[i] = tree[u.Name]
-			ests[i] = m.Estimate(plan.FromUCQ(u))
-		}
-		want := m.Join(ests)
-		if len(subs) == 1 {
-			want = ests[0] // a single fragment is a plain UCQ plan
-		}
-		n := plan.Cover(j.Name, j.Head, frags)
-		if got := m.EstimateShared(n, shared); got != want {
-			t.Errorf("%d fragments: shared estimate %+v, fragment join %+v", len(subs), got, want)
-		}
-		if got := m.Estimate(plan.FromJUCQ(j)); got != want {
-			t.Errorf("%d fragments: estimate %+v, fragment join %+v", len(subs), got, want)
-		}
-	}
-	if len(shared) != 3 {
-		t.Errorf("shared map holds %d fragment estimates, want 3", len(shared))
-	}
-	for _, u := range []query.UCQ{f1, f2, f3} {
-		var blocks query.USCQ
-		for _, d := range u.Disjuncts {
-			s := query.SCQ{Name: d.Name, Head: d.Head}
-			for _, a := range d.Atoms {
-				s.Blocks = append(s.Blocks, []query.Atom{a})
-			}
-			blocks.Disjuncts = append(blocks.Disjuncts, s)
-		}
-		if got, want := m.Estimate(plan.FromUSCQ(blocks)), m.Estimate(plan.FromUCQ(u)); got != want {
-			t.Errorf("%s: singleton-block estimate %+v, CQ estimate %+v", u.Name, got, want)
-		}
-	}
-	js := query.JUSCQ{Name: "j", Head: []query.Term{x}, Subs: []query.USCQ{query.FactorizeUCQ(f1), query.FactorizeUCQ(f3)}}
-	want := m.Join([]Estimate{m.Estimate(plan.FromUSCQ(js.Subs[0])), m.Estimate(plan.FromUSCQ(js.Subs[1]))})
-	if got := m.Estimate(plan.FromJUSCQ(js)); got != want {
-		t.Errorf("juscq: estimate %+v, fragment join %+v", got, want)
 	}
 }
 

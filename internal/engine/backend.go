@@ -117,7 +117,7 @@ func (b *Backend) Estimate(n *plan.Node) plan.Estimate {
 // use; not safe for concurrent use.
 type EstimateMemo struct {
 	checked plan.Checker
-	frags   map[*plan.Node]physical
+	frags   map[*plan.Node]*fragmentPlan
 }
 
 // EstimateShared is Estimate for the candidate covers of one search,
@@ -130,7 +130,7 @@ func (b *Backend) EstimateShared(n *plan.Node, m *EstimateMemo) plan.Estimate {
 		return plan.Estimate{Cost: math.Inf(1)}
 	}
 	if m.frags == nil {
-		m.frags = make(map[*plan.Node]physical)
+		m.frags = make(map[*plan.Node]*fragmentPlan)
 	}
 	p, err := (&compiler{b: b, frags: m.frags}).compile(n)
 	if err != nil {
@@ -229,7 +229,7 @@ type physical interface {
 // is recalled by subtree identity.
 type compiler struct {
 	b     *Backend
-	frags map[*plan.Node]physical
+	frags map[*plan.Node]*fragmentPlan
 }
 
 func (c *compiler) compile(n *plan.Node) (physical, error) {
@@ -247,21 +247,21 @@ func (c *compiler) compile(n *plan.Node) (physical, error) {
 // their estimated cardinalities.
 type coverPlan struct {
 	distinct, project, join *plan.Node
-	frags                   []physical
+	frags                   []*fragmentPlan
 	probe                   int
 	builds                  []int
 	est                     plan.Estimate
 }
 
 func (c *compiler) cover(n *plan.Node, frags []*plan.Node) (*coverPlan, error) {
-	p := &coverPlan{distinct: n, project: n.Inputs[0], join: n.Inputs[0].Inputs[0], frags: make([]physical, len(frags))}
+	p := &coverPlan{distinct: n, project: n.Inputs[0], join: n.Inputs[0].Inputs[0], frags: make([]*fragmentPlan, len(frags))}
 	ests := make([]plan.Estimate, len(frags))
 	cards := make([]float64, len(frags))
 	for i, f := range frags {
 		fp, ok := c.frags[f]
 		if !ok {
 			var err error
-			if fp, err = c.compile(f); err != nil {
+			if fp, err = c.fragment(f); err != nil {
 				return nil, err
 			}
 			if c.frags != nil {
@@ -357,7 +357,8 @@ func (f *fragmentPlan) build(r *run, workers int) Operator {
 }
 
 // armPlan is one union arm — a Project over its body — planned under
-// the profile over the blocks of its access leaves (kept in Pos order).
+// the profile over the blocks of its access leaves, which planArm puts
+// in plan order.
 type armPlan struct {
 	n      *plan.Node
 	leaves []*plan.Node

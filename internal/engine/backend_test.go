@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dllite"
@@ -259,6 +261,103 @@ func TestEstimateSharedMatchesCompile(t *testing.T) {
 	hidden := plan.Rewrite(plan.FromUCQ(ucq("f4", "f4(z) <- worksWith(x, z)"))) // x is body-only: an invisible join key
 	if est := b.EstimateShared(plan.Cover("j", []query.Term{x}, []*plan.Node{t1, hidden}), &memo); !math.IsInf(est.Cost, 1) {
 		t.Errorf("cover hiding a join key estimates to %+v, want +Inf cost", est)
+	}
+}
+
+// extDB is the database ε's formula tests run on: 300 facts of R over
+// 60 subjects and 17 objects, and 40 members of A.
+func extDB(t *testing.T) *DB {
+	t.Helper()
+	var sb strings.Builder
+	for i := range 300 {
+		fmt.Fprintf(&sb, "R(s%d, o%d)\n", i%60, i%17)
+	}
+	for i := range 40 {
+		fmt.Fprintf(&sb, "A(s%d)\n", i)
+	}
+	return loadDB(t, LayoutSimple, sb.String())
+}
+
+// TestSCQCheaperThanExpansion: under ε's profile, one factorized arm
+// alone (no DISTINCT) costs no more than the whole expanded union.
+func TestSCQCheaperThanExpansion(t *testing.T) {
+	db := extDB(t)
+	s := query.SCQ{
+		Head: []query.Term{query.Var("x")},
+		Blocks: [][]query.Atom{
+			{query.ConceptAtom("A", query.Var("x")), query.ConceptAtom("B", query.Var("x"))},
+			{query.RoleAtom("R", query.Var("x"), query.Var("y")),
+				query.RoleAtom("S", query.Var("x"), query.Var("y"))},
+		},
+	}
+	factored := planBlocks(s.Head, s.Blocks, db, ProfileExt()).est
+	expanded := NewBackend(db, ProfileExt()).Estimate(plan.FromUCQ(s.Expand()))
+	if factored.Cost > expanded.Cost {
+		t.Errorf("factorized evaluation (%.1f) should not exceed expansion (%.1f)",
+			factored.Cost, expanded.Cost)
+	}
+}
+
+// TestEstimateSharedMatchesFormulas: under ε's profile, scoring a
+// cover's plan tree fragment by fragment — recalling fragment figures
+// from the memo on later trees — gives exactly the figures of the cover
+// estimated whole, which are coverEstimate of its fragments' own
+// estimates; a plain CQ arm costs, bit for bit, what the same arm costs
+// as all-singleton factorized blocks.
+func TestEstimateSharedMatchesFormulas(t *testing.T) {
+	prof := ProfileExt()
+	b := NewBackend(extDB(t), prof)
+	x := query.Var("x")
+	f1 := query.UCQ{Name: "f1", Disjuncts: []query.CQ{
+		query.MustParseCQ("f1(x) <- A(x)"), query.MustParseCQ("f1(x) <- R(x, y)")}}
+	f2 := query.UCQ{Name: "f2", Disjuncts: []query.CQ{query.MustParseCQ("f2(x) <- R(x, 'o3')")}}
+	f3 := query.UCQ{Name: "f3", Disjuncts: []query.CQ{
+		query.MustParseCQ("f3(x) <- R(x, y), R(z, y)"), query.MustParseCQ("f3(x) <- A(x), R(x, y)")}}
+	tree := map[string]*plan.Node{}
+	for _, u := range []query.UCQ{f1, f2, f3} {
+		tree[u.Name] = plan.Rewrite(plan.FromUCQ(u))
+	}
+	var memo EstimateMemo
+	for _, subs := range [][]query.UCQ{{f1, f2}, {f1, f3}, {f3, f2, f1}, {f2}} {
+		j := query.JUCQ{Name: "j", Head: []query.Term{x}, Subs: subs}
+		frags := make([]*plan.Node, len(subs))
+		ests := make([]plan.Estimate, len(subs))
+		for i, u := range subs {
+			frags[i] = tree[u.Name]
+			ests[i] = b.Estimate(plan.FromUCQ(u))
+		}
+		want := coverEstimate(ests, prof)
+		if len(subs) == 1 {
+			want = ests[0] // a single fragment is a plain UCQ plan
+		}
+		n := plan.Cover(j.Name, j.Head, frags)
+		if got := b.EstimateShared(n, &memo); got != want {
+			t.Errorf("%d fragments: shared estimate %+v, fragment join %+v", len(subs), got, want)
+		}
+		if got := b.Estimate(plan.FromJUCQ(j)); got != want {
+			t.Errorf("%d fragments: estimate %+v, fragment join %+v", len(subs), got, want)
+		}
+	}
+	if len(memo.frags) != 3 {
+		t.Errorf("memo holds %d fragment estimates, want 3", len(memo.frags))
+	}
+	for _, u := range []query.UCQ{f1, f2, f3} {
+		var blocks query.USCQ
+		for _, d := range u.Disjuncts {
+			s := query.SCQ{Name: d.Name, Head: d.Head}
+			for _, a := range d.Atoms {
+				s.Blocks = append(s.Blocks, []query.Atom{a})
+			}
+			blocks.Disjuncts = append(blocks.Disjuncts, s)
+		}
+		if got, want := b.Estimate(plan.FromUSCQ(blocks)), b.Estimate(plan.FromUCQ(u)); got != want {
+			t.Errorf("%s: singleton-block estimate %+v, CQ estimate %+v", u.Name, got, want)
+		}
+	}
+	js := query.JUSCQ{Name: "j", Head: []query.Term{x}, Subs: []query.USCQ{query.FactorizeUCQ(f1), query.FactorizeUCQ(f3)}}
+	want := coverEstimate([]plan.Estimate{b.Estimate(plan.FromUSCQ(js.Subs[0])), b.Estimate(plan.FromUSCQ(js.Subs[1]))}, prof)
+	if got := b.Estimate(plan.FromJUSCQ(js)); got != want {
+		t.Errorf("juscq: estimate %+v, fragment join %+v", got, want)
 	}
 }
 

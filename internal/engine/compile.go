@@ -21,13 +21,13 @@ import (
 	"repro/internal/query"
 )
 
-// pipelineLayout assigns every variable of the arm's blocks a column,
-// in order of first use along the plan's steps.
-func pipelineLayout(leaves []*plan.Node, steps []armStep) (map[string]int, []string) {
+// pipelineLayout assigns every variable of the arm's blocks, the leaves
+// in plan order, a column, in order of first use along the plan.
+func pipelineLayout(leaves []*plan.Node) (map[string]int, []string) {
 	colOf := map[string]int{}
 	var cols []string
-	for _, s := range steps {
-		for _, a := range leaves[s.leaf].Atoms {
+	for _, leaf := range leaves {
+		for _, a := range leaf.Atoms {
 			for _, t := range a.Args {
 				if t.IsVar() {
 					if _, ok := colOf[t.Name]; !ok {
@@ -151,10 +151,10 @@ func compileProject(cur Operator, head []query.Term, colOf map[string]int, r *ru
 // against the access leaf it reads.
 func compileArm(a *armPlan, r *run) (proj, body Operator) {
 	head := a.n.Head
-	colOf, cols := pipelineLayout(a.leaves, a.steps)
+	colOf, cols := pipelineLayout(a.leaves)
 	last := make([]int, len(cols))
-	for k, s := range a.steps {
-		for _, at := range a.leaves[s.leaf].Atoms {
+	for k, leaf := range a.leaves {
+		for _, at := range leaf.Atoms {
 			noteReads(last, colOf, k, at.Args)
 		}
 	}
@@ -162,7 +162,7 @@ func compileArm(a *armPlan, r *run) (proj, body Operator) {
 	bound := make([]bool, len(cols))
 	var cur Operator
 	for k, s := range a.steps {
-		block := a.leaves[s.leaf].Atoms
+		block := a.leaves[k].Atoms
 		alts := make([]*atomJoin, len(block))
 		for i, at := range block {
 			alts[i] = newAtomJoin(at, colOf, bound, r)
@@ -172,7 +172,7 @@ func compileArm(a *armPlan, r *run) (proj, body Operator) {
 		for _, at := range block {
 			markBound(at, colOf, bound)
 		}
-		r.bind(a.leaves[s.leaf], s.estOut, s.estCost, cur)
+		r.bind(a.leaves[k], s.estOut, s.estCost, cur)
 	}
 	if cur == nil {
 		cur = newSingleton(cols)

@@ -398,7 +398,7 @@ func TestPlanChoosesIndexAccess(t *testing.T) {
 	if len(a.steps) != 2 {
 		t.Fatalf("steps = %d", len(a.steps))
 	}
-	if a.leaves[a.steps[0].leaf].Atoms[0].Pred != "A" {
+	if a.leaves[0].Atoms[0].Pred != "A" {
 		t.Errorf("planner should start from the small concept table, got %+v", a.steps)
 	}
 	op, body := buildArm(a, db)

@@ -5,7 +5,9 @@ package engine
 // and operator-tree helpers only tests call.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/plan"
@@ -43,12 +45,10 @@ func cqBlocks(q query.CQ) [][]query.Atom {
 	return blocks
 }
 
-// inBodyOrder sets a's steps to its blocks in body order, so a test
-// fixes which side of each atom is bound.
+// inBodyOrder puts a's blocks back in body order, so a test fixes which
+// side of each atom is bound.
 func (a *armPlan) inBodyOrder() *armPlan {
-	for i := range a.steps {
-		a.steps[i].leaf = i
-	}
+	slices.SortFunc(a.leaves, func(x, y *plan.Node) int { return cmp.Compare(x.Pos, y.Pos) })
 	return a
 }
 

@@ -14,12 +14,12 @@ import "repro/internal/query"
 // materializing every intermediate, returning rows projected on the CQ
 // head (duplicates preserved).
 func ExecCQMaterialized(q query.CQ, db *DB, prof *Profile) *Relation {
-	steps := planBlocks(q.Head, cqBlocks(q), db, prof).steps
+	leaves := planBlocks(q.Head, cqBlocks(q), db, prof).leaves
 	// Column layout: variables in order of first use across the plan.
 	colOf := map[string]int{}
 	var cols []string
-	for _, s := range steps {
-		for _, t := range q.Atoms[s.leaf].Args {
+	for _, leaf := range leaves {
+		for _, t := range leaf.Atoms[0].Args {
 			if t.IsVar() {
 				if _, ok := colOf[t.Name]; !ok {
 					colOf[t.Name] = len(cols)
@@ -30,7 +30,7 @@ func ExecCQMaterialized(q query.CQ, db *DB, prof *Profile) *Relation {
 	}
 	rows := [][]int64{make([]int64, len(cols))}
 	boundMask := make([]bool, len(cols))
-	for i, s := range steps {
+	for i, leaf := range leaves {
 		// readLater: the variables the head or a later step reads.
 		readLater := map[string]bool{}
 		for _, h := range q.Head {
@@ -38,15 +38,15 @@ func ExecCQMaterialized(q query.CQ, db *DB, prof *Profile) *Relation {
 				readLater[h.Name] = true
 			}
 		}
-		for _, later := range steps[i+1:] {
-			for _, t := range q.Atoms[later.leaf].Args {
+		for _, later := range leaves[i+1:] {
+			for _, t := range later.Atoms[0].Args {
 				if t.IsVar() {
 					readLater[t.Name] = true
 				}
 			}
 		}
-		rows = execStep(q.Atoms[s.leaf], rows, colOf, boundMask, readLater, db)
-		for _, t := range q.Atoms[s.leaf].Args {
+		rows = execStep(leaf.Atoms[0], rows, colOf, boundMask, readLater, db)
+		for _, t := range leaf.Atoms[0].Args {
 			if t.IsVar() {
 				boundMask[colOf[t.Name]] = true
 			}

@@ -430,8 +430,8 @@ func TestJoinRunsCrossBatchBoundaries(t *testing.T) {
 	}
 	a := planBlocks(s.Head, s.Blocks, db, ProfilePostgres())
 	var order []int
-	for _, st := range a.steps {
-		order = append(order, st.leaf)
+	for _, leaf := range a.leaves {
+		order = append(order, leaf.Pos)
 	}
 	if !slices.Equal(order, []int{0, 2, 1}) {
 		t.Fatalf("scq: block order %v, want the keep block before the expansion", order)

@@ -1,15 +1,17 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/internal/plan"
 	"repro/internal/query"
 )
 
-// armStep is one pipelined step of an arm's plan: join the rows
-// produced so far with the block of alternative atoms of one access
-// leaf, the leaf indexed like the arm's leaves.
+// armStep is the estimate of one pipelined step of an arm's plan: join
+// the rows produced so far with the block of alternative atoms of one
+// access leaf — step k reads the arm's leaf k, once planArm has put the
+// leaves in plan order.
 type armStep struct {
-	leaf    int
 	estOut  float64
 	estCost float64
 }
@@ -18,42 +20,42 @@ type armStep struct {
 // matches one step unions per input row (the factorized evaluation that
 // makes USCQs cheaper than expanded UCQs [33]) — greedily: repeatedly
 // the remaining block with the smallest estimated output given the
-// variables bound so far, a tie going to the cheaper step. A block's
-// estimate is the sum over its alternatives; a CQ arm's blocks have one
-// atom each. Index access wins by itself, since bound-variable
-// expansions estimate far below cross products.
+// variables bound so far, a tie going to the cheaper step, then to the
+// earlier leaf. A block's estimate is the sum over its alternatives; a
+// CQ arm's blocks have one atom each. Index access wins by itself, since
+// bound-variable expansions estimate far below cross products. It
+// reorders leaves in place, from Pos order into plan order.
 func planArm(leaves []*plan.Node, db *DB, prof *Profile) ([]armStep, plan.Estimate) {
 	st := db.Stats()
-	used := make([]bool, len(leaves))
-	bound := map[string]bool{}
-	steps := make([]armStep, 0, len(leaves))
+	bound := make([]string, 0, 8) // the variables bound so far: an arm has few
+	steps := make([]armStep, len(leaves))
 	card, cost := 1.0, 0.0
-	for range leaves {
-		best := armStep{leaf: -1}
-		for i, acc := range leaves {
-			if used[i] {
-				continue
-			}
-			s := armStep{leaf: i}
-			for _, a := range acc.Atoms {
+	for k := range leaves {
+		best := &steps[k]
+		chosen := -1
+		for i := k; i < len(leaves); i++ {
+			var s armStep
+			for _, a := range leaves[i].Atoms {
 				out, c := estimateStep(a, bound, card, st, prof, db.Layout)
 				s.estOut += out
 				s.estCost += c
 			}
-			if best.leaf < 0 || s.estOut < best.estOut ||
+			if chosen < 0 || s.estOut < best.estOut ||
 				(s.estOut == best.estOut && s.estCost < best.estCost) {
-				best = s
+				chosen, *best = i, s
 			}
 		}
-		used[best.leaf] = true
-		for _, a := range leaves[best.leaf].Atoms {
+		// Move the chosen leaf to step k; the rest stay in Pos order.
+		leaf := leaves[chosen]
+		copy(leaves[k+1:chosen+1], leaves[k:chosen])
+		leaves[k] = leaf
+		for _, a := range leaf.Atoms {
 			for _, t := range a.Args {
-				if t.IsVar() {
-					bound[t.Name] = true
+				if t.IsVar() && !slices.Contains(bound, t.Name) {
+					bound = append(bound, t.Name)
 				}
 			}
 		}
-		steps = append(steps, best)
 		card = best.estOut
 		cost += best.estCost
 	}
@@ -63,8 +65,8 @@ func planArm(leaves []*plan.Node, db *DB, prof *Profile) ([]armStep, plan.Estima
 // estimateStep estimates the output and cost of joining the current
 // intermediate result (est. cardinality in) with one atom, through the
 // access path its bound arguments allow.
-func estimateStep(a query.Atom, bound map[string]bool, in float64, st *Statistics, prof *Profile, layout Layout) (out, cost float64) {
-	isBound := func(t query.Term) bool { return t.Const || bound[t.Name] }
+func estimateStep(a query.Atom, bound []string, in float64, st *Statistics, prof *Profile, layout Layout) (out, cost float64) {
+	isBound := func(t query.Term) bool { return t.Const || slices.Contains(bound, t.Name) }
 	layoutF := 1.0
 	if layout == LayoutRDF {
 		layoutF = prof.RDFSlotFactor

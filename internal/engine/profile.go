@@ -1,9 +1,12 @@
 package engine
 
-// Profile models an RDBMS's optimizer/runtime personality — the aspects
-// of Postgres and DB2 the paper's experiments expose (Sections 6.1–6.3).
-// It is a set of constants nothing mutates: the planner estimates from
-// the database's statistics alone, like the paper's engines.
+// Profile is a set of estimator constants: the engine's one planner
+// (planArm, unionEstimate, coverEstimate) reads them to cost a plan from
+// the database's statistics alone, like the paper's engines. Postgres
+// and DB2 model those systems' explain facilities (Sections 6.1–6.3),
+// shortcuts and limits included; ProfileExt is the paper's external
+// cost function ε, the one profile without sampling. Nothing mutates a
+// profile.
 type Profile struct {
 	Name string
 
@@ -23,7 +26,7 @@ type Profile struct {
 	// Cost-model constants (cost units per tuple), set per engine
 	// profile.
 	CScanTuple float64 // sequential scan, per tuple
-	CProbe     float64 // index probe, per input row
+	CProbe     float64 // index probe, per input row; also per row through a cover's hash join
 	CEmit      float64 // per produced row
 	CDedup     float64 // per row entering a DISTINCT
 	CMat       float64 // per row materialized into a CTE
@@ -62,6 +65,25 @@ func ProfileDB2() *Profile {
 		CDedup:            0.9,
 		CMat:              1.8,
 		RDFSlotFactor:     float64(DefaultRDFSlots),
+	}
+}
+
+// ProfileExt returns the constants of the external cost function ε
+// (Section 6.1, package cost): no sampling and no statement limit, so
+// queries of every size are costed alike — what makes GDL/ext beat
+// GDL/RDBMS on the largest reformulations under Postgres (Section
+// 6.3). Materializing an intermediate tuple costs twice an index probe,
+// which is what makes generalized covers' semijoin reducers pay off
+// (Sections 5.2 and 6.3).
+func ProfileExt() *Profile {
+	return &Profile{
+		Name:          "ext",
+		CScanTuple:    1,
+		CProbe:        1.5,
+		CEmit:         0.5,
+		CDedup:        1.2,
+		CMat:          3,
+		RDFSlotFactor: float64(DefaultRDFSlots),
 	}
 }
 

@@ -5,9 +5,9 @@
 // SemiJoin, Union, Distinct, Project), and a Backend turns the tree
 // into something executable (the native streaming-operator engine, or
 // the SQL text shipped to an RDBMS). Cost estimators score the same
-// tree, so GDL/RDBMS and GDL/ext differ only in which Estimator walks
-// identical plans, and EXPLAIN derives from the tree plus per-operator
-// counters.
+// tree, so GDL/RDBMS and GDL/ext differ only in which profile the one
+// estimator reads over identical plans, and EXPLAIN derives from the
+// tree plus per-operator counters.
 //
 // The IR is deliberately small: exactly what is needed to express the
 // paper's dialects (CQ, UCQ, SCQ, USCQ and the JUCQ/JUSCQ cover

@@ -12,6 +12,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/query"
 )
@@ -25,7 +26,8 @@ import (
 //     Distinct-rooted fragment) joins fragments on identically named
 //     output columns, so a variable one fragment exposes in its head
 //     must not occur body-only in another — the join key would be
-//     invisible to the hash join.
+//     invisible to the hash join. A fragment is a union of arms, never
+//     a cover itself.
 //   - SemiJoin has a core plus at least one reducer, and every reducer
 //     shares a variable with the core (a disconnected reducer cannot
 //     restrict anything).
@@ -59,9 +61,11 @@ type Checker struct {
 }
 
 // fragVars is what the cover-level checks need from a fragment: the
-// variables its head exposes, and every variable it mentions.
+// variables its head exposes, and every variable it mentions, each
+// listed once. A fragment has few distinct variables however many arms
+// it has, so a list is cheaper to fill and search than a set.
 type fragVars struct {
-	head, all map[string]bool
+	head, all []string
 }
 
 // Validate checks n exactly as the package-level Validate does.
@@ -78,11 +82,13 @@ func (c *Checker) fragment(in *Node) (fragVars, error) {
 	if vars, ok := c.frags[in]; ok {
 		return vars, nil
 	}
+	if CoverFragments(unwrapExchange(in)) != nil {
+		return fragVars{}, fmt.Errorf("plan: validate: cover fragment is itself a cover")
+	}
 	if err := c.node(in); err != nil {
 		return fragVars{}, err
 	}
-	vars := fragVars{head: outVars(in), all: map[string]bool{}}
-	collectVars(in, vars.all)
+	vars := fragVars{head: outVars(in), all: collectVars(nil, in)}
 	if c.frags == nil {
 		c.frags = make(map[*Node]fragVars)
 	}
@@ -160,9 +166,9 @@ func (c *Checker) node(n *Node) error {
 	// their own structure (arm shapes, head bindings) can be relied on.
 	switch n.Op {
 	case OpSemiJoin:
-		core := outVars(n.Inputs[0])
+		core := n.Inputs[0]
 		for i, red := range n.Inputs[1:] {
-			if !sharesVar(outVars(red), core) {
+			if eachOutVar(red, func(v string) bool { return !exposes(core, v) }) {
 				return fmt.Errorf("plan: validate: semijoin reducer %d shares no variable with the core", i)
 			}
 		}
@@ -182,13 +188,12 @@ func (c *Checker) node(n *Node) error {
 			}
 		}
 	case OpExchange:
-		if !outVars(n.Inputs[0])[n.Key] {
+		if !exposes(n.Inputs[0], n.Key) {
 			return fmt.Errorf("plan: validate: exchange key %q not in its input's output schema", n.Key)
 		}
 	case OpProject:
-		bound := outVars(n.Inputs[0])
 		for _, t := range n.Head {
-			if t.IsVar() && !bound[t.Name] {
+			if t.IsVar() && !exposes(n.Inputs[0], t.Name) {
 				return fmt.Errorf("plan: validate: head variable %q not bound by any access", t.Name)
 			}
 		}
@@ -225,9 +230,9 @@ func (c *Checker) coverJoin(n *Node) error {
 		frags[i] = vars
 	}
 	for i, f := range frags {
-		for v := range f.head {
+		for _, v := range f.head {
 			for k, other := range frags {
-				if k != i && other.all[v] && !other.head[v] {
+				if k != i && slices.Contains(other.all, v) && !slices.Contains(other.head, v) {
 					return fmt.Errorf("plan: validate: join key %q missing from fragment %d's head", v, k)
 				}
 			}
@@ -236,65 +241,89 @@ func (c *Checker) coverJoin(n *Node) error {
 	return nil
 }
 
-// outVars returns the variables of n's output schema: what the subtree
+// outVars lists the variables of n's output schema: what the subtree
 // exposes to the operator above it.
-func outVars(n *Node) map[string]bool {
-	out := map[string]bool{}
-	addOutVars(n, out)
+func outVars(n *Node) []string {
+	var out []string
+	eachOutVar(n, func(v string) bool {
+		out = addVar(out, v)
+		return true
+	})
 	return out
 }
 
-func addOutVars(n *Node, out map[string]bool) {
+// exposes reports whether v is a variable of n's output schema, without
+// listing them: the per-arm checks run once per arm of every fragment.
+func exposes(n *Node, v string) bool {
+	return !eachOutVar(n, func(w string) bool { return w != v })
+}
+
+// eachOutVar calls f on each variable of n's output schema, repeats
+// included, until f returns false; it reports whether f never did.
+func eachOutVar(n *Node, f func(string) bool) bool {
 	switch n.Op {
 	case OpAccess:
 		for _, a := range n.Atoms {
 			for _, t := range a.Args {
-				if t.IsVar() {
-					out[t.Name] = true
+				if t.IsVar() && !f(t.Name) {
+					return false
 				}
 			}
 		}
 	case OpJoin:
 		for _, in := range n.Inputs {
-			addOutVars(in, out)
+			if !eachOutVar(in, f) {
+				return false
+			}
 		}
 	case OpSemiJoin, OpUnion:
 		// Reducers only restrict: a semijoin's schema is its core's.
 		// Union arms are schema-compatible projections: the first arm's
 		// head names the union's columns.
 		if len(n.Inputs) > 0 {
-			addOutVars(n.Inputs[0], out)
+			return eachOutVar(n.Inputs[0], f)
 		}
 	case OpDistinct, OpExchange:
 		if len(n.Inputs) == 1 {
-			addOutVars(n.Inputs[0], out)
+			return eachOutVar(n.Inputs[0], f)
 		}
 	case OpProject:
 		for _, t := range n.Head {
-			if t.IsVar() {
-				out[t.Name] = true
+			if t.IsVar() && !f(t.Name) {
+				return false
 			}
 		}
 	}
+	return true
 }
 
-// collectVars adds every variable mentioned anywhere in the subtree.
-func collectVars(n *Node, into map[string]bool) {
+// collectVars adds to vars every variable mentioned anywhere in the
+// subtree that it does not list yet.
+func collectVars(vars []string, n *Node) []string {
 	for _, a := range n.Atoms {
 		for _, t := range a.Args {
 			if t.IsVar() {
-				into[t.Name] = true
+				vars = addVar(vars, t.Name)
 			}
 		}
 	}
 	for _, t := range n.Head {
 		if t.IsVar() {
-			into[t.Name] = true
+			vars = addVar(vars, t.Name)
 		}
 	}
 	for _, in := range n.Inputs {
-		collectVars(in, into)
+		vars = collectVars(vars, in)
 	}
+	return vars
+}
+
+// addVar appends v to vars unless it is listed already.
+func addVar(vars []string, v string) []string {
+	if slices.Contains(vars, v) {
+		return vars
+	}
+	return append(vars, v)
 }
 
 func sameArgs(a, b []query.Term) bool {
@@ -307,13 +336,4 @@ func sameArgs(a, b []query.Term) bool {
 		}
 	}
 	return true
-}
-
-func sharesVar(a, b map[string]bool) bool {
-	for v := range a {
-		if b[v] {
-			return true
-		}
-	}
-	return false
 }

@@ -133,6 +133,19 @@ func TestValidateErrors(t *testing.T) {
 			"plan: validate: union arm 0 is access, want project",
 		},
 		{
+			// Every backend and both estimators take a fragment apart
+			// as a union of arms; a cover in its place is rejected here.
+			"cover nested as a cover fragment",
+			Cover("j", []query.Term{x}, []*Node{
+				FromJUCQ(query.JUCQ{Name: "i", Head: []query.Term{x}, Subs: []query.UCQ{
+					{Name: "f0", Disjuncts: []query.CQ{mustCQ(t, "f0(x) <- A(x)")}},
+					{Name: "f1", Disjuncts: []query.CQ{mustCQ(t, "f1(x) <- advisor(x, y)")}},
+				}}),
+				FromUCQ(query.UCQ{Name: "f2", Disjuncts: []query.CQ{mustCQ(t, "f2(x) <- B(x)")}}),
+			}),
+			"plan: validate: cover fragment is itself a cover",
+		},
+		{
 			"exchange without input",
 			&Node{Op: OpExchange, Key: "x"},
 			"plan: validate: exchange must have exactly one input, has 0",

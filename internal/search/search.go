@@ -1,9 +1,10 @@
 // Package search implements the cost-based cover search algorithms of
 // Section 5.3: EDL (exhaustive over Lq and Gq) and GDL (greedy,
 // Algorithm 1), including the time-limited GDL variant of Section 6.4.
-// Both are parameterized by a cost estimator — either the engine
-// profiles' explain-style estimation ("RDBMS") or the external model of
-// package cost ("ext").
+// Both are parameterized by a cost estimator — the engine's one
+// estimator, reading either an RDBMS profile's explain-style constants
+// ("RDBMS") or those of the external function ε of package cost
+// ("ext").
 package search
 
 import (
@@ -76,22 +77,20 @@ func (e *BackendEstimator) Estimate(n *plan.Node) float64 {
 	return e.Backend.Estimate(n).Cost
 }
 
-// ExtEstimator uses the external cost model (package cost).
+// ExtEstimator uses the external cost function ε (package cost): the
+// same estimator as RDBMSEstimator, reading ε's profile.
 type ExtEstimator struct {
 	Model *cost.Model
 
-	frags map[*plan.Node]plan.Estimate
+	memo engine.EstimateMemo
 }
 
 // Name identifies the estimator in reports.
 func (e *ExtEstimator) Name() string { return "ext" }
 
-// Estimate applies the textbook formulas to the plan tree.
+// Estimate plans the tree under ε's profile and returns its cost.
 func (e *ExtEstimator) Estimate(n *plan.Node) float64 {
-	if e.frags == nil {
-		e.frags = make(map[*plan.Node]plan.Estimate)
-	}
-	return e.Model.EstimateShared(n, e.frags).Cost
+	return e.Model.EstimateShared(n, &e.memo).Cost
 }
 
 // Result is the outcome of a cover search.

@@ -216,23 +216,20 @@ func (e *execEnv) selectStmt(sel *Select) (*rel, error) {
 		isCol bool
 		ok    bool // false when a literal is absent from the dictionary
 	}
-	projs := make([]proj, len(sel.Items))
-	for i, it := range sel.Items {
+	projs := make([]proj, 0, len(sel.Items))
+	for _, it := range sel.Items {
 		name := it.Alias
 		switch {
 		case it.IsOne:
-			if name == "" {
-				name = "one"
-			}
-			// Boolean heads project the constant 1; intern it so the
-			// row decodes uniformly.
-			projs[i] = proj{lit: e.db.Dict.Encode("1"), ok: true}
+			// A boolean head's 1 projects no column: a true boolean
+			// query answers one empty tuple, as the other backends do.
+			continue
 		case it.Ref == nil:
 			if name == "" {
 				name = "lit"
 			}
 			id, found := e.db.Dict.Lookup(it.Lit)
-			projs[i] = proj{lit: id, ok: found}
+			projs = append(projs, proj{lit: id, ok: found})
 		default:
 			if name == "" {
 				name = it.Ref.Col
@@ -241,7 +238,7 @@ func (e *execEnv) selectStmt(sel *Select) (*rel, error) {
 			if err != nil {
 				return nil, err
 			}
-			projs[i] = proj{col: c, isCol: true, ok: true}
+			projs = append(projs, proj{col: c, isCol: true, ok: true})
 		}
 		out.cols = append(out.cols, name)
 	}

@@ -34,7 +34,7 @@ type Select struct {
 type Item struct {
 	Ref   *ColRef
 	Lit   string // literal string value when Ref is nil and IsOne false
-	IsOne bool   // the constant 1 used by boolean heads
+	IsOne bool   // the constant 1 of a boolean head: it projects no column
 	Alias string
 }
 

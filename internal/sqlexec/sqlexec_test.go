@@ -106,6 +106,8 @@ func TestUnionDistinct(t *testing.T) {
 	}
 }
 
+// TestBooleanHead: a true boolean query answers one empty tuple, as
+// the native backend does.
 func TestBooleanHead(t *testing.T) {
 	db := testDB(t)
 	rel, err := Exec("SELECT DISTINCT 1 FROM c_PhDStudent t0", db)
@@ -115,8 +117,8 @@ func TestBooleanHead(t *testing.T) {
 	if len(rel.Rows) != 1 {
 		t.Fatalf("boolean true = %d rows", len(rel.Rows))
 	}
-	if got := rel.Decode(db.Dict); got[0][0] != "1" {
-		t.Fatalf("boolean decodes to %q", got[0][0])
+	if got := rel.Decode(db.Dict); len(got[0]) != 0 {
+		t.Fatalf("boolean decodes to %q, want one empty tuple", got[0])
 	}
 }
 
